@@ -37,10 +37,16 @@ def load_grid_binary(path) -> ObservationGrid:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        m, n, sigma = _HEADER.unpack(fh.read(_HEADER.size))
-        flat = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-    if flat.size != m * n:
-        raise ConfigError(f"{path}: truncated payload ({flat.size} of {m * n} samples)")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ConfigError(f"{path}: truncated header ({len(header)} of "
+                              f"{_HEADER.size} bytes after the magic)")
+        m, n, sigma = _HEADER.unpack(header)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * m * n:
+            raise ConfigError(f"{path}: header promises {m}x{n} samples "
+                              f"({8 * m * n} bytes), file holds {payload} bytes")
+        flat = np.frombuffer(fh.read(payload), dtype="<f8")
     return ObservationGrid(flat.reshape(m, n).copy(), sigma=sigma)
 
 

@@ -161,6 +161,10 @@ class SimConfig:
     nu: float | None = None
     threads: int = 1
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+
 
 @dataclass
 class MiseResult:

@@ -12,15 +12,17 @@ with the scaling block labeled level ``m0' - 1``. The analysis step is
     detail[k] = sum_t hi[t] * a[(2k+t) mod n],   hi[t] = (-1)^t lo[L-1-t],
 
 and the synthesis step is its exact adjoint, giving an orthonormal transform.
-The hot steps are dispatched through :mod:`funcdeconv._kernels` (numba or
-numpy backend).
+Both steps are vectorised over all rows: the analysis step multiplies
+stride-2 windows of the circularly padded rows by the 12x2 filter matrix
+``[lo hi]``; the synthesis step scatter-adds the per-tap products into a
+padded row and folds the wrap-around back.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _kernels
 from .exceptions import ConfigError
 
 # 12-tap extremal-phase Daubechies filter, 6 vanishing moments,
@@ -41,6 +43,32 @@ DB6_LO = np.array([
 ])
 DB6_HI = np.array([(-1.0) ** t * DB6_LO[len(DB6_LO) - 1 - t]
                    for t in range(len(DB6_LO))])
+_BANK = np.stack([DB6_LO, DB6_HI], axis=1)          # (taps, 2)
+_TAPS = len(DB6_LO)
+
+
+def _analysis_step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One periodized analysis step along the last axis (length n, even)."""
+    n = a.shape[-1]
+    padded = np.take(a, np.arange(n + _TAPS - 2), axis=-1, mode="wrap")
+    c = sliding_window_view(padded, _TAPS, axis=-1)[..., ::2, :] @ _BANK
+    return c[..., 0], c[..., 1]
+
+
+def _synthesis_step(ca: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_analysis_step` for (R, n/2) approx/detail rows."""
+    r, half = ca.shape
+    n = 2 * half
+    prods = np.stack([ca, cd], axis=-1) @ _BANK.T      # (R, n/2, taps)
+    padded = np.zeros((r, n + _TAPS - 2), dtype=prods.dtype)
+    for t in range(_TAPS):
+        padded[:, t:t + n:2] += prods[..., t]
+    out = padded[:, :n]
+    # fold the wrap-around back; it spans several periods when n < taps - 2
+    for start in range(n, padded.shape[1], n):
+        tail = padded[:, start:start + n]
+        out[:, :tail.shape[1]] += tail
+    return out
 
 
 def spatial_level_slices(m0p: int, big_l: int) -> dict[int, slice]:
@@ -87,7 +115,7 @@ class SpatialBasis:
             a = a.astype(float)
         out = np.empty_like(a)
         for j in range(big_l - 1, self.m0p - 1, -1):
-            a, d = _kernels.dwt_step(a, self.lo, self.hi)
+            a, d = _analysis_step(a)
             out[:, 2**j:2**(j + 1)] = d
         out[:, :2**self.m0p] = a
         return out.reshape(lead + (n,))
@@ -99,27 +127,7 @@ class SpatialBasis:
         big_l = self._check_length(n)
         lead = packed.shape[:-1]
         c = packed.reshape(-1, n)
-        a = np.ascontiguousarray(c[:, :2**self.m0p])
+        a = c[:, :2**self.m0p]
         for j in range(self.m0p, big_l):
-            a = _kernels.idwt_step(a, c[:, 2**j:2**(j + 1)], self.lo, self.hi)
+            a = _synthesis_step(a, c[:, 2**j:2**(j + 1)])
         return a.reshape(lead + (n,))
-
-    def dwt_tensor_forward(self, a: np.ndarray, axes=None) -> np.ndarray:
-        """Separable DWT along each listed axis (default: all axes)."""
-        a = np.asarray(a)
-        if axes is None:
-            axes = range(a.ndim)
-        out = a
-        for ax in axes:
-            out = np.moveaxis(self.dwt_forward(np.moveaxis(out, ax, -1)), -1, ax)
-        return out
-
-    def dwt_tensor_inverse(self, packed: np.ndarray, axes=None) -> np.ndarray:
-        """Inverse of :func:`dwt_tensor_forward`."""
-        packed = np.asarray(packed)
-        if axes is None:
-            axes = range(packed.ndim)
-        out = packed
-        for ax in axes:
-            out = np.moveaxis(self.dwt_inverse(np.moveaxis(out, ax, -1)), -1, ax)
-        return out

@@ -42,8 +42,8 @@ class ObservationGrid:
             raise ConfigError(f"time length N={n} must be a power of two >= 2")
         if not np.all(np.isfinite(self.samples)):
             raise ConfigError("samples contain non-finite values")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @property
     def m(self) -> int:

@@ -177,6 +177,34 @@ class TestSimulateCommand:
         assert code == 1
 
 
+class TestMalformedInput:
+    """Each malformed input exits 1 with a single `error:` line."""
+
+    def assert_one_line_usage_failure(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("raw", [
+        gridio.MAGIC + bytes(8),
+        gridio.MAGIC + gridio._HEADER.pack(64, 256, math.nan)
+        + bytes(8 * 64 * 256),
+    ], ids=["truncated_header", "nan_sigma"])
+    def test_bad_grid_file(self, workspace, tmp_path, capsys, raw):
+        _, _, kern_path = workspace
+        path = tmp_path / "bad.fdg"
+        path.write_bytes(raw)
+        code = main(["deconvolve", "--input", str(path), "--kernel",
+                     str(kern_path), "--out", str(tmp_path / "z.fdg")])
+        self.assert_one_line_usage_failure(code, capsys)
+
+    def test_zero_runs(self, tmp_path, capsys):
+        code = main(["simulate", "--m", "64", "--n", "256", "--runs", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        self.assert_one_line_usage_failure(code, capsys)
+
+
 class TestTableCommand:
     def test_writes_48_cells_and_xy_files(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

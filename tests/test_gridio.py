@@ -63,6 +63,22 @@ def test_truncated_binary_rejected(tmp_path, grid):
         fd.load_grid(path)
 
 
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "grid.fdg"
+    path.write_bytes(gridio.MAGIC + bytes(8))
+    with pytest.raises(ConfigError, match="truncated header"):
+        fd.load_grid(path)
+
+
+def test_oversized_header_rejected_before_reading(tmp_path):
+    """A header promising 2^62 x 2^62 samples must not reach fh.read."""
+    path = tmp_path / "grid.fdg"
+    path.write_bytes(gridio.MAGIC + gridio._HEADER.pack(2**62, 2**62, 0.25)
+                     + bytes(8 * 16))
+    with pytest.raises(ConfigError, match="header promises"):
+        fd.load_grid(path)
+
+
 def test_wrong_magic_rejected(tmp_path, grid):
     path = tmp_path / "grid.fdg"
     gridio.save_grid_binary(path, grid)

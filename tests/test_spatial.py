@@ -1,4 +1,4 @@
-"""Periodized orthonormal DWT across profiles (and its tensor extension)."""
+"""Periodized orthonormal DWT across profiles."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import funcdeconv as fd
 from funcdeconv.exceptions import ConfigError
-from funcdeconv.spatial import spatial_level_slices
+from funcdeconv.spatial import DB6_HI, DB6_LO, spatial_level_slices
 
 
 def level_energies(basis, x, m0p=3):
@@ -60,6 +60,32 @@ class TestTransform:
         x = rng.standard_normal(128)
         c = spatial.dwt_forward(x)
         assert (c**2).sum() == pytest.approx((x**2).sum(), rel=1e-10)
+
+    def test_complex_input_transforms_real_and_imaginary_parts(self, spatial):
+        """The estimator's input: complex (2^J, M) rows, transposed in memory,
+        inverted from a strided view."""
+        rng = np.random.default_rng(8)
+        re, im = rng.standard_normal((2, 64, 4))
+        z = (re + 1j * im).T
+        c = spatial.dwt_forward(z)
+        np.testing.assert_allclose(
+            c, spatial.dwt_forward(re.T) + 1j * spatial.dwt_forward(im.T),
+            atol=1e-12)
+        assert (abs(c) ** 2).sum() == pytest.approx((abs(z) ** 2).sum(),
+                                                    rel=1e-10)
+        strided = np.zeros((4, 128), dtype=complex)
+        strided[:, ::2] = c
+        np.testing.assert_allclose(spatial.dwt_inverse(strided[:, ::2]), z,
+                                   atol=1e-10)
+
+    def test_stacked_input_matches_row_by_row(self, spatial):
+        x = np.random.default_rng(9).standard_normal((2, 3, 32))
+        c = spatial.dwt_forward(x)
+        assert c.shape == x.shape
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(c[idx], spatial.dwt_forward(x[idx]),
+                                       atol=1e-12)
+        np.testing.assert_allclose(spatial.dwt_inverse(c), x, atol=1e-10)
 
     def test_zero_maps_to_zero(self, spatial):
         assert not spatial.dwt_forward(np.zeros(32)).any()
@@ -127,29 +153,33 @@ class TestSmoothness:
             assert energies[j] > 100 * energies[j + 1]
 
 
-class TestTensor:
-    def test_single_axis_matches_vector_transform(self, spatial):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(64)
-        np.testing.assert_allclose(spatial.dwt_tensor_forward(x),
-                                   spatial.dwt_forward(x), atol=1e-12)
+def dense_level_matrix(n):
+    """One analysis step as an n x n matrix, straight from the filter formula:
+    row k is approx[k] = sum_t lo[t] a[(2k+t) mod n], row n/2+k the detail."""
+    w = np.zeros((n, n))
+    for k in range(n // 2):
+        for t in range(len(DB6_LO)):
+            w[k, (2 * k + t) % n] += DB6_LO[t]
+            w[n // 2 + k, (2 * k + t) % n] += DB6_HI[t]
+    return w
 
-    def test_rank_one_factorizes(self, spatial):
-        rng = np.random.default_rng(3)
-        v, w = rng.standard_normal(32), rng.standard_normal(64)
-        coeffs = spatial.dwt_tensor_forward(np.outer(v, w))
-        expected = np.outer(spatial.dwt_forward(v), spatial.dwt_forward(w))
-        np.testing.assert_allclose(coeffs, expected, atol=1e-10)
 
-    def test_tensor_roundtrip(self, spatial):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((16, 32))
-        back = spatial.dwt_tensor_inverse(spatial.dwt_tensor_forward(a))
-        np.testing.assert_allclose(back, a, atol=1e-10)
+class TestDenseReference:
+    @pytest.mark.parametrize("n", [2, 4, 8, 32, 64])
+    def test_level_matrices_are_orthonormal(self, n):
+        w = dense_level_matrix(n)
+        np.testing.assert_allclose(w @ w.T, np.eye(n), atol=1e-12)
 
-    def test_axes_subset(self, spatial):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((8, 32))
-        only_rows = spatial.dwt_tensor_forward(a, axes=(1,))
-        manual = np.stack([spatial.dwt_forward(row) for row in a])
-        np.testing.assert_allclose(only_rows, manual, atol=1e-12)
+    @pytest.mark.parametrize("n,m0p", [(32, 3), (64, 3), (64, 1)])
+    def test_packed_transform_is_the_product_of_level_matrices(self, n, m0p):
+        """Level j maps the leading 2^(j+1) approximation entries to
+        [approx 2^j | detail 2^j] and leaves the packed details behind them."""
+        dense = np.eye(n)
+        for j in range(int(np.log2(n)) - 1, m0p - 1, -1):
+            step = np.eye(n)
+            step[:2 ** (j + 1), :2 ** (j + 1)] = dense_level_matrix(2 ** (j + 1))
+            dense = step @ dense
+        basis = fd.SpatialBasis(m0p=m0p)
+        x = np.random.default_rng(n + m0p).standard_normal((5, n))
+        np.testing.assert_allclose(basis.dwt_forward(x), x @ dense.T, atol=1e-12)
+        np.testing.assert_allclose(basis.dwt_inverse(x), x @ dense, atol=1e-12)

@@ -68,6 +68,9 @@ class TestFourierCoeffs:
             fd.ObservationGrid(np.zeros(16))             # not 2-D
         with pytest.raises(ConfigError):
             fd.ObservationGrid(np.zeros((2, 16)), sigma=-1.0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                fd.ObservationGrid(np.zeros((2, 16)), sigma=sigma)
         bad = np.zeros((2, 16))
         bad[0, 0] = np.nan
         with pytest.raises(ConfigError):
