@@ -129,6 +129,9 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
 def cmd_deconvolve(args) -> int:
     grid = load_grid(args.input)
+    if grid.sigma == 0:
+        print(f"warning: {args.input} records sigma = 0, so no threshold is "
+              "applied and levels default to grid capacity", file=sys.stderr)
     kernel = load_grid(args.kernel)
     ks = kernel_spectrum(kernel.samples)
     cfg = config_for(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,

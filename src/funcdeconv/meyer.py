@@ -95,10 +95,15 @@ class MeyerBasis:
         return ms[keep]
 
     def union_band(self, big_j: int) -> np.ndarray:
-        """All frequencies used by levels [m0-1, big_j), ascending."""
-        ms = [self.scaling_support()]
-        ms += [self.support_set(j) for j in range(self.m0, big_j)]
-        return np.unique(np.concatenate(ms))
+        """All frequencies used by levels [m0-1, big_j), ascending (cached, read-only)."""
+        key = ("band", big_j)
+        if key not in self._cache:
+            ms = [self.scaling_support()]
+            ms += [self.support_set(j) for j in range(self.m0, big_j)]
+            band = np.unique(np.concatenate(ms))
+            band.flags.writeable = False
+            self._cache[key] = band
+        return self._cache[key]
 
     # -- pointwise coefficients -------------------------------------------
 

@@ -136,10 +136,15 @@ def synthesize_data(truth: np.ndarray, sigma: float, *, seed: int = 0,
     m, n = truth.shape
     if kernel is None:
         kernel = kernel_grid(m, n)
-    clean = convolve_rows(kernel, truth)
+    return _observe(convolve_rows(kernel, truth), sigma, seed, rep)
+
+
+def _observe(clean: np.ndarray, sigma: float, seed: int, rep: int
+             ) -> ObservationGrid:
+    """``clean`` plus replicate ``rep``'s noise: the seed contract in one place."""
     if sigma > 0:
         rng = np.random.default_rng([seed, rep])
-        clean = clean + sigma * rng.standard_normal(truth.shape)
+        clean = clean + sigma * rng.standard_normal(clean.shape)
     return ObservationGrid(clean, sigma=sigma)
 
 
@@ -198,11 +203,14 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
              ) -> MiseResult:
     """Monte-Carlo MISE of the thresholding estimator for one cell.
 
-    Kernel diagnostics (nu hat, C_beta) and both bases are computed once and
-    shared across replicates; replicate seeds are ``[sim.seed, rep]``.
+    The clean convolved signal, kernel diagnostics (nu hat, C_beta) and both
+    bases are computed once and shared across replicates, which only draw
+    their noise; replicate seeds are ``[sim.seed, rep]``, so every replicate
+    grid equals ``synthesize_data(truth, sigma, seed=sim.seed, rep=rep)``.
     """
     truth = product_truth(sim.f1, sim.f2, sim.m, sim.n)
     kernel = kernel_grid(sim.m, sim.n)
+    clean = convolve_rows(kernel, truth)
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel)
         estimate_nu(kernel_spec)
@@ -214,8 +222,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     spatial = SpatialBasis(m0p=cfg.m0p)
 
     def one(rep: int) -> float:
-        grid = synthesize_data(truth, sim.sigma, seed=sim.seed, rep=rep,
-                               kernel=kernel)
+        grid = _observe(clean, sim.sigma, sim.seed, rep)
         rec = deconvolve(grid, kernel_spec, cfg=cfg, meyer_basis=meyer,
                          spatial_basis=spatial)
         return mise(rec.values, truth)

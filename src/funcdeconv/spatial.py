@@ -121,13 +121,13 @@ class SpatialBasis:
         return out.reshape(lead + (n,))
 
     def dwt_inverse(self, packed: np.ndarray) -> np.ndarray:
-        """Exact inverse of :func:`dwt_forward`."""
+        """Exact inverse of :func:`dwt_forward`; always a new array."""
         packed = np.asarray(packed)
         n = packed.shape[-1]
         big_l = self._check_length(n)
         lead = packed.shape[:-1]
         c = packed.reshape(-1, n)
-        a = c[:, :2**self.m0p]
+        a = c[:, :2**self.m0p].copy()   # no step runs when n == 2^m0'
         for j in range(self.m0p, big_l):
             a = _synthesis_step(a, c[:, 2**j:2**(j + 1)])
         return a.reshape(lead + (n,))

@@ -7,13 +7,15 @@ coefficients follow the Riemann-sum convention
 
     coeffs(m) = (1/N) * sum_i row(t_i) * exp(-i 2 pi m t_i),
 
-computed exactly by ``fft(row)/N``. Integer frequencies live in the fftfreq
-layout ``m in [-N/2, N/2)``: index ``m % N`` addresses frequency ``m``.
+computed by a real FFT of each row: rows are real, so ``coeffs(-m)`` is the
+conjugate of ``coeffs(m)``. Integer frequencies live in the fftfreq layout
+``m in [-N/2, N/2)``: index ``m % N`` addresses frequency ``m``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +81,8 @@ class KernelSpectrum:
 
     ``nu`` stays 0 until :func:`estimate_nu` runs or a value is supplied;
     ``c1``/``c2`` bound |g_m(u_l)|^2 * |m|^(2 nu) from below/above over the
-    frequency window used for the fit.
+    frequency window used for the fit. ``g_coeffs`` is read-only once
+    :attr:`zero_floor` has been used: the floor is computed once and cached.
     """
 
     g_coeffs: np.ndarray  # (M, N) complex
@@ -98,22 +101,44 @@ class KernelSpectrum:
     def at_freq(self, freqs) -> np.ndarray:
         return self.g_coeffs[:, np.asarray(freqs) % self.n]
 
+    @cached_property
+    def zero_floor(self) -> np.ndarray:
+        """Per-profile amplitude (M, 1) at or below which a coefficient counts as zero."""
+        return _ZERO_REL * np.abs(self.g_coeffs).max(axis=1, keepdims=True)
+
 
 def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> ProfileSpectrum:
-    """Fourier coefficients of every profile row: ``fft(rows)/N``."""
+    """Fourier coefficients of every (real) profile row: ``fft(rows)/N`` to rounding.
+
+    The non-negative half comes from ``rfft``; the negative half is its
+    conjugate, so the result is exactly conjugate-symmetric.
+    """
     samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
     if samples.ndim != 2:
         raise ConfigError("expected a 2-D (profiles x time) array")
-    n = samples.shape[1]
+    if np.iscomplexobj(samples):
+        raise ConfigError("profile rows must be real")
+    m, n = samples.shape
     if not _is_pow2(n) or n < 2:
         raise ConfigError(f"time length N={n} must be a power of two >= 2")
-    return ProfileSpectrum(np.fft.fft(samples, axis=1) / n)
+    half = n // 2
+    coeffs = np.empty((m, n), dtype=complex)
+    np.fft.rfft(samples, axis=1, norm="forward", out=coeffs[:, :half + 1])
+    np.conjugate(coeffs[:, half - 1:0:-1], out=coeffs[:, half + 1:])
+    return ProfileSpectrum(coeffs)
 
 
 def spectrum_to_samples(spec: ProfileSpectrum | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fourier_coeffs` (complex output; caller takes .real)."""
+    """Real inverse of :func:`fourier_coeffs`: ``N * irfft`` of the non-negative half.
+
+    Assumes a conjugate-symmetric spectrum, ``coeffs(-m) = conj(coeffs(m))``:
+    the negative frequencies and the imaginary parts at 0 and N/2 are not
+    read. Callers holding a spectrum that may break the symmetry must check
+    it first (see :func:`funcdeconv.estimator.reconstruct`).
+    """
     coeffs = spec.coeffs if isinstance(spec, ProfileSpectrum) else np.asarray(spec)
-    return np.fft.ifft(coeffs, axis=-1) * coeffs.shape[-1]
+    n = coeffs.shape[-1]
+    return np.fft.irfft(coeffs[..., :n // 2 + 1], n=n, axis=-1, norm="forward")
 
 
 def kernel_spectrum(kernel_samples: np.ndarray) -> KernelSpectrum:
@@ -135,15 +160,11 @@ def kernel_spectrum(kernel_samples: np.ndarray) -> KernelSpectrum:
 _ZERO_REL = 1e-12
 
 
-def _zero_floor(ks: KernelSpectrum) -> np.ndarray:
-    return _ZERO_REL * np.abs(ks.g_coeffs).max(axis=1, keepdims=True)
-
-
 def validate_invertible(ks: KernelSpectrum, freqs) -> None:
     """Raise :class:`IllPosedKernel` naming (l, m) where |g_m(u_l)| vanishes on ``freqs``."""
     freqs = np.asarray(freqs, dtype=int)
     block = np.abs(ks.at_freq(freqs))
-    zeros = np.argwhere(block <= _zero_floor(ks))
+    zeros = np.argwhere(block <= ks.zero_floor)
     if zeros.size:
         l, mi = zeros[0]
         raise IllPosedKernel(profile=int(l), frequency=int(freqs[mi]))
@@ -160,7 +181,7 @@ def _fit_window(ks: KernelSpectrum, m_range: tuple[int, int] | None):
     if freqs.size < 8:
         raise InsufficientRange(f"need at least 8 frequencies, window [{lo}, {hi}] has {freqs.size}")
     amps = np.abs(ks.at_freq(freqs))
-    if np.any(amps <= _zero_floor(ks)):
+    if np.any(amps <= ks.zero_floor):
         raise InsufficientRange("vanishing kernel coefficients inside the fit window")
     return freqs, amps
 

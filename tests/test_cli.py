@@ -146,6 +146,19 @@ class TestDeconvolveCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_zero_sigma_input_warns_once_and_succeeds(self, workspace, capsys):
+        root, _, kern_path = workspace
+        truth = simlab.product_truth("Quadratic", "Blip", 64, 256)
+        clean_path = root / "clean.fdg"
+        gridio.save_grid(clean_path, simlab.synthesize_data(truth, 0.0))
+        capsys.readouterr()
+        code = main(["deconvolve", "--input", str(clean_path),
+                     "--kernel", str(kern_path), "--out", str(root / "c.fdg")])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.startswith("warning: ") and "no threshold" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_input_is_a_usage_failure(self, workspace, capsys):
         root, _, kern_path = workspace
         code = main(["deconvolve", "--input", str(root / "nope.fdg"),

@@ -204,6 +204,19 @@ class TestEstimateCoeffs:
             coeffs.spatial_slices()
 
 
+class PerturbedMeyer(fd.MeyerBasis):
+    """Meyer basis whose synthesis adds ``delta`` to one spectrum column."""
+
+    def __init__(self, freq, delta):
+        super().__init__(3)
+        self.freq, self.delta = freq, delta
+
+    def synthesize_t(self, packed, n):
+        out = super().synthesize_t(packed, n)
+        out[:, self.freq % n] += self.delta
+        return out
+
+
 def make_coeffs(entries, mode="functional"):
     entries = np.asarray(entries, dtype=complex)
     if mode == "functional":
@@ -346,6 +359,11 @@ class TestReconstruct:
         cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
         with pytest.raises(NumericalError):
             fd.reconstruct(make_coeffs(entries), cfg, 16, 128)
+        real = make_coeffs(entries.real)
+        fd.reconstruct(real, cfg, 16, 128)                    # valid spectrum
+        fd.reconstruct(real, cfg, 16, 128, PerturbedMeyer(3, 1e-15))
+        with pytest.raises(NumericalError):
+            fd.reconstruct(real, cfg, 16, 128, PerturbedMeyer(3, 1e-3))
 
 
 class TestDeconvolve:

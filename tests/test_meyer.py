@@ -95,6 +95,7 @@ class TestSupports:
         band = meyer.union_band(6)
         assert set(band.tolist()) == set((-band).tolist())
         assert band.max() == (4 * 2**5) // 3
+        assert meyer.union_band(6) is band and not band.flags.writeable
 
     def test_capacity_bound(self, meyer):
         with pytest.raises(LevelTooFine):

@@ -87,6 +87,13 @@ class TestTransform:
                                        atol=1e-12)
         np.testing.assert_allclose(spatial.dwt_inverse(c), x, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_outputs_never_alias_the_input(self, spatial, n):
+        """n = 8 = 2^m0' runs no step at all, and must still return a copy."""
+        x = np.random.default_rng(10).standard_normal((2, n))
+        assert not np.shares_memory(spatial.dwt_forward(x), x)
+        assert not np.shares_memory(spatial.dwt_inverse(x), x)
+
     def test_zero_maps_to_zero(self, spatial):
         assert not spatial.dwt_forward(np.zeros(32)).any()
 

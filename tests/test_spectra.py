@@ -61,6 +61,28 @@ class TestFourierCoeffs:
         rhs = a * fd.fourier_coeffs(x).coeffs + b * fd.fourier_coeffs(y).coeffs
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_real_fft_matches_full_fft_and_is_exactly_hermitian(self):
+        x = np.random.default_rng(5).standard_normal((3, 64))
+        c = fd.fourier_coeffs(x).coeffs
+        np.testing.assert_allclose(c, np.fft.fft(x, axis=1) / 64, rtol=0,
+                                   atol=1e-15)
+        assert np.array_equal(c[:, 1:], np.conj(c[:, 1:][:, ::-1]))
+        assert not c[:, [0, 32]].imag.any()
+
+    def test_complex_rows_rejected(self):
+        with pytest.raises(ConfigError):
+            fd.fourier_coeffs(np.zeros((2, 16), dtype=complex))
+
+    def test_inverse_of_a_hermitian_spectrum_matches_ifft(self):
+        rng = np.random.default_rng(6)
+        half = rng.standard_normal((3, 33)) + 1j * rng.standard_normal((3, 33))
+        half[:, [0, 32]] = half[:, [0, 32]].real
+        spec = np.concatenate([half, np.conj(half[:, 31:0:-1])], axis=1)
+        back = fd.spectrum_to_samples(spec)
+        assert not np.iscomplexobj(back)
+        np.testing.assert_allclose(back, np.fft.ifft(spec, axis=1).real * 64,
+                                   rtol=0, atol=1e-12)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):
             fd.ObservationGrid(np.zeros((2, 48)))        # not a power of two
@@ -117,6 +139,12 @@ class TestKernelSpectrum:
         ks = fd.kernel_spectrum(np.tile(np.cos(2 * np.pi * t), (4, 1)))
         with pytest.raises(IllPosedKernel):
             fd.validate_invertible(ks, np.arange(1, 11))
+        # with the floor cached, the live frequencies pass and the rest fail
+        floor = ks.zero_floor
+        fd.validate_invertible(ks, [1, -1])
+        with pytest.raises(IllPosedKernel):
+            fd.validate_invertible(ks, np.arange(1, 11))
+        assert ks.zero_floor is floor
 
     def test_zero_floor_is_relative(self):
         """FFT residues of analytic zeros (~1e-17 absolute) count as zeros."""
