@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve
 from .exceptions import FuncDeconvError, IllPosedKernel, NumericalError
-from .gridio import load_grid, save_grid
+from .gridio import load_grid, rewrite, save_grid
 from .rates import BesovBall, compare_strategies, exponent_2d, exponent_multi
 from .simlab import (
     SimConfig,
@@ -55,7 +55,7 @@ def _fmt(value) -> str:
 
 
 def _write_manifest(path, command: str, pairs: dict) -> None:
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         fh.write(f"command={command}\n")
         for key, value in pairs.items():
             if value is None:
@@ -94,37 +94,32 @@ def _manifest_path(args, default_anchor) -> str | None:
 
 # --- subcommand implementations -------------------------------------------
 
-def _coeff_rows(coeffs):
-    """Flatten hyperbolic coefficients to (j, k, jprime, kprime, re, im, kept)."""
-    tslices = coeffs.time_slices()
-    kept = coeffs.kept if coeffs.kept is not None else np.ones(
-        coeffs.entries.shape, dtype=bool)
+def _coeff_columns(coeffs):
+    """(j, k, jprime, kprime, re, kept) columns of the coefficient CSV.
+
+    Rows run over the (j', j) blocks in ascending level order and through
+    each block row-major; separate mode has one block row, jprime = -1, with
+    kprime the profile index.
+    """
     if coeffs.mode == FUNCTIONAL:
         sslices = coeffs.spatial_slices()
-        for jp, ss in sslices.items():
-            for j, ts in tslices.items():
-                block = coeffs.entries[ss, ts]
-                kp_block = kept[ss, ts]
-                for kprime in range(block.shape[0]):
-                    for k in range(block.shape[1]):
-                        v = block[kprime, k]
-                        yield (j, k, jp, kprime, v.real, v.imag,
-                               int(kp_block[kprime, k]))
     else:
-        for j, ts in tslices.items():
-            block = coeffs.entries[:, ts]
-            kp_block = kept[:, ts]
-            for l in range(block.shape[0]):
-                for k in range(block.shape[1]):
-                    v = block[l, k]
-                    yield (j, k, -1, l, v.real, v.imag, int(kp_block[l, k]))
+        sslices = {-1: slice(0, coeffs.entries.shape[0])}
+    blocks = []
+    for jp, ss in sslices.items():
+        for j, ts in coeffs.time_slices().items():
+            kprime, k = np.indices(coeffs.entries[ss, ts].shape)
+            blocks.append((np.full(k.size, j), k.ravel(), np.full(k.size, jp),
+                           kprime.ravel(), coeffs.entries[ss, ts].ravel(),
+                           coeffs.kept[ss, ts].ravel().astype(int)))
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 def _write_coeffs_csv(path, coeffs) -> None:
-    with open(path, "w") as fh:
-        fh.write("j,k,jprime,kprime,re,im,kept\n")
-        for j, k, jp, kp, re, im, kept in _coeff_rows(coeffs):
-            fh.write(f"{j},{k},{jp},{kp},{float(re)!r},{float(im)!r},{kept}\n")
+    columns = (col.tolist() for col in _coeff_columns(coeffs))
+    lines = [f"{j},{k},{jp},{kp},{re!r},{kept}\n" for j, k, jp, kp, re, kept in zip(*columns)]
+    with rewrite(path) as fh:
+        fh.write("j,k,jprime,kprime,re,kept\n" + "".join(lines))
 
 
 def cmd_deconvolve(args) -> int:
@@ -161,7 +156,7 @@ def cmd_simulate(args) -> int:
                     threads=args.threads)
     res = run_mise(sim)
     if args.out:
-        with open(args.out, "w") as fh:
+        with rewrite(args.out) as fh:
             fh.write("rep,mise\n")
             for rep, val in enumerate(res.per_run):
                 fh.write(f"{rep},{float(val)!r}\n")
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finest spatial level (exclusive, functional mode)")
     p.add_argument("--out", required=True, help="reconstruction output path")
     p.add_argument("--coeffs", default=None,
-                   help="coefficient CSV path, j,k,jprime,kprime,re,im,kept "
+                   help="coefficient CSV path, j,k,jprime,kprime,re,kept "
                         "(default: OUT.coeffs.csv)")
     p.add_argument("--manifest", default=None,
                    help="manifest path (default: OUT.manifest)")

@@ -104,6 +104,9 @@ class EstimatorConfig:
 
     def resolved(self, m: int, n: int) -> "EstimatorConfig":
         """Copy with auto levels filled in and capacities enforced."""
+        if self.mode == FUNCTIONAL and m & (m - 1):
+            raise ConfigError(f"functional mode transforms across profiles and needs "
+                              f"a power-of-two M, got M={m}")
         limits = resolution_limits(self.epsilon, self.nu, n=n, m=m,
                                    m0=self.m0, m0p=self.m0p)
         j = self.j if self.j is not None else limits.j
@@ -167,7 +170,7 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
 
 
 class HyperCoeffs:
-    """Dense hyperbolic coefficient array plus kept/killed flags.
+    """Dense real hyperbolic coefficient array plus kept/killed flags.
 
     Functional mode: ``entries[s, tau]`` indexed by packed spatial position s
     (levels j' in [m0'-1, J')) and packed time position tau (levels j in
@@ -223,18 +226,20 @@ def estimate_coeffs(spec: ProfileSpectrum, ks: KernelSpectrum,
                     cfg: EstimatorConfig,
                     meyer_basis: MeyerBasis | None = None,
                     spatial_basis: SpatialBasis | None = None) -> HyperCoeffs:
-    """Pre-threshold coefficient estimates beta-tilde from the data spectrum."""
+    """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
+
+    Only the union-band columns are divided by the kernel; the Meyer
+    analysis reads nothing else.
+    """
     if spec.coeffs.shape != ks.g_coeffs.shape:
         raise ConfigError("data and kernel spectra have mismatched shapes")
-    m, n = spec.coeffs.shape
+    m, n = spec.m, spec.n
     cfg = cfg.resolved(m, n)
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
-    band = basis.union_band(cfg.j)
-    validate_invertible(ks, band)
-    ratio = np.zeros((m, n), dtype=complex)
-    cols = band % n
-    ratio[:, cols] = spec.coeffs[:, cols] / ks.g_coeffs[:, cols]
-    timec = basis.analyze_t(ratio, cfg.j)  # (M, 2^J)
+    validate_invertible(ks, basis.union_band(cfg.j))
+    k = basis.band_size(cfg.j, n)
+    ratio = spec.coeffs[:, :k] / ks.g_coeffs[:, :k]   # (M, K)
+    timec = basis.analyze_t(ratio, cfg.j)             # (M, 2^J) real
     if cfg.mode == SEPARATE:
         return HyperCoeffs(timec, cfg.m0, cfg.j, SEPARATE)
     sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
@@ -273,33 +278,37 @@ class Reconstruction:
     config: EstimatorConfig
 
 
+# Complex coefficients passed to reconstruct must be real up to this fraction
+# of max(1, max|entries|).
 _IMAG_TOL = 1e-6
 
 
 def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
                 meyer_basis: MeyerBasis | None = None,
                 spatial_basis: SpatialBasis | None = None) -> Reconstruction:
-    """Invert thresholded coefficients back to grid samples."""
+    """Invert thresholded coefficients back to grid samples.
+
+    Coefficients of a real field are real. Complex entries (user-supplied)
+    are accepted when their imaginary parts are rounding residue and raise
+    :class:`NumericalError` otherwise.
+    """
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     arr = coeffs.thresholded()
+    if np.iscomplexobj(arr):
+        residue = float(np.abs(arr.imag).max(initial=0.0))
+        if residue > _IMAG_TOL * max(1.0, float(np.abs(arr).max(initial=0.0))):
+            raise NumericalError(f"coefficients have imaginary parts up to {residue:.3e}; "
+                                 "a real field has real coefficients")
+        arr = arr.real
     if coeffs.mode == FUNCTIONAL:
         sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
-        full = np.zeros((arr.shape[1], m), dtype=complex)  # (2^J, M)
+        full = np.zeros((arr.shape[1], m))                 # (2^J, M)
         full[:, :arr.shape[0]] = arr.T
-        timec = sbasis.dwt_inverse(full).T * math.sqrt(m)        # (M, 2^J)
+        timec = sbasis.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
     else:
         timec = arr
-    spectrum = basis.synthesize_t(timec, n)
-    # synthesize_t writes only the union band; spectrum_to_samples reads only
-    # its non-negative half, so the band is where symmetry must be checked.
-    band = basis.union_band(coeffs.big_j) % n
-    cols = spectrum[:, band]
-    residue = float(np.abs(cols - spectrum[:, -band % n].conj()).max(initial=0.0))
-    if residue > _IMAG_TOL * max(1.0, float(np.abs(cols).max(initial=0.0))):
-        raise NumericalError(
-            f"conjugate-symmetry residue {residue:.3e} on the wavelet band"
-        )
-    values = spectrum_to_samples(ProfileSpectrum(spectrum))
+    basis.band_size(coeffs.big_j, n)    # the band must fit the grid
+    values = spectrum_to_samples(basis.synthesize_t(timec), n)
     return Reconstruction(values, coeffs, cfg)
 
 

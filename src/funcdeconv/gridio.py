@@ -8,11 +8,17 @@ Two interchangeable on-disk forms:
 
 ``load_grid``/``save_grid`` dispatch on file extension, falling back to
 magic-byte sniffing on read.
+
+Every output file of the package is written through :func:`rewrite`, which
+replaces an existing file's contents in place instead of truncating it on
+open.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 import struct
 
 import numpy as np
@@ -24,12 +30,55 @@ MAGIC = b"FDG1"
 _HEADER = struct.Struct("<QQd")
 
 
+@contextlib.contextmanager
+def rewrite(path, mode: str = "w", **kwargs):
+    """``open(path, mode)`` for writing, but without truncating the file on open.
+
+    The new contents overwrite the old ones in place and the file is cut to
+    their length on close (also when writing fails part-way). Opening with
+    truncation would free the file's blocks and, on file systems that flush
+    a file truncated to zero when it is closed (ext4's default), send every
+    rewrite straight to the disk, with the next rewrite of the same file
+    waiting on that write: a repeated command's run time would then follow
+    the disk's. Pipes and devices are written as they are.
+    """
+    if "w" not in mode:
+        raise ValueError(f"rewrite needs a write mode, got {mode!r}")
+    with open(path, mode, opener=_open_untruncated, **kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+def _open_untruncated(path, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def save_grid_binary(path, grid: ObservationGrid) -> None:
     samples = np.ascontiguousarray(grid.samples, dtype="<f8")
-    with open(path, "wb") as fh:
+    with rewrite(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(grid.m, grid.n, float(grid.sigma)))
-        fh.write(samples.tobytes())
+        fh.write(memoryview(samples).cast("B"))
+
+
+def _read_binary(fh, path) -> ObservationGrid:
+    """Grid from an open binary file positioned just after the magic."""
+    header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise ConfigError(f"{path}: truncated header ({len(header)} of "
+                          f"{_HEADER.size} bytes after the magic)")
+    m, n, sigma = _HEADER.unpack(header)
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != 8 * m * n:
+        raise ConfigError(f"{path}: header promises {m}x{n} samples "
+                          f"({8 * m * n} bytes), file holds {payload} bytes")
+    samples = np.empty((m, n), dtype="<f8")
+    if fh.readinto(memoryview(samples).cast("B")) != payload:
+        raise ConfigError(f"{path}: file shrank while being read")
+    return ObservationGrid(samples, sigma=sigma)
 
 
 def load_grid_binary(path) -> ObservationGrid:
@@ -37,21 +86,11 @@ def load_grid_binary(path) -> ObservationGrid:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ConfigError(f"{path}: truncated header ({len(header)} of "
-                              f"{_HEADER.size} bytes after the magic)")
-        m, n, sigma = _HEADER.unpack(header)
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != 8 * m * n:
-            raise ConfigError(f"{path}: header promises {m}x{n} samples "
-                              f"({8 * m * n} bytes), file holds {payload} bytes")
-        flat = np.frombuffer(fh.read(payload), dtype="<f8")
-    return ObservationGrid(flat.reshape(m, n).copy(), sigma=sigma)
+        return _read_binary(fh, path)
 
 
 def save_grid_csv(path, grid: ObservationGrid) -> None:
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         fh.write(f"{grid.m},{grid.n},{grid.sigma!r}\n")
         for row in grid.samples:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -82,9 +121,8 @@ def load_grid(path) -> ObservationGrid:
     if _is_csv(path):
         return load_grid_csv(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == MAGIC:
-        return load_grid_binary(path)
+        if fh.read(4) == MAGIC:
+            return _read_binary(fh, path)
     return load_grid_csv(path)
 
 

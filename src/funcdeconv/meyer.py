@@ -8,8 +8,10 @@ nonzero only on the band ceil(2^j/3) <= |m| <= floor(2^{j+2}/3). The degree-3
 auxiliary polynomial theta(x) = x^4 (35 - 84 x + 70 x^2 - 20 x^3) shapes the
 window; the half-sample phase exp(i omega / 2) makes levels orthogonal.
 
-Analysis/synthesis along the time axis work on spectrum rows (fftfreq
-frequency layout) and a packed coefficient layout of length 2^J:
+Analysis/synthesis along the time axis work in band space: a band row holds
+the half spectrum of a real signal at the frequencies 0..K-1 that the levels
+below J use (``MeyerBasis.band_size``), and the coefficients are real, in a
+packed layout of length 2^J:
 
     [ scaling V_{m0}: 2^{m0} | details j=m0: 2^{m0} | ... | details J-1: 2^{J-1} ]
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import LevelTooCoarse, LevelTooFine
+from .exceptions import ConfigError, LevelTooCoarse, LevelTooFine
 
 _AUX = np.array([-20.0, 70.0, -84.0, 35.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -125,27 +127,35 @@ class MeyerBasis:
         return (2.0**(-self.m0 / 2) * phi_hat(2 * np.pi * m / 2**self.m0)
                 * np.exp(-2j * np.pi * m * k / 2**self.m0))
 
-    # -- per-level tables ---------------------------------------------------
+    # -- band matrix --------------------------------------------------------
 
-    def _level_table(self, j: int):
-        """(frequencies, matrix) with matrix[k, idx] = psi_{j,k,ms[idx]}."""
-        key = ("psi", j)
-        if key not in self._cache:
-            ms = self.support_set(j)
-            base = 2.0**(-j / 2) * psi_hat(2 * np.pi * ms / 2**j)
-            ks = np.arange(2**j)
-            phases = np.exp(-2j * np.pi * np.outer(ks, ms) / 2**j)
-            self._cache[key] = (ms, base[None, :] * phases)
-        return self._cache[key]
+    def _band_matrix(self, big_j: int):
+        """(synthesis, weight) for levels [m0-1, big_j), cached and read-only.
 
-    def _scaling_table(self):
-        key = ("phi",)
+        A band row holds the K = max(union_band) + 1 non-negative frequencies
+        0..K-1 (the union band has no gaps), read as 2K reals with re/im
+        interleaved. ``synthesis`` (2^J x 2K) maps real packed coefficients
+        to the band, ``band[m] = sum_tau c_tau psi_tau(m)``: row tau is the
+        atom of packed position tau on the band. Analysis of a real signal
+        is ``(band * weight) @ synthesis.T``: each +-m pair of
+        ``sum_m X(m) conj(psi_tau(m))`` folds into ``2 Re`` for m > 0.
+        """
+        key = ("band_matrix", big_j)
         if key not in self._cache:
-            ms = self.scaling_support()
-            base = 2.0**(-self.m0 / 2) * phi_hat(2 * np.pi * ms / 2**self.m0)
-            ks = np.arange(2**self.m0)
-            phases = np.exp(-2j * np.pi * np.outer(ks, ms) / 2**self.m0)
-            self._cache[key] = (ms, base[None, :] * phases)
+            psi = np.zeros((2**big_j, int(self.union_band(big_j).max()) + 1), dtype=complex)
+            for j, sl in time_level_slices(self.m0, big_j).items():
+                if j < self.m0:     # the scaling block: phi at level m0
+                    lev, ms, window = self.m0, self.scaling_support(), phi_hat
+                else:
+                    lev, ms, window = j, self.support_set(j), psi_hat
+                ms = ms[ms >= 0]
+                ks = np.arange(2**lev)
+                psi[sl, ms] = (2.0**(-lev / 2) * window(2 * np.pi * ms / 2**lev)
+                               * np.exp(-2j * np.pi * np.outer(ks, ms) / 2**lev))
+            psi.flags.writeable = False
+            weight = np.repeat(np.where(np.arange(psi.shape[1]) == 0, 1.0, 2.0), 2)
+            weight.flags.writeable = False
+            self._cache[key] = (psi.view(float), weight)
         return self._cache[key]
 
     def _check_capacity(self, big_j: int, n: int) -> None:
@@ -157,42 +167,53 @@ class MeyerBasis:
 
     # -- transforms ---------------------------------------------------------
 
-    def analyze_t(self, spectrum_rows: np.ndarray, big_j: int) -> np.ndarray:
-        """Wavelet coefficients of spectrum rows over levels [m0-1, big_j).
+    def band_size(self, big_j: int, n: int) -> int:
+        """Number K of band columns, frequencies 0..K-1, used by levels [m0-1, big_j).
 
-        spectrum_rows : (..., N) complex, fftfreq layout. Returns the packed
-        (..., 2^big_j) coefficient array: b_{j,k} = sum_{m in W_j}
-        row(m) * conj(psi_{j,k,m}), scaling block analogous via phi.
+        These are the non-negative frequencies of :meth:`union_band`, a
+        prefix of an ``rfft`` half spectrum. Raises :class:`LevelTooFine`
+        unless the band fits an N-sample grid.
         """
-        spectrum_rows = np.asarray(spectrum_rows)
-        n = spectrum_rows.shape[-1]
         if big_j < self.m0:
             raise LevelTooCoarse(f"J={big_j} below coarsest level m0={self.m0}")
         self._check_capacity(big_j, n)
-        out = np.empty(spectrum_rows.shape[:-1] + (2**big_j,), dtype=complex)
-        slices = time_level_slices(self.m0, big_j)
-        ms, mat = self._scaling_table()
-        out[..., slices[self.m0 - 1]] = spectrum_rows[..., ms % n] @ mat.conj().T
-        for j in range(self.m0, big_j):
-            ms, mat = self._level_table(j)
-            out[..., slices[j]] = spectrum_rows[..., ms % n] @ mat.conj().T
-        return out
+        return self._band_matrix(big_j)[0].shape[1] // 2
 
-    def synthesize_t(self, packed: np.ndarray, n: int) -> np.ndarray:
-        """Adjoint/inverse of :func:`analyze_t`: packed coeffs -> spectrum rows."""
+    def analyze_t(self, spectrum_rows: np.ndarray, big_j: int) -> np.ndarray:
+        """Real wavelet coefficients of real signals over levels [m0-1, big_j).
+
+        spectrum_rows : (..., C) complex half-spectrum rows from m = 0 (a
+        full ``rfft`` half or just the band); only the K band columns are
+        read, so C >= K. Returns the packed (..., 2^big_j) real array
+        b_{j,k} = sum_m row(m) * conj(psi_{j,k,m}) over both signs of m, the
+        negative half being the conjugate of the given one; the scaling
+        block is analogous via phi.
+        """
+        if big_j < self.m0:
+            raise LevelTooCoarse(f"J={big_j} below coarsest level m0={self.m0}")
+        synthesis, weight = self._band_matrix(big_j)
+        k = synthesis.shape[1] // 2
+        spectrum_rows = np.asarray(spectrum_rows)
+        if spectrum_rows.shape[-1] < k:
+            raise ConfigError(f"spectrum rows have {spectrum_rows.shape[-1]} columns, "
+                              f"levels below J={big_j} read {k}")
+        band = np.ascontiguousarray(spectrum_rows[..., :k], dtype=complex)
+        return (band.view(float) * weight) @ synthesis.T
+
+    def synthesize_t(self, packed: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`analyze_t`: real packed coeffs -> (..., K) band rows.
+
+        The band rows are the half spectrum at frequencies 0..K-1, zero above
+        (see :func:`funcdeconv.spectra.spectrum_to_samples`).
+        """
         packed = np.asarray(packed)
+        if np.iscomplexobj(packed):
+            raise ConfigError("packed time coefficients must be real")
         size = packed.shape[-1]
         big_j = int(round(np.log2(size)))
         if 2**big_j != size:
             raise IndexError(f"packed length {size} is not a power of two")
         if big_j < self.m0:
             raise LevelTooCoarse(f"packed length {size} shorter than scaling block 2^{self.m0}")
-        self._check_capacity(big_j, n)
-        out = np.zeros(packed.shape[:-1] + (n,), dtype=complex)
-        slices = time_level_slices(self.m0, big_j)
-        ms, mat = self._scaling_table()
-        out[..., ms % n] += packed[..., slices[self.m0 - 1]] @ mat
-        for j in range(self.m0, big_j):
-            ms, mat = self._level_table(j)
-            out[..., ms % n] += packed[..., slices[j]] @ mat
-        return out
+        synthesis, _ = self._band_matrix(big_j)
+        return (packed @ synthesis).view(complex)

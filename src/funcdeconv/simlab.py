@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve
 from .exceptions import ConfigError
+from .gridio import rewrite
 from .meyer import MeyerBasis
 from .spatial import SpatialBasis
 from .spectra import KernelSpectrum, ObservationGrid, estimate_nu, kernel_spectrum
@@ -267,7 +268,7 @@ def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
 
 
 def write_table_csv(rows: list, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TABLE1_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -293,7 +294,7 @@ def write_xy(path, xs, ys) -> None:
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ConfigError("xs and ys must be 1-D arrays of equal length")
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         for x, y in zip(xs, ys):
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 

@@ -25,21 +25,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError
 
-# 12-tap extremal-phase Daubechies filter, 6 vanishing moments,
-# normalized so sum = sqrt(2) and sum of squares = 1.
+# 12-tap extremal-phase Daubechies filter, 6 vanishing moments, normalized so
+# sum = sqrt(2) and sum of squares = 1: a 50-digit spectral factorisation
+# rounded to float64 (scripts/db6_taps.py), orthonormal to rounding.
 DB6_LO = np.array([
-    0.11154074335008017,
-    0.4946238903983854,
-    0.7511339080215775,
-    0.3152503517092432,
-    -0.22626469396516913,
-    -0.12976686756709563,
-    0.09750160558707936,
-    0.02752286553001629,
-    -0.031582039318031156,
-    0.0005538422009938016,
-    0.004777257511010651,
-    -0.00107730108499558,
+    0.11154074335010947,
+    0.49462389039845306,
+    0.7511339080210954,
+    0.31525035170919763,
+    -0.22626469396543983,
+    -0.12976686756726194,
+    0.09750160558732304,
+    0.027522865530305727,
+    -0.03158203931748603,
+    0.0005538422011614961,
+    0.004777257510945511,
+    -0.0010773010853084796,
 ])
 DB6_HI = np.array([(-1.0) ** t * DB6_LO[len(DB6_LO) - 1 - t]
                    for t in range(len(DB6_LO))])

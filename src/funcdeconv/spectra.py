@@ -7,9 +7,11 @@ coefficients follow the Riemann-sum convention
 
     coeffs(m) = (1/N) * sum_i row(t_i) * exp(-i 2 pi m t_i),
 
-computed by a real FFT of each row: rows are real, so ``coeffs(-m)`` is the
-conjugate of ``coeffs(m)``. Integer frequencies live in the fftfreq layout
-``m in [-N/2, N/2)``: index ``m % N`` addresses frequency ``m``.
+computed by a real FFT of each row. Rows are real, so ``coeffs(-m)`` is the
+conjugate of ``coeffs(m)`` and only the non-negative half is stored: the
+spectrum of an N-sample row has N/2 + 1 columns, column ``m`` holding
+frequency ``m`` for ``0 <= m <= N/2`` (the ``rfft`` layout). The row length
+is recovered from the width as ``N = 2 * (columns - 1)``.
 """
 
 from __future__ import annotations
@@ -56,11 +58,15 @@ class ObservationGrid:
         return self.samples.shape[1]
 
 
+def _half_width_to_n(cols: int) -> int:
+    return 2 * (cols - 1)
+
+
 @dataclass
 class ProfileSpectrum:
-    """Per-profile Fourier coefficients, fftfreq frequency layout."""
+    """Per-profile Fourier coefficients, non-negative half (``rfft`` layout)."""
 
-    coeffs: np.ndarray  # (M, N) complex
+    coeffs: np.ndarray  # (M, N/2 + 1) complex
 
     @property
     def m(self) -> int:
@@ -68,11 +74,8 @@ class ProfileSpectrum:
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    def at_freq(self, freqs) -> np.ndarray:
-        """Columns for integer frequencies ``freqs`` (negative allowed)."""
-        return self.coeffs[:, np.asarray(freqs) % self.n]
+        """Samples per row, ``N = 2 * (columns - 1)``."""
+        return _half_width_to_n(self.coeffs.shape[1])
 
 
 @dataclass
@@ -85,7 +88,7 @@ class KernelSpectrum:
     :attr:`zero_floor` has been used: the floor is computed once and cached.
     """
 
-    g_coeffs: np.ndarray  # (M, N) complex
+    g_coeffs: np.ndarray  # (M, N/2 + 1) complex
     nu: float = 0.0
     c1: float | None = None
     c2: float | None = None
@@ -96,10 +99,20 @@ class KernelSpectrum:
 
     @property
     def n(self) -> int:
-        return self.g_coeffs.shape[1]
+        """Samples per row, ``N = 2 * (columns - 1)``."""
+        return _half_width_to_n(self.g_coeffs.shape[1])
 
     def at_freq(self, freqs) -> np.ndarray:
-        return self.g_coeffs[:, np.asarray(freqs) % self.n]
+        """Columns for integer frequencies ``freqs``, any sign (aliased mod N).
+
+        A frequency in the negative half is read as the conjugate of its
+        mirror: ``g(-m) = conj(g(m))`` for a real kernel.
+        """
+        n = self.n
+        freqs = np.asarray(freqs) % n
+        neg = freqs > n // 2
+        cols = self.g_coeffs[:, np.where(neg, n - freqs, freqs)]
+        return np.where(neg, cols.conj(), cols)
 
     @cached_property
     def zero_floor(self) -> np.ndarray:
@@ -108,10 +121,10 @@ class KernelSpectrum:
 
 
 def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> ProfileSpectrum:
-    """Fourier coefficients of every (real) profile row: ``fft(rows)/N`` to rounding.
+    """Fourier coefficients of every (real) profile row, ``m = 0 .. N/2``.
 
-    The non-negative half comes from ``rfft``; the negative half is its
-    conjugate, so the result is exactly conjugate-symmetric.
+    One ``rfft`` with forward normalisation: column ``m`` equals
+    ``fft(rows)[:, m] / N`` to rounding.
     """
     samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
     if samples.ndim != 2:
@@ -121,24 +134,26 @@ def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> ProfileSpectrum:
     m, n = samples.shape
     if not _is_pow2(n) or n < 2:
         raise ConfigError(f"time length N={n} must be a power of two >= 2")
-    half = n // 2
-    coeffs = np.empty((m, n), dtype=complex)
-    np.fft.rfft(samples, axis=1, norm="forward", out=coeffs[:, :half + 1])
-    np.conjugate(coeffs[:, half - 1:0:-1], out=coeffs[:, half + 1:])
-    return ProfileSpectrum(coeffs)
+    return ProfileSpectrum(np.fft.rfft(samples, axis=1, norm="forward"))
 
 
-def spectrum_to_samples(spec: ProfileSpectrum | np.ndarray) -> np.ndarray:
-    """Real inverse of :func:`fourier_coeffs`: ``N * irfft`` of the non-negative half.
+def spectrum_to_samples(spec: ProfileSpectrum | np.ndarray, n: int | None = None) -> np.ndarray:
+    """Real inverse of :func:`fourier_coeffs`: ``irfft`` to N samples per row.
 
-    Assumes a conjugate-symmetric spectrum, ``coeffs(-m) = conj(coeffs(m))``:
-    the negative frequencies and the imaginary parts at 0 and N/2 are not
-    read. Callers holding a spectrum that may break the symmetry must check
-    it first (see :func:`funcdeconv.estimator.reconstruct`).
+    ``spec`` holds frequencies ``0 .. cols-1``; those from ``cols`` up to N/2
+    count as zero, so a band-limited spectrum needs only its band. N
+    defaults to ``2 * (cols - 1)``, the full half spectrum. The half stands
+    for the conjugate-symmetric two-sided spectrum, so the result is real;
+    the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is not
+    read.
     """
     coeffs = spec.coeffs if isinstance(spec, ProfileSpectrum) else np.asarray(spec)
-    n = coeffs.shape[-1]
-    return np.fft.irfft(coeffs[..., :n // 2 + 1], n=n, axis=-1, norm="forward")
+    full = _half_width_to_n(coeffs.shape[-1])
+    if n is None:
+        n = full
+    elif n < full:
+        raise ConfigError(f"{coeffs.shape[-1]} spectrum columns do not fit N={n} samples")
+    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 
 def kernel_spectrum(kernel_samples: np.ndarray) -> KernelSpectrum:

@@ -141,18 +141,17 @@ class TestCriterion5TransformExactness:
         checks = []
 
         n = 256
-        spec = np.zeros((3, n), dtype=complex)
+        spec = np.zeros((3, n // 2 + 1), dtype=complex)
         interior = fd.j_capacity(n)
         mmax = (2 ** interior) // 3
         re = rng.standard_normal((3, mmax + 1))
         im = rng.standard_normal((3, mmax + 1))
         im[:, 0] = 0.0
-        spec[:, 0] = re[:, 0]
-        for m_ in range(1, mmax + 1):
-            spec[:, m_] = re[:, m_] + 1j * im[:, m_]
-            spec[:, -m_] = re[:, m_] - 1j * im[:, m_]
+        spec[:, :mmax + 1] = re + 1j * im
         packed = meyer.analyze_t(spec, interior)
-        back = meyer.synthesize_t(packed, n)
+        back = np.zeros_like(spec)
+        band = meyer.synthesize_t(packed)
+        back[:, :band.shape[1]] = band
         checks.append(("meyer round trip",
                        float(np.abs(back - spec).max()) < 1e-10))
 
@@ -195,9 +194,9 @@ class TestCriterion6SingleAtomRecovery:
         m = n = 256
         _, ks = kernel_for(m, n)
         tslices = fd.time_level_slices(3, 5)
-        packed = np.zeros((1, 32), dtype=complex)
+        packed = np.zeros((1, 32))
         packed[0, tslices[4].start + 2] = 1.0
-        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed, n))[0].real
+        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), n)[0]
         sslices = fd.spatial_level_slices(3, 8)
         unit = np.zeros(m)
         unit[sslices[4].start + 3] = 1.0
@@ -211,7 +210,7 @@ class TestCriterion6SingleAtomRecovery:
         rest[atom] = 0.0
         worst = float(np.abs(rest).max())
         ok = abs(target - 1.0) <= 0.02 and worst < 0.02
-        line = _report(6, ok, f"target coefficient {target.real:.6f} "
+        line = _report(6, ok, f"target coefficient {target:.6f} "
                               f"(needs 1 +- 0.02), largest other {worst:.2e} "
                               f"(needs < 0.02)")
         assert ok, line

@@ -9,7 +9,7 @@ import pytest
 
 import funcdeconv as fd
 from funcdeconv import gridio, simlab
-from funcdeconv.cli import _rational, build_parser, main
+from funcdeconv.cli import _rational, _write_coeffs_csv, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +102,33 @@ class TestDeconvolveCommand:
 
     def test_coeff_csv_layout(self, deconv_run):
         lines = deconv_run["coeffs"].read_text().splitlines()
-        assert lines[0] == "j,k,jprime,kprime,re,im,kept"
+        assert lines[0] == "j,k,jprime,kprime,re,kept"
         first = lines[1].split(",")
-        assert len(first) == 7
-        assert first[6] in {"0", "1"}
+        assert len(first) == 6
+        assert first[5] in {"0", "1"}
+
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_coeff_csv_matches_a_row_by_row_reference(self, workspace, tmp_path,
+                                                      mode):
+        _, obs_path, kern_path = workspace
+        rec = fd.deconvolve(gridio.load_grid(obs_path),
+                            gridio.load_grid(kern_path).samples, mode=mode)
+        coeffs = rec.coeffs
+        if mode == "functional":
+            sslices = coeffs.spatial_slices()
+        else:
+            sslices = {-1: slice(0, coeffs.entries.shape[0])}
+        want = ["j,k,jprime,kprime,re,kept"]
+        for jp, ss in sslices.items():
+            for j, ts in coeffs.time_slices().items():
+                block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
+                for kp in range(block.shape[0]):
+                    for k in range(block.shape[1]):
+                        want.append(f"{j},{k},{jp},{kp},{float(block[kp, k])!r},"
+                                    f"{int(kept[kp, k])}")
+        path = tmp_path / "coeffs.csv"
+        _write_coeffs_csv(path, coeffs)
+        assert path.read_text() == "\n".join(want) + "\n"
 
     def test_output_matches_library_call(self, workspace, deconv_run):
         _, obs_path, kern_path = workspace
@@ -198,6 +221,7 @@ class TestMalformedInput:
         assert code == 1
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+        return err
 
     @pytest.mark.parametrize("raw", [
         gridio.MAGIC + bytes(8),
@@ -211,6 +235,17 @@ class TestMalformedInput:
         code = main(["deconvolve", "--input", str(path), "--kernel",
                      str(kern_path), "--out", str(tmp_path / "z.fdg")])
         self.assert_one_line_usage_failure(code, capsys)
+
+    def test_functional_mode_names_a_non_power_of_two_m(self, tmp_path, capsys):
+        truth = simlab.product_truth("Quadratic", "Blip", 100, 512)
+        obs_path, kern100 = tmp_path / "obs100.fdg", tmp_path / "kern100.fdg"
+        gridio.save_grid(obs_path, simlab.synthesize_data(truth, 0.5, seed=1))
+        gridio.save_grid(kern100, fd.ObservationGrid(simlab.kernel_grid(100, 512)))
+        argv = ["deconvolve", "--input", str(obs_path), "--kernel", str(kern100)]
+        code = main(argv + ["--out", str(tmp_path / "f.fdg")])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert "M=100" in err and "functional" in err
+        assert main(argv + ["--mode", "separate", "--out", str(tmp_path / "s.fdg")]) == 0
 
     def test_zero_runs(self, tmp_path, capsys):
         code = main(["simulate", "--m", "64", "--n", "256", "--runs", "0",

@@ -153,9 +153,9 @@ class TestEstimateCoeffs:
         m = n = 256
         _, ks = kernel_for(m, n)
         tslices = fd.time_level_slices(3, 5)
-        packed = np.zeros((1, 32), dtype=complex)
+        packed = np.zeros((1, 32))
         packed[0, tslices[4].start + 2] = 1.0
-        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed, n))[0].real
+        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), n)[0]
         sslices = fd.spatial_level_slices(3, 8)
         unit = np.zeros(m)
         unit[sslices[4].start + 3] = 1.0
@@ -185,6 +185,34 @@ class TestEstimateCoeffs:
         assert devs[2] < devs[0]
         assert devs[2] < 1e-3
 
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_real_and_equal_to_a_full_width_reference(self, meyer, spatial,
+                                                      kernel_for, mode):
+        """beta-tilde from the band equals the two-sided sum over fft/N
+        spectra of the data divided by the kernel, analysed with the atoms."""
+        m, n, big_j, big_jp = 32, 256, 5, 4
+        grid, ks = kernel_for(m, n)
+        truth = simlab.product_truth("Blip", "Bumps", m, n)
+        obs = observe(truth, sigma=0.3, seed=2)
+        coeffs, _ = pipeline(obs, ks, mode=mode, j=big_j, j_prime=big_jp)
+        assert coeffs.entries.dtype == np.float64
+
+        band = meyer.union_band(big_j)
+        ratio = (np.fft.fft(obs.samples, axis=1)[:, band % n]
+                 / np.fft.fft(grid, axis=1)[:, band % n])
+        atoms = [meyer.phi_fourier(k, band) for k in range(8)]
+        for j in range(3, big_j):
+            atoms += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
+        timec = ratio @ np.array(atoms).conj().T               # (M, 2^J)
+        if mode == "functional":
+            want = (spatial.dwt_forward(timec.T) / math.sqrt(m))[:, :2**big_jp].T
+        else:
+            want = timec
+        scale = np.abs(want).max()               # noise amplified to ~400
+        assert np.abs(want.imag).max() < 1e-12 * scale
+        np.testing.assert_allclose(coeffs.entries, want.real, rtol=0,
+                                   atol=1e-12 * scale)
+
     def test_mismatched_kernel_shape_rejected(self, kernel_for):
         _, ks = kernel_for(64, 256)
         obs = observe(np.zeros((64, 512)))
@@ -204,21 +232,10 @@ class TestEstimateCoeffs:
             coeffs.spatial_slices()
 
 
-class PerturbedMeyer(fd.MeyerBasis):
-    """Meyer basis whose synthesis adds ``delta`` to one spectrum column."""
-
-    def __init__(self, freq, delta):
-        super().__init__(3)
-        self.freq, self.delta = freq, delta
-
-    def synthesize_t(self, packed, n):
-        out = super().synthesize_t(packed, n)
-        out[:, self.freq % n] += self.delta
-        return out
-
-
 def make_coeffs(entries, mode="functional"):
-    entries = np.asarray(entries, dtype=complex)
+    entries = np.asarray(entries)
+    if not np.iscomplexobj(entries):
+        entries = entries.astype(float)
     if mode == "functional":
         jp = int(np.log2(entries.shape[0]))
         return HyperCoeffs(entries, 3, int(np.log2(entries.shape[1])), mode,
@@ -312,15 +329,15 @@ class TestReconstruct:
         np.testing.assert_allclose(rec.values, 0.0, atol=1e-14)
 
     def test_single_coefficient_reconstructs_its_atom(self, meyer, spatial):
-        entries = np.zeros((16, 16), dtype=complex)
+        entries = np.zeros((16, 16))
         sslices = fd.spatial_level_slices(3, 4)
         tslices = fd.time_level_slices(3, 4)
         entries[sslices[3].start + 1, tslices[3].start + 2] = 1.0
         cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
         rec = fd.reconstruct(make_coeffs(entries), cfg, 16, 128)
-        packed = np.zeros((1, 16), dtype=complex)
+        packed = np.zeros((1, 16))
         packed[0, tslices[3].start + 2] = 1.0
-        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed, 128))[0].real
+        t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), 128)[0]
         unit = np.zeros(16)
         unit[sslices[3].start + 1] = 1.0
         u_part = spatial.dwt_inverse(unit) * math.sqrt(16)
@@ -334,13 +351,11 @@ class TestReconstruct:
         coarse = np.zeros(m)
         coarse[:16] = rng.standard_normal(16)
         f1 = spatial.dwt_inverse(coarse) * math.sqrt(m)
-        spec = np.zeros(n, dtype=complex)
+        spec = np.zeros(n // 2 + 1, dtype=complex)
         re, im = rng.standard_normal(22), rng.standard_normal(22)
         spec[0] = re[0]
-        for mm in range(1, 22):                  # strict interior at J = 6
-            spec[mm] = re[mm] + 1j * im[mm]
-            spec[-mm] = re[mm] - 1j * im[mm]
-        f2 = fd.spectrum_to_samples(spec.reshape(1, -1))[0].real
+        spec[1:22] = re[1:] + 1j * im[1:]        # strict interior at J = 6
+        f2 = fd.spectrum_to_samples(spec.reshape(1, -1))[0]
         truth = np.outer(f1, f2)
         obs = observe(truth)
         grid, ks = kernel_for(m, n)
@@ -354,16 +369,24 @@ class TestReconstruct:
         assert np.abs(outs["functional"] - outs["separate"]).max() < 1e-8
 
     def test_broken_symmetry_is_caught(self):
+        """Coefficients of a real field are real: a supplied imaginary part
+        above rounding level raises, a rounding-level one is dropped."""
         rng = np.random.default_rng(3)
-        entries = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        entries = rng.standard_normal((16, 16))
         cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
         with pytest.raises(NumericalError):
-            fd.reconstruct(make_coeffs(entries), cfg, 16, 128)
-        real = make_coeffs(entries.real)
-        fd.reconstruct(real, cfg, 16, 128)                    # valid spectrum
-        fd.reconstruct(real, cfg, 16, 128, PerturbedMeyer(3, 1e-15))
-        with pytest.raises(NumericalError):
-            fd.reconstruct(real, cfg, 16, 128, PerturbedMeyer(3, 1e-3))
+            fd.reconstruct(make_coeffs(entries + 1j * rng.standard_normal((16, 16))),
+                           cfg, 16, 128)
+        base = fd.reconstruct(make_coeffs(entries), cfg, 16, 128).values
+        for delta, raises in ((1e-15, False), (1e-3, True)):
+            perturbed = entries.astype(complex)
+            perturbed[9, 3] += 1j * delta
+            if raises:
+                with pytest.raises(NumericalError):
+                    fd.reconstruct(make_coeffs(perturbed), cfg, 16, 128)
+            else:
+                rec = fd.reconstruct(make_coeffs(perturbed), cfg, 16, 128)
+                assert np.array_equal(rec.values, base)
 
 
 class TestDeconvolve:

@@ -96,3 +96,55 @@ def test_csv_header_mismatch_rejected(tmp_path, grid):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError):
         gridio.load_grid_csv(path)
+
+
+def test_rewrite_replaces_longer_contents(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("a much longer first version\n")
+    with gridio.rewrite(path) as fh:
+        fh.write("short\n")
+    assert path.read_text() == "short\n"
+
+
+def test_rewrite_creates_missing_files_and_never_opens_with_truncation(
+        tmp_path, grid, monkeypatch):
+    """A truncating open would send each rewrite of an output to the disk."""
+    flags = []
+    real_open = gridio.os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(gridio.os, "open", spy)
+    path = tmp_path / "grid.fdg"
+    gridio.save_grid_binary(path, grid)
+    gridio.save_grid_binary(path, grid)
+    assert np.array_equal(gridio.load_grid_binary(path).samples, grid.samples)
+    assert len(flags) == 2
+    assert all(f & gridio.os.O_CREAT and not f & gridio.os.O_TRUNC for f in flags)
+
+
+def test_rewrite_cuts_a_failed_write_to_what_was_written(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old contents that must not survive\n")
+    with pytest.raises(RuntimeError):
+        with gridio.rewrite(path) as fh:
+            fh.write("new")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "new"
+
+
+def test_rewrite_rejects_read_modes(tmp_path):
+    with pytest.raises(ValueError):
+        with gridio.rewrite(tmp_path / "x", "rb"):
+            pass
+
+
+def test_binary_rewrite_of_a_larger_grid_file(tmp_path, grid):
+    path = tmp_path / "grid.fdg"
+    gridio.save_grid_binary(path, fd.ObservationGrid(np.zeros((9, 32)), sigma=1.0))
+    gridio.save_grid_binary(path, grid)
+    back = fd.load_grid(path)
+    assert back.sigma == grid.sigma
+    assert np.array_equal(back.samples, grid.samples)

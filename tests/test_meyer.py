@@ -6,20 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcdeconv as fd
-from funcdeconv.exceptions import LevelTooCoarse, LevelTooFine
+from funcdeconv.exceptions import ConfigError, LevelTooCoarse, LevelTooFine
 from funcdeconv.meyer import meyer_aux, phi_hat, psi_hat
 
 
 def hermitian_noise(rng, n, mmax):
-    """Random real-signal spectrum supported on |m| <= mmax."""
-    spec = np.zeros(n, dtype=complex)
-    re = rng.standard_normal(mmax + 1)
-    im = rng.standard_normal(mmax + 1)
-    im[0] = 0.0
-    spec[0] = re[0]
-    for m in range(1, mmax + 1):
-        spec[m] = re[m] + 1j * im[m]
-        spec[-m] = re[m] - 1j * im[m]
+    """Random real-signal half spectrum (N/2 + 1 columns) supported on m <= mmax."""
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[:mmax + 1] = rng.standard_normal(mmax + 1) + 1j * rng.standard_normal(mmax + 1)
+    spec[0] = spec[0].real
     return spec
 
 
@@ -99,9 +94,16 @@ class TestSupports:
 
     def test_capacity_bound(self, meyer):
         with pytest.raises(LevelTooFine):
-            meyer.analyze_t(np.zeros(64, dtype=complex).reshape(1, -1), 6)
+            meyer.band_size(6, 64)
         with pytest.raises(LevelTooCoarse):
             fd.MeyerBasis(m0=2)
+
+    @pytest.mark.parametrize("big_j", [3, 4, 6, 9, 12])
+    def test_band_is_a_gapless_prefix_of_the_half_spectrum(self, meyer, big_j):
+        """Band rows hold frequencies 0..K-1: the union band has no gaps."""
+        band = meyer.union_band(big_j)
+        k = meyer.band_size(big_j, 2**(big_j + 2))
+        np.testing.assert_array_equal(band[band >= 0], np.arange(k))
 
 
 class TestCoefficientTables:
@@ -153,54 +155,82 @@ class TestAnalyzeSynthesize:
 
     def test_coefficient_roundtrip_is_exact(self, meyer):
         rng = np.random.default_rng(0)
-        packed = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        spec = meyer.synthesize_t(packed, 256)
-        back = meyer.analyze_t(spec, 6)
+        packed = rng.standard_normal((3, 64))
+        band = meyer.synthesize_t(packed)
+        assert band.shape == (3, meyer.band_size(6, 256))
+        back = meyer.analyze_t(band, 6)
+        assert back.dtype == np.float64
         np.testing.assert_allclose(back, packed, atol=1e-10)
 
     def test_band_limited_signal_roundtrip(self, meyer):
         """Signals inside the strict interior of V_J are reproduced exactly."""
         rng = np.random.default_rng(1)
-        spec = hermitian_noise(rng, 256, 21).reshape(1, -1)   # |m| < 64/3
-        back = meyer.synthesize_t(meyer.analyze_t(spec, 6), 256)
+        spec = hermitian_noise(rng, 256, 21).reshape(1, -1)   # m < 64/3
+        band = meyer.synthesize_t(meyer.analyze_t(spec, 6))
+        back = np.zeros_like(spec)
+        back[:, :band.shape[1]] = band
         np.testing.assert_allclose(back, spec, atol=1e-9)
 
     def test_band_limited_parseval(self, meyer):
         blip = fd.test_function("Blip", 512)
         spec = fd.fourier_coeffs(blip.reshape(1, -1)).coeffs.copy()
-        freqs = np.fft.fftfreq(512, 1 / 512)
-        spec[0, np.abs(freqs) > 42] = 0.0        # strict interior at J=7
+        spec[0, 43:] = 0.0                       # strict interior at J=7
         packed = meyer.analyze_t(spec, 7)
-        np.testing.assert_allclose((np.abs(packed) ** 2).sum(),
-                                   (np.abs(spec) ** 2).sum(), atol=1e-8)
+        energy = abs(spec[0, 0]) ** 2 + 2 * (np.abs(spec[0, 1:]) ** 2).sum()
+        np.testing.assert_allclose((packed ** 2).sum(), energy, atol=1e-8)
 
     def test_analysis_is_a_projection(self, meyer):
         """synthesize(analyze(.)) is idempotent on arbitrary spectra."""
         rng = np.random.default_rng(2)
         spec = hermitian_noise(rng, 256, 127).reshape(1, -1)
-        once = meyer.synthesize_t(meyer.analyze_t(spec, 6), 256)
-        twice = meyer.synthesize_t(meyer.analyze_t(once, 6), 256)
+        once = meyer.synthesize_t(meyer.analyze_t(spec, 6))
+        twice = meyer.synthesize_t(meyer.analyze_t(once, 6))
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_single_coefficient_synthesizes_its_atom(self, meyer):
-        packed = np.zeros((1, 32), dtype=complex)
+        packed = np.zeros((1, 32))
         slices = fd.time_level_slices(3, 5)
         packed[0, slices[4].start + 5] = 1.0
-        spec = meyer.synthesize_t(packed, 128)[0]
+        band = meyer.synthesize_t(packed)[0]
         ms = meyer.support_set(4)
-        np.testing.assert_allclose(spec[ms], meyer.psi_fourier(4, 5, ms), atol=1e-14)
-        mask = np.ones(128, dtype=bool)
-        mask[ms] = False
-        np.testing.assert_allclose(spec[mask], 0.0, atol=1e-14)
+        ms = ms[ms > 0]
+        np.testing.assert_allclose(band[ms], meyer.psi_fourier(4, 5, ms), atol=1e-14)
+        np.testing.assert_allclose(np.delete(band, ms), 0.0, atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_property(self, meyer, seed):
-        rng = np.random.default_rng(seed)
-        packed = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        back = meyer.analyze_t(meyer.synthesize_t(packed.reshape(1, -1), 128), 5)
+        packed = np.random.default_rng(seed).standard_normal(32)
+        back = meyer.analyze_t(meyer.synthesize_t(packed.reshape(1, -1)), 5)
         np.testing.assert_allclose(back[0], packed, atol=1e-10)
+
+    def test_matches_the_atoms_over_both_signs(self, meyer):
+        """Analysis equals sum_m X(m) conj(psi(m)) over the full two-sided band
+        of a real signal; synthesis equals sum_tau c_tau psi_tau(m)."""
+        rng = np.random.default_rng(3)
+        n, big_j = 128, 5
+        x = rng.standard_normal((2, n))
+        full = np.fft.fft(x, axis=1) / n
+        band = meyer.union_band(big_j)
+        atoms = [meyer.phi_fourier(k, band) for k in range(8)]
+        for j in range(3, big_j):
+            atoms += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
+        atoms = np.array(atoms)                            # (2^J, |band|)
+        want = full[:, band % n] @ atoms.conj().T
+        assert np.abs(want.imag).max() < 1e-15
+        got = meyer.analyze_t(full[:, :n // 2 + 1], big_j)
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14)
+        c = rng.standard_normal((2, 2**big_j))
+        synth = c @ atoms
+        np.testing.assert_allclose(meyer.synthesize_t(c), synth[:, band >= 0],
+                                   rtol=0, atol=1e-14)
 
     def test_rejects_overfull_grid(self, meyer):
         with pytest.raises(LevelTooFine):
-            meyer.analyze_t(np.zeros((1, 128), dtype=complex), 7)
+            meyer.band_size(7, 128)
+
+    def test_rejects_malformed_inputs(self, meyer):
+        with pytest.raises(ConfigError):
+            meyer.analyze_t(np.zeros((1, 7), dtype=complex), 5)   # J=5 reads 22
+        with pytest.raises(ConfigError):
+            meyer.synthesize_t(np.zeros((1, 32), dtype=complex))

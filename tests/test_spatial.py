@@ -21,8 +21,8 @@ class TestFilters:
     def test_lowpass_sums(self, spatial):
         lo = spatial.lo
         assert len(lo) == 12
-        assert abs(lo.sum() - np.sqrt(2)) < 1e-10
-        assert abs((lo**2).sum() - 1.0) < 1e-10
+        assert abs(lo.sum() - np.sqrt(2)) < 1e-15
+        assert abs((lo**2).sum() - 1.0) < 1e-15
 
     def test_highpass_is_alternating_flip(self, spatial):
         lo, hi = spatial.lo, spatial.hi
@@ -33,7 +33,14 @@ class TestFilters:
         """sum_k h_k h_{k+2m} = delta_{m0} — the perfect-reconstruction identity."""
         lo = spatial.lo
         for shift in range(2, 12, 2):
-            assert abs(np.dot(lo[:-shift], lo[shift:])) < 1e-10
+            assert abs(np.dot(lo[:-shift], lo[shift:])) < 1e-16
+
+    def test_six_vanishing_moments(self, spatial):
+        """sum_t t^p hi[t] = 0 for p < 6, relative to sum_t t^p |hi[t]|."""
+        t = np.arange(12.0)
+        for p in range(6):
+            moment = np.dot(t**p, spatial.hi)
+            assert abs(moment) < 1e-14 * np.dot(t**p, np.abs(spatial.hi)), p
 
     def test_other_filter_orders_rejected(self):
         with pytest.raises(ConfigError):
@@ -46,20 +53,20 @@ class TestTransform:
         for n in (8, 16, 64, 256):
             x = rng.standard_normal(n)
             np.testing.assert_allclose(spatial.dwt_inverse(spatial.dwt_forward(x)),
-                                       x, atol=1e-10)
+                                       x, atol=1e-13)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 32, 128]))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, spatial, seed, n):
         x = np.random.default_rng(seed).standard_normal(n)
         np.testing.assert_allclose(spatial.dwt_inverse(spatial.dwt_forward(x)),
-                                   x, atol=1e-10)
+                                   x, atol=1e-13)
 
     def test_parseval(self, spatial):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(128)
         c = spatial.dwt_forward(x)
-        assert (c**2).sum() == pytest.approx((x**2).sum(), rel=1e-10)
+        assert (c**2).sum() == pytest.approx((x**2).sum(), rel=1e-13)
 
     def test_complex_input_transforms_real_and_imaginary_parts(self, spatial):
         """The estimator's input: complex (2^J, M) rows, transposed in memory,
@@ -70,13 +77,13 @@ class TestTransform:
         c = spatial.dwt_forward(z)
         np.testing.assert_allclose(
             c, spatial.dwt_forward(re.T) + 1j * spatial.dwt_forward(im.T),
-            atol=1e-12)
+            atol=1e-13)
         assert (abs(c) ** 2).sum() == pytest.approx((abs(z) ** 2).sum(),
-                                                    rel=1e-10)
+                                                    rel=1e-13)
         strided = np.zeros((4, 128), dtype=complex)
         strided[:, ::2] = c
         np.testing.assert_allclose(spatial.dwt_inverse(strided[:, ::2]), z,
-                                   atol=1e-10)
+                                   atol=1e-13)
 
     def test_stacked_input_matches_row_by_row(self, spatial):
         x = np.random.default_rng(9).standard_normal((2, 3, 32))
@@ -84,8 +91,8 @@ class TestTransform:
         assert c.shape == x.shape
         for idx in np.ndindex(2, 3):
             np.testing.assert_allclose(c[idx], spatial.dwt_forward(x[idx]),
-                                       atol=1e-12)
-        np.testing.assert_allclose(spatial.dwt_inverse(c), x, atol=1e-10)
+                                       atol=1e-13)
+        np.testing.assert_allclose(spatial.dwt_inverse(c), x, atol=1e-13)
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_outputs_never_alias_the_input(self, spatial, n):
@@ -101,9 +108,9 @@ class TestTransform:
         x = np.full(64, 2.5)
         c = spatial.dwt_forward(x)
         slices = spatial_level_slices(3, 6)
-        np.testing.assert_allclose(c[8:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(c[8:], 0.0, atol=1e-13)
         np.testing.assert_allclose(c[slices[2]], 2.5 * 2.0 ** ((6 - 3) / 2),
-                                   atol=1e-10)
+                                   atol=1e-13)
 
     def test_non_dyadic_rejected(self, spatial):
         with pytest.raises(ConfigError):
@@ -115,9 +122,9 @@ class TestTransform:
         e1, e2 = np.zeros(64), np.zeros(64)
         e1[10], e2[37] = 1.0, 1.0
         v1, v2 = spatial.dwt_inverse(e1), spatial.dwt_inverse(e2)
-        assert np.dot(v1, v1) == pytest.approx(1.0, abs=1e-10)
-        assert abs(np.dot(v1, v2)) < 1e-10
-        np.testing.assert_allclose(spatial.dwt_forward(v1), e1, atol=1e-10)
+        assert np.dot(v1, v1) == pytest.approx(1.0, abs=1e-13)
+        assert abs(np.dot(v1, v2)) < 1e-13
+        np.testing.assert_allclose(spatial.dwt_forward(v1), e1, atol=1e-13)
 
     def test_shift_covariance(self, spatial):
         """Shifting by the level stride rolls that level's details one slot."""
@@ -128,7 +135,7 @@ class TestTransform:
         for j in (3, 4, 5, 6):
             shifted = spatial.dwt_forward(np.roll(x, 2 ** (7 - j)))
             np.testing.assert_allclose(shifted[slices[j]],
-                                       np.roll(c[slices[j]], 1), atol=1e-10)
+                                       np.roll(c[slices[j]], 1), atol=1e-13)
 
 
 class TestSmoothness:
@@ -175,7 +182,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("n", [2, 4, 8, 32, 64])
     def test_level_matrices_are_orthonormal(self, n):
         w = dense_level_matrix(n)
-        np.testing.assert_allclose(w @ w.T, np.eye(n), atol=1e-12)
+        assert np.abs(w @ w.T - np.eye(n)).max() <= 1e-15
 
     @pytest.mark.parametrize("n,m0p", [(32, 3), (64, 3), (64, 1)])
     def test_packed_transform_is_the_product_of_level_matrices(self, n, m0p):
@@ -188,5 +195,5 @@ class TestDenseReference:
             dense = step @ dense
         basis = fd.SpatialBasis(m0p=m0p)
         x = np.random.default_rng(n + m0p).standard_normal((5, n))
-        np.testing.assert_allclose(basis.dwt_forward(x), x @ dense.T, atol=1e-12)
-        np.testing.assert_allclose(basis.dwt_inverse(x), x @ dense, atol=1e-12)
+        np.testing.assert_allclose(basis.dwt_forward(x), x @ dense.T, atol=1e-13)
+        np.testing.assert_allclose(basis.dwt_inverse(x), x @ dense, atol=1e-13)

@@ -24,25 +24,29 @@ class TestFourierCoeffs:
 
     def test_cosine_tone_splits_evenly(self):
         """cos(2 pi m t) puts coefficient 1/2 at +-m under the 1/N convention."""
-        spec = fd.fourier_coeffs(tone(8, 1).reshape(1, -1))
-        c = spec.coeffs[0]
+        row = tone(8, 1).reshape(1, -1)
+        c = fd.fourier_coeffs(row).coeffs[0]
+        assert c.shape == (5,)
         assert c[1] == pytest.approx(0.5, abs=1e-14)
-        assert c[-1] == pytest.approx(0.5, abs=1e-14)
-        others = np.delete(c, [1, 8 - 1])
-        np.testing.assert_allclose(others, 0.0, atol=1e-14)
+        np.testing.assert_allclose(np.delete(c, 1), 0.0, atol=1e-14)
+        assert fd.kernel_spectrum(row).at_freq([-1])[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_hermitian_symmetry(self):
+        """The half spectrum stands for a conjugate-symmetric one: DC and
+        Nyquist are real, and negative frequencies read as conjugates."""
         rng = np.random.default_rng(3)
-        spec = fd.fourier_coeffs(rng.standard_normal((4, 64)))
-        c = spec.coeffs
-        np.testing.assert_allclose(c[:, 1:], np.conj(c[:, 1:][:, ::-1]), atol=1e-13)
+        c = fd.fourier_coeffs(rng.standard_normal((4, 64))).coeffs
+        assert not c[:, [0, 32]].imag.any()
+        ks = fd.KernelSpectrum(c)
+        m = np.arange(1, 32)
+        assert np.array_equal(ks.at_freq(-m), np.conj(ks.at_freq(m)))
 
     def test_parseval_per_row(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 128))
-        c = fd.fourier_coeffs(x).coeffs
-        np.testing.assert_allclose((np.abs(c) ** 2).sum(axis=1),
-                                   (x ** 2).mean(axis=1), rtol=1e-12)
+        p = np.abs(fd.fourier_coeffs(x).coeffs) ** 2
+        energy = p[:, 0] + 2 * p[:, 1:64].sum(axis=1) + p[:, 64]
+        np.testing.assert_allclose(energy, (x ** 2).mean(axis=1), rtol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -62,11 +66,14 @@ class TestFourierCoeffs:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_real_fft_matches_full_fft_and_is_exactly_hermitian(self):
+        """M x (N/2 + 1), equal to fft/N on m >= 0; the two-sided spectrum it
+        stands for is conjugate-symmetric by construction."""
         x = np.random.default_rng(5).standard_normal((3, 64))
-        c = fd.fourier_coeffs(x).coeffs
-        np.testing.assert_allclose(c, np.fft.fft(x, axis=1) / 64, rtol=0,
-                                   atol=1e-15)
-        assert np.array_equal(c[:, 1:], np.conj(c[:, 1:][:, ::-1]))
+        spec = fd.fourier_coeffs(x)
+        c = spec.coeffs
+        assert c.shape == (3, 33) and (spec.m, spec.n) == (3, 64)
+        np.testing.assert_allclose(c, np.fft.fft(x, axis=1)[:, :33] / 64,
+                                   rtol=0, atol=1e-15)
         assert not c[:, [0, 32]].imag.any()
 
     def test_complex_rows_rejected(self):
@@ -78,10 +85,20 @@ class TestFourierCoeffs:
         half = rng.standard_normal((3, 33)) + 1j * rng.standard_normal((3, 33))
         half[:, [0, 32]] = half[:, [0, 32]].real
         spec = np.concatenate([half, np.conj(half[:, 31:0:-1])], axis=1)
-        back = fd.spectrum_to_samples(spec)
-        assert not np.iscomplexobj(back)
+        back = fd.spectrum_to_samples(half)
+        assert not np.iscomplexobj(back) and back.shape == (3, 64)
         np.testing.assert_allclose(back, np.fft.ifft(spec, axis=1).real * 64,
                                    rtol=0, atol=1e-12)
+
+    def test_a_band_prefix_inverts_as_its_zero_padded_half(self):
+        rng = np.random.default_rng(7)
+        band = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        half = np.zeros((2, 33), dtype=complex)
+        half[:, :5] = band
+        assert np.array_equal(fd.spectrum_to_samples(band, 64),
+                              fd.spectrum_to_samples(half))
+        with pytest.raises(ConfigError):
+            fd.spectrum_to_samples(half, 32)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):
@@ -157,12 +174,19 @@ class TestKernelSpectrum:
         _, ks = kernel_for(64, 512)
         band = np.concatenate([np.arange(-170, 0), np.arange(0, 171)])
         fd.validate_invertible(ks, band)    # should not raise
-        assert np.abs(ks.g_coeffs[:, band]).min() > 0
+        assert np.abs(ks.at_freq(band)).min() > 0
+
+    def test_at_freq_reads_any_frequency_of_the_full_spectrum(self, kernel_for):
+        """Negative and aliased frequencies read as in fft(g)/N at m mod N."""
+        grid, ks = kernel_for(64, 512)
+        full = np.fft.fft(grid, axis=1) / 512
+        m = np.arange(-700, 1100, 7)
+        np.testing.assert_allclose(ks.at_freq(m), full[:, m % 512], rtol=0, atol=1e-15)
 
 
 class TestEstimateNu:
     def synthetic(self, nu, n=256, m=4):
-        afreq = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        afreq = np.arange(n // 2 + 1, dtype=float)
         afreq[0] = 1.0
         amps = afreq ** -nu
         return fd.KernelSpectrum(np.tile(amps.astype(complex), (m, 1)))
