@@ -11,6 +11,7 @@ replays a manifest and reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -101,12 +102,8 @@ def _coeff_columns(coeffs):
     each block row-major; separate mode has one block row, jprime = -1, with
     kprime the profile index.
     """
-    if coeffs.mode == FUNCTIONAL:
-        sslices = coeffs.spatial_slices()
-    else:
-        sslices = {-1: slice(0, coeffs.entries.shape[0])}
     blocks = []
-    for jp, ss in sslices.items():
+    for jp, ss in coeffs.spatial_slices().items():
         for j, ts in coeffs.time_slices().items():
             kprime, k = np.indices(coeffs.entries[ss, ts].shape)
             blocks.append((np.full(k.size, j), k.ravel(), np.full(k.size, jp),
@@ -233,7 +230,9 @@ def cmd_nu_estimate(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process-wide argument parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="funcdeconv",
         description="Hyperbolic-wavelet thresholding for functional "

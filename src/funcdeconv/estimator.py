@@ -9,7 +9,9 @@ transform) with per-profile eps = sigma/sqrt(N).
 
 Coefficient arrays are packed: time axis of length 2^J laid out as
 [V_{m0} | W_{m0} | ... | W_{J-1}] (scaling block labeled j = m0-1), spatial
-axis of length 2^J' laid out the same way with labels j' (m0'-1 = scaling).
+axis of length 2^J' laid out the same way with labels j' (m0'-1 = scaling),
+both by :func:`funcdeconv.meyer.level_slices`. Separate-mode coefficients
+are the same array with one spatial block, labeled -1, of M profile rows.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConfigError, LevelTooFine, NumericalError
-from .meyer import MeyerBasis, time_level_slices
-from .spatial import SpatialBasis, spatial_level_slices
+from .meyer import MeyerBasis, j_capacity, level_slices
+from .spatial import SpatialBasis
 from .spectra import (KernelSpectrum, ObservationGrid, ProfileSpectrum,
                       estimate_nu, fourier_coeffs, kernel_bounds,
                       kernel_spectrum, spectrum_to_samples,
@@ -30,11 +32,6 @@ from .spectra import (KernelSpectrum, ObservationGrid, ProfileSpectrum,
 
 FUNCTIONAL = "functional"
 SEPARATE = "separate"
-
-
-def j_capacity(n: int) -> int:
-    """Largest time cutoff J the grid supports: 2 * 2^(J+2) / 3 <= N."""
-    return (3 * n // 2).bit_length() - 3
 
 
 def jprime_capacity(m: int) -> int:
@@ -118,28 +115,15 @@ class EstimatorConfig:
         return replace(self, j=j, j_prime=jp)
 
 
-def _resolve_c1(ks: KernelSpectrum, nu: float | None) -> tuple:
+def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
+    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical)."""
     if nu is None or nu == ks.nu:
         if ks.c1 is None:
             estimate_nu(ks)
-        return ks.nu, ks.c1
-    c1, _ = kernel_bounds(ks, nu)
-    return nu, c1
-
-
-def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
-    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical)."""
-    nu, c1 = _resolve_c1(ks, nu)
+        nu, c1 = ks.nu, ks.c1
+    else:
+        c1, _ = kernel_bounds(ks, nu)
     return 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
-
-
-def c_beta_bound(ks: KernelSpectrum, nu: float | None = None) -> float:
-    """Theoretical lower bound sqrt(80 / c1) (2 pi / 3)^nu.
-
-    Diagnostic only — wildly conservative in practice, never enforced.
-    """
-    nu, c1 = _resolve_c1(ks, nu)
-    return math.sqrt(80.0 / c1) * (2.0 * np.pi / 3.0) ** nu
 
 
 def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL,
@@ -172,9 +156,9 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
 class HyperCoeffs:
     """Dense real hyperbolic coefficient array plus kept/killed flags.
 
-    Functional mode: ``entries[s, tau]`` indexed by packed spatial position s
-    (levels j' in [m0'-1, J')) and packed time position tau (levels j in
-    [m0-1, J)). Separate mode: ``entries[l, tau]`` with raw profile rows.
+    ``entries[s, tau]`` is indexed by packed time position tau (levels j in
+    [m0-1, J)) and, in functional mode, packed spatial position s (levels j'
+    in [m0'-1, J')); in separate mode s is the profile, in one block j' = -1.
     """
 
     def __init__(self, entries: np.ndarray, m0: int, big_j: int, mode: str,
@@ -187,39 +171,19 @@ class HyperCoeffs:
         self.m0p = m0p
         self.big_jp = big_jp
         self.mode = mode
-        # level label of each packed position along each axis
-        self.time_levels = _position_levels(m0, big_j)
-        if mode == FUNCTIONAL:
-            self.spatial_levels = _position_levels(m0p, big_jp)
-        else:
-            self.spatial_levels = None
 
     def time_slices(self) -> dict[int, slice]:
-        return time_level_slices(self.m0, self.big_j)
+        return level_slices(self.m0, self.big_j)
 
     def spatial_slices(self) -> dict[int, slice]:
-        if self.mode != FUNCTIONAL:
-            raise ConfigError("separate-mode coefficients have no spatial levels")
-        return spatial_level_slices(self.m0p, self.big_jp)
-
-    def block(self, j: int, j_prime: int | None = None) -> np.ndarray:
-        """View of the (j', j) coefficient block (functional) or level j (separate)."""
-        ts = self.time_slices()[j]
+        """Row blocks by level j'; separate mode has one block, j' = -1."""
         if self.mode == FUNCTIONAL:
-            return self.entries[self.spatial_slices()[j_prime], ts]
-        return self.entries[:, ts]
+            return level_slices(self.m0p, self.big_jp)
+        return {-1: slice(0, self.entries.shape[0])}
 
     def thresholded(self) -> np.ndarray:
         """Entries with killed coefficients zeroed."""
         return np.where(self.kept, self.entries, 0.0)
-
-
-def _position_levels(m0: int, big_j: int) -> np.ndarray:
-    levels = np.empty(2**big_j, dtype=int)
-    levels[:2**m0] = m0 - 1
-    for j in range(m0, big_j):
-        levels[2**j:2**(j + 1)] = j
-    return levels
 
 
 def estimate_coeffs(spec: ProfileSpectrum, ks: KernelSpectrum,
@@ -252,19 +216,18 @@ def estimate_coeffs(spec: ProfileSpectrum, ks: KernelSpectrum,
 def hard_threshold(coeffs: HyperCoeffs, cfg: EstimatorConfig) -> HyperCoeffs:
     """Keep entries with |beta-tilde| strictly above the level-j threshold.
 
-    Only the pure scaling (x) scaling block (j = m0-1 and j' = m0'-1) is
-    exempt; mixed detail/scaling blocks carry the literal level-j threshold.
-    In separate mode the per-profile scaling block is exempt.
+    Only the first spatial block times the time scaling block is exempt: the
+    scaling (x) scaling block (j' = m0'-1, j = m0-1) in functional mode, the
+    per-profile scaling block in separate mode. Mixed detail/scaling blocks
+    carry the literal level-j threshold.
     """
-    lam = np.array([threshold_value(j, cfg) for j in coeffs.time_levels])
-    kept = np.abs(coeffs.entries) > lam[None, :]
-    if coeffs.mode == FUNCTIONAL:
-        exempt = (coeffs.spatial_levels[:, None] == coeffs.m0p - 1) \
-            & (coeffs.time_levels[None, :] == coeffs.m0 - 1)
-    else:
-        exempt = np.broadcast_to(coeffs.time_levels[None, :] == coeffs.m0 - 1,
-                                 coeffs.entries.shape)
-    kept = kept | exempt
+    tslices = coeffs.time_slices()
+    lam = np.empty(coeffs.entries.shape[1])
+    for j, ts in tslices.items():
+        lam[ts] = threshold_value(j, cfg)
+    kept = np.abs(coeffs.entries) > lam
+    kept[next(iter(coeffs.spatial_slices().values())),
+         next(iter(tslices.values()))] = True
     return HyperCoeffs(coeffs.entries, coeffs.m0, coeffs.big_j, coeffs.mode,
                        m0p=coeffs.m0p, big_jp=coeffs.big_jp, kept=kept)
 
@@ -290,8 +253,16 @@ def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
 
     Coefficients of a real field are real. Complex entries (user-supplied)
     are accepted when their imaginary parts are rounding residue and raise
-    :class:`NumericalError` otherwise.
+    :class:`NumericalError` otherwise. :class:`ConfigError` is raised when
+    the coefficients do not fit the M x N grid: more than M spatial rows
+    (functional), other than M profile rows (separate), or time levels
+    beyond ``j_capacity(n)``.
     """
+    rows = coeffs.entries.shape[0]
+    if rows > m or (coeffs.mode == SEPARATE and rows < m) \
+            or coeffs.big_j > j_capacity(n):
+        raise ConfigError(f"{coeffs.mode} coefficients of shape {coeffs.entries.shape} "
+                          f"(J={coeffs.big_j}) do not fit an (M, N) = ({m}, {n}) grid")
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     arr = coeffs.thresholded()
     if np.iscomplexobj(arr):
@@ -307,7 +278,6 @@ def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
         timec = sbasis.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
     else:
         timec = arr
-    basis.band_size(coeffs.big_j, n)    # the band must fit the grid
     values = spectrum_to_samples(basis.synthesize_t(timec), n)
     return Reconstruction(values, coeffs, cfg)
 

@@ -15,7 +15,9 @@ packed layout of length 2^J:
 
     [ scaling V_{m0}: 2^{m0} | details j=m0: 2^{m0} | ... | details J-1: 2^{J-1} ]
 
-The scaling block is labeled level ``m0 - 1`` by convention.
+The scaling block is labeled level ``m0 - 1`` by convention. The spatial DWT
+packs its coefficients the same way, so :func:`level_slices` serves both axes.
+Levels below J fit an N-sample grid iff J <= :func:`j_capacity` (N).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def phi_hat(omega):
     return out
 
 
-def time_level_slices(m0: int, big_j: int) -> dict[int, slice]:
+def level_slices(m0: int, big_j: int) -> dict[int, slice]:
     """Packed-layout slices keyed by level label (m0-1 = scaling block)."""
     slices = {m0 - 1: slice(0, 2**m0)}
     for j in range(m0, big_j):
@@ -65,10 +67,13 @@ def time_level_slices(m0: int, big_j: int) -> dict[int, slice]:
     return slices
 
 
+def j_capacity(n: int) -> int:
+    """Largest time cutoff J the grid supports: 2 * 2^(J+2) / 3 <= N."""
+    return (3 * n // 2).bit_length() - 3
+
+
 class MeyerBasis:
     """Immutable periodized Meyer basis with cached per-level coefficient tables."""
-
-    aux_degree = 3
 
     def __init__(self, m0: int = 3):
         if m0 < 3:
@@ -143,7 +148,7 @@ class MeyerBasis:
         key = ("band_matrix", big_j)
         if key not in self._cache:
             psi = np.zeros((2**big_j, int(self.union_band(big_j).max()) + 1), dtype=complex)
-            for j, sl in time_level_slices(self.m0, big_j).items():
+            for j, sl in level_slices(self.m0, big_j).items():
                 if j < self.m0:     # the scaling block: phi at level m0
                     lev, ms, window = self.m0, self.scaling_support(), phi_hat
                 else:
@@ -158,13 +163,6 @@ class MeyerBasis:
             self._cache[key] = (psi.view(float), weight)
         return self._cache[key]
 
-    def _check_capacity(self, big_j: int, n: int) -> None:
-        if 2 * 2**(big_j + 2) / 3 > n:
-            raise LevelTooFine(
-                f"levels up to J={big_j} need N >= {int(np.ceil(2 * 2**(big_j + 2) / 3))}, "
-                f"grid has N={n} (offending level j={big_j - 1})"
-            )
-
     # -- transforms ---------------------------------------------------------
 
     def band_size(self, big_j: int, n: int) -> int:
@@ -172,12 +170,16 @@ class MeyerBasis:
 
         These are the non-negative frequencies of :meth:`union_band`, a
         prefix of an ``rfft`` half spectrum. Raises :class:`LevelTooFine`
-        unless the band fits an N-sample grid.
+        when ``big_j > j_capacity(n)``.
         """
         if big_j < self.m0:
             raise LevelTooCoarse(f"J={big_j} below coarsest level m0={self.m0}")
-        self._check_capacity(big_j, n)
-        return self._band_matrix(big_j)[0].shape[1] // 2
+        if big_j > j_capacity(n):
+            raise LevelTooFine(
+                f"levels up to J={big_j} need N >= {-(-2**(big_j + 3) // 3)}, "
+                f"grid has N={n} (offending level j={big_j - 1})"
+            )
+        return int(self.union_band(big_j).max()) + 1
 
     def analyze_t(self, spectrum_rows: np.ndarray, big_j: int) -> np.ndarray:
         """Real wavelet coefficients of real signals over levels [m0-1, big_j).

@@ -122,8 +122,8 @@ def product_truth(f1: str, f2: str, m: int, n: int) -> np.ndarray:
 def convolve_rows(kernel_rows: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Row-wise (1/N)-normalised circular convolution of kernel and target."""
     n = truth.shape[-1]
-    prod = np.fft.fft(kernel_rows, axis=-1) * np.fft.fft(truth, axis=-1)
-    return np.fft.ifft(prod, axis=-1).real / n
+    return np.fft.irfft(np.fft.rfft(kernel_rows, axis=-1) * np.fft.rfft(truth, axis=-1),
+                        n, axis=-1) / n
 
 
 def synthesize_data(truth: np.ndarray, sigma: float, *, seed: int = 0,
@@ -272,21 +272,6 @@ def write_table_csv(rows: list, path) -> None:
         writer = csv.DictWriter(fh, fieldnames=TABLE1_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def read_table_csv(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            row["M"] = int(row["M"])
-            row["sigma"] = float(row["sigma"])
-            row["mean_mise"] = float(row["mean_mise"])
-            row["sd_mise"] = float(row["sd_mise"])
-            row["runs"] = int(row["runs"])
-            row["seed"] = int(row["seed"])
-            rows.append(row)
-        return rows
 
 
 def write_xy(path, xs, ys) -> None:

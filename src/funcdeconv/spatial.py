@@ -6,7 +6,8 @@ into a vector of the input length 2^L:
 
     [ scaling V_{m0'}: 2^{m0'} | details j'=m0': 2^{m0'} | ... | details L-1: 2^{L-1} ]
 
-with the scaling block labeled level ``m0' - 1``. The analysis step is
+with the scaling block labeled level ``m0' - 1``, the layout of
+:func:`funcdeconv.meyer.level_slices`. The analysis step is
 
     approx[k] = sum_t lo[t] * a[(2k+t) mod n],
     detail[k] = sum_t hi[t] * a[(2k+t) mod n],   hi[t] = (-1)^t lo[L-1-t],
@@ -72,28 +73,13 @@ def _synthesis_step(ca: np.ndarray, cd: np.ndarray) -> np.ndarray:
     return out
 
 
-def spatial_level_slices(m0p: int, big_l: int) -> dict[int, slice]:
-    """Packed-layout slices keyed by level label (m0'-1 = scaling block)."""
-    slices = {m0p - 1: slice(0, 2**m0p)}
-    for j in range(m0p, big_l):
-        slices[j] = slice(2**j, 2**(j + 1))
-    return slices
-
-
 class SpatialBasis:
-    """Periodized Daubechies filter pair plus the coarsest-level choice."""
+    """Periodized db6 DWT (``DB6_LO``/``DB6_HI``) down to coarsest level m0'."""
 
-    def __init__(self, vanishing_moments: int = 6, m0p: int = 3):
-        if vanishing_moments != 6:
-            raise ConfigError(
-                "only the 12-tap (6 vanishing moments) Daubechies filter ships"
-            )
+    def __init__(self, m0p: int = 3):
         if m0p < 0:
             raise ConfigError("coarsest spatial level m0' must be >= 0")
-        self.vanishing_moments = vanishing_moments
         self.m0p = int(m0p)
-        self.lo = DB6_LO
-        self.hi = DB6_HI
 
     def _check_length(self, n: int) -> int:
         if n < 1 or (n & (n - 1)) != 0:

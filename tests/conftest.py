@@ -1,5 +1,7 @@
 """Shared fixtures: cached bases, kernel spectra, and the 48-cell table."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,20 @@ def cell(rows, f1, f2, m, sigma, mode):
 @pytest.fixture(scope="session")
 def table_cell():
     return cell
+
+
+def read_table_csv(path):
+    """Rows of a ``write_table_csv`` file with the numeric columns parsed."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key in ("M", "runs", "seed"):
+            row[key] = int(row[key])
+        for key in ("sigma", "mean_mise", "sd_mise"):
+            row[key] = float(row[key])
+    return rows
+
+
+@pytest.fixture(scope="session")
+def read_table():
+    return read_table_csv

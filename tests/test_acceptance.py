@@ -193,11 +193,11 @@ class TestCriterion6SingleAtomRecovery:
         below 0.02."""
         m = n = 256
         _, ks = kernel_for(m, n)
-        tslices = fd.time_level_slices(3, 5)
+        tslices = fd.level_slices(3, 5)
         packed = np.zeros((1, 32))
         packed[0, tslices[4].start + 2] = 1.0
         t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), n)[0]
-        sslices = fd.spatial_level_slices(3, 8)
+        sslices = fd.level_slices(3, 8)
         unit = np.zeros(m)
         unit[sslices[4].start + 3] = 1.0
         u_part = spatial.dwt_inverse(unit) * math.sqrt(m)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,12 +258,12 @@ class TestMalformedInput:
 
 
 class TestTableCommand:
-    def test_writes_48_cells_and_xy_files(self, tmp_path, capsys):
+    def test_writes_48_cells_and_xy_files(self, tmp_path, capsys, read_table):
         out = tmp_path / "table.csv"
         code = main(["table1", "--runs", "1", "--n", "256",
                      "--out", str(out), "--xy", str(tmp_path / "slope")])
         assert code == 0
-        rows = simlab.read_table_csv(out)
+        rows = read_table(out)
         assert len(rows) == 48
         dats = sorted(tmp_path.glob("slope_*.dat"))
         assert len(dats) == 24    # 6 pairs x 2 sigmas x 2 modes
@@ -303,6 +307,39 @@ class TestParser:
     def test_unknown_flag_is_a_usage_error(self, capsys):
         assert main(["rates", "--s1", "2", "--s2", "1", "--nu", "1",
                      "--bogus"]) == 1
+
+    def test_one_parser_serves_every_call_of_a_process(self, workspace, tmp_path,
+                                                       monkeypatch, capsys):
+        """main reuses one parser, and each call still exits and writes as it
+        does first in a fresh process: no values leak between calls."""
+        _, obs_path, kern_path = workspace
+        deconv = ["deconvolve", "--input", str(obs_path), "--kernel", str(kern_path)]
+        calls = [["simulate", "--m", "16", "--n", "64", "--runs", "1",
+                  "--mode", "separate", "--cbeta", "2", "--out", "sim.csv"],
+                 deconv,                         # no --out: bad usage
+                 deconv + ["--out", "fhat.fdg"],
+                 ["--version"]]
+        monkeypatch.setenv("COLUMNS", "80")     # argparse wraps to the terminal
+        env = dict(os.environ, PYTHONPATH=str(Path(fd.__file__).resolve().parents[1]))
+        before = build_parser.cache_info()
+        for i, argv in enumerate(calls):
+            here, fresh = tmp_path / f"in{i}", tmp_path / f"fresh{i}"
+            here.mkdir()
+            fresh.mkdir()
+            monkeypatch.chdir(here)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            ref = subprocess.run([sys.executable, "-m", "funcdeconv.cli", *argv],
+                                 cwd=fresh, env=env, capture_output=True, text=True)
+            assert (code, out, err) == (ref.returncode, ref.stdout, ref.stderr), argv
+            assert code == (1 if i == 1 else 0)
+            written = sorted(p.name for p in here.iterdir())
+            assert written == sorted(p.name for p in fresh.iterdir()), argv
+            for name in written:
+                assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+        after = build_parser.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= len(calls) - 1
 
     def test_rational_parser_handles_fractions_and_inf(self):
         assert _rational("2/3") == Fraction(2, 3)

@@ -1,6 +1,7 @@
 """Hard-thresholding hyperbolic-wavelet deconvolution estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,12 +105,6 @@ class TestConfigFor:
         expected = 4.0 * (2 * np.pi / 3) ** ks.nu / math.sqrt(ks.c1)
         assert fd.default_c_beta(ks) == pytest.approx(expected, rel=1e-12)
 
-    def test_diagnostic_bound_ratio(self, kernel_for):
-        """The conservative bound is sqrt(80)/4 times the practical default."""
-        _, ks = kernel_for(64, 512)
-        assert fd.c_beta_bound(ks) == pytest.approx(
-            math.sqrt(80) / 4 * fd.default_c_beta(ks), rel=1e-12)
-
     def test_resolved_levels_functional(self, kernel_for):
         _, ks = kernel_for(256, 512)
         obs = observe(np.zeros((256, 512)), sigma=0.5)
@@ -152,11 +147,11 @@ class TestEstimateCoeffs:
         with everything else at round-off."""
         m = n = 256
         _, ks = kernel_for(m, n)
-        tslices = fd.time_level_slices(3, 5)
+        tslices = fd.level_slices(3, 5)
         packed = np.zeros((1, 32))
         packed[0, tslices[4].start + 2] = 1.0
         t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), n)[0]
-        sslices = fd.spatial_level_slices(3, 8)
+        sslices = fd.level_slices(3, 8)
         unit = np.zeros(m)
         unit[sslices[4].start + 3] = 1.0
         u_part = spatial.dwt_inverse(unit) * math.sqrt(m)
@@ -228,8 +223,7 @@ class TestEstimateCoeffs:
                                     cfg.resolved(64, 256))
         assert coeffs.entries.shape == (64, 32)
         assert coeffs.mode == "separate"
-        with pytest.raises(ConfigError):
-            coeffs.spatial_slices()
+        assert coeffs.spatial_slices() == {-1: slice(0, 64)}
 
 
 def make_coeffs(entries, mode="functional"):
@@ -302,6 +296,26 @@ class TestHardThreshold:
         kept_b = fd.hard_threshold(coeffs, self.cfg(c_beta=c_b)).kept
         assert np.all(kept_b <= kept_a)
 
+    @pytest.mark.parametrize("mode,rows", [("functional", 16), ("separate", 5)])
+    def test_kept_mask_matches_a_per_position_reference(self, mode, rows):
+        """Each entry faces the threshold of its own time level; only the
+        time scaling block of the first spatial block (functional: the
+        scaling x scaling corner, separate: every profile) is exempt."""
+        def label(pos, m0):
+            return m0 - 1 if pos < 2**m0 else pos.bit_length() - 1
+
+        cfg = self.cfg(c_beta=1.0, nu=0.7, eps=0.03, mode=mode)
+        entries = 0.3 * np.random.default_rng(2).standard_normal((rows, 32))
+        kept = fd.hard_threshold(make_coeffs(entries, mode=mode), cfg).kept
+        want = np.zeros(entries.shape, dtype=bool)
+        for s in range(rows):
+            for tau in range(32):
+                j = label(tau, 3)
+                first_block = mode == "separate" or label(s, 3) == 2
+                want[s, tau] = (j == 2 and first_block) \
+                    or abs(entries[s, tau]) > fd.threshold_value(j, cfg)
+        np.testing.assert_array_equal(kept, want)
+
     def test_per_level_rule(self):
         """Within every (j', j) block survivors are exactly the entries with
         |value| strictly above the level-j threshold."""
@@ -330,8 +344,8 @@ class TestReconstruct:
 
     def test_single_coefficient_reconstructs_its_atom(self, meyer, spatial):
         entries = np.zeros((16, 16))
-        sslices = fd.spatial_level_slices(3, 4)
-        tslices = fd.time_level_slices(3, 4)
+        sslices = fd.level_slices(3, 4)
+        tslices = fd.level_slices(3, 4)
         entries[sslices[3].start + 1, tslices[3].start + 2] = 1.0
         cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
         rec = fd.reconstruct(make_coeffs(entries), cfg, 16, 128)
@@ -342,6 +356,18 @@ class TestReconstruct:
         unit[sslices[3].start + 1] = 1.0
         u_part = spatial.dwt_inverse(unit) * math.sqrt(16)
         np.testing.assert_allclose(rec.values, np.outer(u_part, t_part), atol=1e-10)
+
+    @pytest.mark.parametrize("entries,mode,m,n", [
+        (np.zeros((16, 16)), "functional", 8, 64),   # 2^J' = 16 > M
+        (np.zeros((5, 16)), "separate", 8, 64),      # 5 profiles, M = 8
+        (np.zeros((8, 16)), "separate", 8, 8),       # J = 4 needs N >= 22
+    ], ids=["functional-rows-above-m", "separate-rows-not-m", "band-beyond-n"])
+    def test_coefficients_that_do_not_fit_the_grid_are_rejected(self, entries,
+                                                                mode, m, n):
+        cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, mode=mode)
+        shape_and_grid = re.escape(str(entries.shape)) + ".*" + re.escape(f"({m}, {n})")
+        with pytest.raises(ConfigError, match=shape_and_grid):
+            fd.reconstruct(make_coeffs(entries, mode=mode), cfg, m, n)
 
     def test_in_span_truth_roundtrips(self, spatial, kernel_for):
         """sigma = 0, thresholds off: a truth inside the model span is

@@ -98,6 +98,18 @@ class TestSupports:
         with pytest.raises(LevelTooCoarse):
             fd.MeyerBasis(m0=2)
 
+    def test_band_size_raises_iff_beyond_j_capacity(self, meyer):
+        """One capacity rule: the finest band fits N iff 2 * 2^(J+2) / 3 <= N."""
+        for n in (2**e for e in range(1, 21)):
+            for big_j in range(3, 25):
+                beyond = big_j > fd.j_capacity(n)
+                assert beyond == (2**(big_j + 3) > 3 * n), (big_j, n)
+                if beyond:
+                    with pytest.raises(LevelTooFine, match=rf"N={n} .*j={big_j - 1}\)"):
+                        meyer.band_size(big_j, n)
+                else:
+                    assert meyer.band_size(big_j, n) > 0
+
     @pytest.mark.parametrize("big_j", [3, 4, 6, 9, 12])
     def test_band_is_a_gapless_prefix_of_the_half_spectrum(self, meyer, big_j):
         """Band rows hold frequencies 0..K-1: the union band has no gaps."""
@@ -146,8 +158,17 @@ class TestCoefficientTables:
 
 
 class TestAnalyzeSynthesize:
+    @pytest.mark.parametrize("m0,big_j", [(3, 3), (3, 7), (0, 4), (5, 9)])
+    def test_level_slices_tile_the_packed_vector(self, m0, big_j):
+        slices = fd.level_slices(m0, big_j)
+        assert list(slices) == list(range(m0 - 1, big_j))
+        assert slices[m0 - 1] == slice(0, 2**m0)
+        ends = [0] + [sl.stop for sl in slices.values()]
+        assert [sl.start for sl in slices.values()] == ends[:-1]
+        assert ends[-1] == 2**big_j
+
     def test_packed_layout_slices(self):
-        slices = fd.time_level_slices(3, 6)
+        slices = fd.level_slices(3, 6)
         assert slices[2] == slice(0, 8)
         assert slices[3] == slice(8, 16)
         assert slices[5] == slice(32, 64)
@@ -189,7 +210,7 @@ class TestAnalyzeSynthesize:
 
     def test_single_coefficient_synthesizes_its_atom(self, meyer):
         packed = np.zeros((1, 32))
-        slices = fd.time_level_slices(3, 5)
+        slices = fd.level_slices(3, 5)
         packed[0, slices[4].start + 5] = 1.0
         band = meyer.synthesize_t(packed)[0]
         ms = meyer.support_set(4)

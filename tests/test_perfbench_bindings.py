@@ -8,6 +8,9 @@ only in a traced benchmark run.
 import importlib
 from pathlib import Path
 
+import funcdeconv as fd
+from funcdeconv import simlab
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -24,3 +27,29 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         t.uninstall()
     for mod, attr, original in bound:
         assert getattr(mod, attr) is original, f"{mod.__name__}.{attr}"
+
+
+def test_count_hooks_see_a_deconvolve_in_each_mode(monkeypatch):
+    """The count hooks read the program's outputs (``kept``, the spatial
+    basis's ``m0p``); a traced 64 x 256 deconvolve must feed every one."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    truth = simlab.product_truth("Quadratic", "Blip", 64, 256)
+    obs = simlab.synthesize_data(truth, 0.5, seed=1)
+    kernel = simlab.kernel_grid(64, 256)
+    t = tracer.Tracer()
+    counts = {}
+    try:
+        t.install()
+        t.enabled = True
+        for mode in (fd.FUNCTIONAL, fd.SEPARATE):
+            t.counts.clear()
+            fd.deconvolve(obs, kernel, mode=mode)
+            counts[mode] = dict(t.counts)
+    finally:
+        t.uninstall()
+    for mode, c in counts.items():
+        for key in ("kept.total", "band.calls", "spectra.fft_bytes"):
+            assert c.get(key, 0) > 0, (mode, key)
+    assert counts[fd.FUNCTIONAL]["spatial.dwt_madds"] > 0
+    assert counts[fd.SEPARATE].get("spatial.dwt_madds", 0) == 0

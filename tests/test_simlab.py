@@ -118,6 +118,13 @@ class TestSynthesize:
         other = simlab.synthesize_data(zero, 0.5, seed=1, rep=3)
         assert not np.array_equal(obs.samples, other.samples)
 
+    def test_convolve_rows_matches_the_complex_fft_formula(self):
+        rng = np.random.default_rng(4)
+        kernel, truth = rng.standard_normal((2, 3, 64))
+        want = np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(truth)).real / 64
+        got = simlab.convolve_rows(kernel, truth)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
     def test_custom_kernel_passthrough(self):
         m, n = 4, 16
         truth = np.ones((m, n))
@@ -207,11 +214,11 @@ class TestTable:
         assert rows[2]["sigma"] == 1.0
         assert rows[4]["M"] == 256
 
-    def test_table_roundtrips_through_csv(self, tmp_path):
+    def test_table_roundtrips_through_csv(self, tmp_path, read_table):
         rows = simlab.table1(runs=1, seed=3, n=256)[:6]
         path = tmp_path / "cells.csv"
         simlab.write_table_csv(rows, path)
-        back = simlab.read_table_csv(path)
+        back = read_table(path)
         assert back == rows
 
     def test_sigma_scaling_every_cell(self, table25):
