@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``deconvolve``, ``simulate``, ``table1``, ``rates``,
-``compare``, ``nu-estimate``. Exit codes: 0 success, 1 bad usage or
-configuration, 2 numerical failure (ill-posed kernel, reconstruction
-residue). Each file-producing command writes a flat ``key=value`` manifest
-echoing the fully resolved parameters; ``funcdeconv --from-manifest PATH``
-replays a manifest and reproduces its outputs byte for byte.
+``compare``, ``nu-estimate``. Exit codes: 0 success, 1 bad usage,
+configuration or input, 2 ill-posed kernel; a failure prints one ``error:``
+line on stderr. Each file-producing command writes a flat ``key=value``
+manifest echoing the fully resolved parameters; ``funcdeconv
+--from-manifest PATH`` replays a manifest and reproduces its outputs byte
+for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve
-from .exceptions import FuncDeconvError, IllPosedKernel, NumericalError
+from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
 from .gridio import load_grid, rewrite, save_grid
 from .rates import BesovBall, compare_strategies, exponent_2d, exponent_multi
 from .simlab import (
@@ -38,7 +39,10 @@ from .spectra import ObservationGrid, estimate_nu, kernel_spectrum
 def _rational(text: str):
     if text.lower() in {"inf", "infinity"}:
         return math.inf
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
 def _auto_float(text: str):
@@ -121,9 +125,6 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
 def cmd_deconvolve(args) -> int:
     grid = load_grid(args.input)
-    if grid.sigma == 0:
-        print(f"warning: {args.input} records sigma = 0, so no threshold is "
-              "applied and levels default to grid capacity", file=sys.stderr)
     kernel = load_grid(args.kernel)
     ks = kernel_spectrum(kernel.samples)
     cfg = config_for(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
@@ -141,6 +142,9 @@ def cmd_deconvolve(args) -> int:
             "j": cfg.j, "jprime": cfg.j_prime, "out": args.out,
             "coeffs": coeffs_path,
         })
+    if grid.sigma == 0:
+        print(f"warning: {args.input} records sigma = 0, so no threshold is "
+              "applied and levels default to grid capacity", file=sys.stderr)
     print(f"wrote {args.out} (mode={cfg.mode}, J={cfg.j}"
           + (f", J'={cfg.j_prime}" if cfg.mode == FUNCTIONAL else "") + ")")
     return 0
@@ -217,23 +221,24 @@ def cmd_compare(args) -> int:
 def cmd_nu_estimate(args) -> int:
     kernel = load_grid(args.kernel)
     ks = kernel_spectrum(kernel.samples)
-    m_range = None
-    if args.mlo is not None or args.mhi is not None:
-        n = kernel.n
-        mlo = args.mlo if args.mlo is not None else n // 16
-        mhi = args.mhi if args.mhi is not None else n // 4
-        m_range = (mlo, mhi)
-    nu = estimate_nu(ks, m_range=m_range)
+    nu = estimate_nu(ks, m_range=(args.mlo, args.mhi))
     print(json.dumps({"nu": nu, "c1": ks.c1, "c2": ks.c2}))
     return 0
 
 
 # --- parser ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`ConfigError` instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process-wide argument parser, built on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="funcdeconv",
         description="Hyperbolic-wavelet thresholding for functional "
                     "deconvolution of periodic profiles.",
@@ -352,28 +357,25 @@ def main(argv=None) -> int:
         if "--from-manifest" in argv:
             idx = argv.index("--from-manifest")
             if idx + 1 >= len(argv):
-                print("error: --from-manifest needs a path", file=sys.stderr)
-                return 1
+                raise ConfigError("--from-manifest needs a path")
             argv = _argv_from_manifest(argv[idx + 1]) \
                 + argv[:idx] + argv[idx + 2:]
+        args = build_parser().parse_args(argv)
+        # an overflow or NaN in the arithmetic (input values or parameters near
+        # the float limit) stops the command instead of warning and writing NaNs
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args) or 0
+    except SystemExit as exc:           # --help, --version
+        return 0 if not exc.code else 1
+    except IllPosedKernel as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FuncDeconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if not exc.code else 1
-    try:
-        return args.func(args) or 0
-    except (NumericalError, IllPosedKernel) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FuncDeconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except FloatingPointError as exc:
+        print(f"error: floating-point {exc} (input values or parameters out of range)",
+              file=sys.stderr)
         return 1
 
 

@@ -22,13 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, LevelTooFine, NumericalError
+from .exceptions import ConfigError, LevelTooFine
 from .meyer import MeyerBasis, j_capacity, level_slices
 from .spatial import SpatialBasis
-from .spectra import (KernelSpectrum, ObservationGrid, ProfileSpectrum,
-                      estimate_nu, fourier_coeffs, kernel_bounds,
-                      kernel_spectrum, spectrum_to_samples,
-                      validate_invertible)
+from .spectra import (KernelSpectrum, ObservationGrid, estimate_nu,
+                      fourier_coeffs, kernel_bounds, kernel_spectrum,
+                      spectrum_to_samples, validate_invertible)
 
 FUNCTIONAL = "functional"
 SEPARATE = "separate"
@@ -86,12 +85,10 @@ class EstimatorConfig:
     mode: str = FUNCTIONAL
 
     def __post_init__(self):
-        if self.c_beta < 0:
-            raise ConfigError("c_beta must be >= 0")
-        if self.nu < 0:
-            raise ConfigError("nu must be >= 0")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        for name in ("nu", "c_beta", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.mode not in (FUNCTIONAL, SEPARATE):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.j is not None and self.j < self.m0:
@@ -150,7 +147,13 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
         return 0.0
     if eps >= 1.0:
         raise ConfigError(f"epsilon={eps} outside (0, 1)")
-    return cfg.c_beta * math.sqrt(math.log(1.0 / eps)) * 2.0 ** (j * cfg.nu) * eps
+    try:
+        lam = cfg.c_beta * math.sqrt(math.log(1.0 / eps)) * 2.0 ** (j * cfg.nu) * eps
+    except OverflowError:
+        lam = math.inf
+    if lam == math.inf:
+        raise ConfigError(f"threshold lambda_{j} overflows at C_beta={cfg.c_beta}, nu={cfg.nu}")
+    return lam
 
 
 class HyperCoeffs:
@@ -186,23 +189,24 @@ class HyperCoeffs:
         return np.where(self.kept, self.entries, 0.0)
 
 
-def estimate_coeffs(spec: ProfileSpectrum, ks: KernelSpectrum,
+def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
                     cfg: EstimatorConfig,
                     meyer_basis: MeyerBasis | None = None,
                     spatial_basis: SpatialBasis | None = None) -> HyperCoeffs:
     """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
 
-    Only the union-band columns are divided by the kernel; the Meyer
-    analysis reads nothing else.
+    ``spec`` is the (M, N/2 + 1) half spectrum of :func:`fourier_coeffs`,
+    shaped as ``ks.g_coeffs``. Only the union-band columns are divided by
+    the kernel; the Meyer analysis reads nothing else.
     """
-    if spec.coeffs.shape != ks.g_coeffs.shape:
+    if spec.shape != ks.g_coeffs.shape:
         raise ConfigError("data and kernel spectra have mismatched shapes")
-    m, n = spec.m, spec.n
+    m, n = ks.m, ks.n
     cfg = cfg.resolved(m, n)
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     validate_invertible(ks, basis.union_band(cfg.j))
     k = basis.band_size(cfg.j, n)
-    ratio = spec.coeffs[:, :k] / ks.g_coeffs[:, :k]   # (M, K)
+    ratio = spec[:, :k] / ks.g_coeffs[:, :k]          # (M, K)
     timec = basis.analyze_t(ratio, cfg.j)             # (M, 2^J) real
     if cfg.mode == SEPARATE:
         return HyperCoeffs(timec, cfg.m0, cfg.j, SEPARATE)
@@ -241,23 +245,18 @@ class Reconstruction:
     config: EstimatorConfig
 
 
-# Complex coefficients passed to reconstruct must be real up to this fraction
-# of max(1, max|entries|).
-_IMAG_TOL = 1e-6
-
-
 def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
                 meyer_basis: MeyerBasis | None = None,
                 spatial_basis: SpatialBasis | None = None) -> Reconstruction:
     """Invert thresholded coefficients back to grid samples.
 
-    Coefficients of a real field are real. Complex entries (user-supplied)
-    are accepted when their imaginary parts are rounding residue and raise
-    :class:`NumericalError` otherwise. :class:`ConfigError` is raised when
-    the coefficients do not fit the M x N grid: more than M spatial rows
-    (functional), other than M profile rows (separate), or time levels
-    beyond ``j_capacity(n)``.
+    :class:`ConfigError` is raised for complex entries (a real field has
+    real coefficients) and when the coefficients do not fit the M x N grid:
+    more than M spatial rows (functional), other than M profile rows
+    (separate), or time levels beyond ``j_capacity(n)``.
     """
+    if np.iscomplexobj(coeffs.entries):
+        raise ConfigError("coefficients must be real, got complex entries")
     rows = coeffs.entries.shape[0]
     if rows > m or (coeffs.mode == SEPARATE and rows < m) \
             or coeffs.big_j > j_capacity(n):
@@ -265,12 +264,6 @@ def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
                           f"(J={coeffs.big_j}) do not fit an (M, N) = ({m}, {n}) grid")
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     arr = coeffs.thresholded()
-    if np.iscomplexobj(arr):
-        residue = float(np.abs(arr.imag).max(initial=0.0))
-        if residue > _IMAG_TOL * max(1.0, float(np.abs(arr).max(initial=0.0))):
-            raise NumericalError(f"coefficients have imaginary parts up to {residue:.3e}; "
-                                 "a real field has real coefficients")
-        arr = arr.real
     if coeffs.mode == FUNCTIONAL:
         sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
         full = np.zeros((arr.shape[1], m))                 # (2^J, M)

@@ -36,9 +36,5 @@ class LevelTooFine(FuncDeconvError):
     """Requested wavelet level whose frequency band does not fit the grid."""
 
 
-class NumericalError(FuncDeconvError):
-    """A numerical consistency check failed (e.g. broken conjugate symmetry)."""
-
-
 class RegimeWarning(UserWarning):
     """Smoothness parameters fall outside the regime the rate formulas assume."""

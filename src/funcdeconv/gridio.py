@@ -20,6 +20,7 @@ import contextlib
 import os
 import stat
 import struct
+import warnings
 
 import numpy as np
 
@@ -71,6 +72,8 @@ def _read_binary(fh, path) -> ObservationGrid:
         raise ConfigError(f"{path}: truncated header ({len(header)} of "
                           f"{_HEADER.size} bytes after the magic)")
     m, n, sigma = _HEADER.unpack(header)
+    if m == 0 or n == 0:
+        raise ConfigError(f"{path}: header promises an empty {m}x{n} grid")
     payload = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload != 8 * m * n:
         raise ConfigError(f"{path}: header promises {m}x{n} samples "
@@ -97,12 +100,18 @@ def save_grid_csv(path, grid: ObservationGrid) -> None:
 
 
 def load_grid_csv(path) -> ObservationGrid:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ConfigError(f"{path}: expected header 'M,N,sigma', got {header}")
-        m, n, sigma = int(header[0]), int(header[1]), float(header[2])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            if len(header) != 3:
+                raise ConfigError(f"{path}: expected header 'M,N,sigma', got {header}")
+            m, n, sigma = int(header[0]), int(header[1]), float(header[2])
+            with warnings.catch_warnings():
+                # a header-only file reads as shape (0, 1), rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:   # also non-UTF-8 bytes (UnicodeDecodeError)
+        raise ConfigError(f"{path}: not a CSV grid: {exc}") from None
     if data.shape != (m, n):
         raise ConfigError(f"{path}: header promises {(m, n)}, file holds {data.shape}")
     return ObservationGrid(data, sigma=sigma)

@@ -84,6 +84,8 @@ class BesovBall:
         self.q = _exactify(self.q)
         if len(self.s2_vec) < 1:
             raise ConfigError("need at least one spatial smoothness component")
+        if not (self.s1 > 0 and min(self.s2_vec) > 0):
+            raise ConfigError("smoothness s1 and s2 must be positive")
         if not (self.p == math.inf or self.p >= 1) or not (self.q == math.inf or self.q >= 1):
             raise ConfigError("p and q must lie in [1, inf]")
         if self.a_radius <= 0:
@@ -100,13 +102,6 @@ class BesovBall:
     @property
     def s1_prime(self):
         return self.s1 + Fraction(1, 2) - _inv(self.p_prime)
-
-    @property
-    def s1_star(self):
-        return self.s1 + Fraction(1, 2) - _inv(self.p)
-
-    def s2_star(self, l: int = 0):
-        return self.s2_vec[l] + Fraction(1, 2) - _inv(self.p)
 
     @property
     def s2_min(self):
@@ -126,7 +121,7 @@ class BesovBall:
 
 @dataclass
 class RateReport:
-    """Exponent d (or D), log power d1 (or D1), regime and comparison info."""
+    """Exponent d (or D), log power d1 (or D1) and regime."""
 
     d: object
     d1: int
@@ -134,17 +129,11 @@ class RateReport:
     regime_warning: bool = False
     on_dense_boundary: bool = False
     on_sparse_boundary: bool = False
-    verdict: str | None = None
-    surrogate: float | None = None
 
     def as_dict(self) -> dict:
         out = {"d": float(self.d), "d1": self.d1, "regime": self.regime}
         if self.regime_warning:
             out["regime_warning"] = True
-        if self.verdict is not None:
-            out["verdict"] = self.verdict
-        if self.surrogate is not None:
-            out["surrogate"] = self.surrogate
         return out
 
 
@@ -252,8 +241,9 @@ def compare_strategies(s1, s2, nu, m: int, n: int) -> ComparisonReport:
     s1 > s2 (2 nu + 1)); Boundary within 1e-9 of 1.
     """
     s1f, s2f, nuf = float(s1), float(s2), float(nu)
-    if s2f <= 0:
-        raise ConfigError("s2 must be positive")
+    if not (s1f > 0 and s2f > 0 and nuf >= 0 and m >= 1 and n >= 1):
+        raise ConfigError(f"need s1, s2 > 0, nu >= 0 and M, N >= 1; got s1={s1}, "
+                          f"s2={s2}, nu={nu}, M={m}, N={n}")
     exponent = (s1f - s2f * (2 * nuf + 1)) / (s2f * (2 * s1f + 2 * nuf + 1))
     surrogate = m * n ** (-exponent)
     if abs(surrogate - 1.0) <= 1e-9:

@@ -63,22 +63,6 @@ def _half_width_to_n(cols: int) -> int:
 
 
 @dataclass
-class ProfileSpectrum:
-    """Per-profile Fourier coefficients, non-negative half (``rfft`` layout)."""
-
-    coeffs: np.ndarray  # (M, N/2 + 1) complex
-
-    @property
-    def m(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n(self) -> int:
-        """Samples per row, ``N = 2 * (columns - 1)``."""
-        return _half_width_to_n(self.coeffs.shape[1])
-
-
-@dataclass
 class KernelSpectrum:
     """Kernel Fourier coefficients g_m(u_l) plus ill-posedness diagnostics.
 
@@ -102,26 +86,14 @@ class KernelSpectrum:
         """Samples per row, ``N = 2 * (columns - 1)``."""
         return _half_width_to_n(self.g_coeffs.shape[1])
 
-    def at_freq(self, freqs) -> np.ndarray:
-        """Columns for integer frequencies ``freqs``, any sign (aliased mod N).
-
-        A frequency in the negative half is read as the conjugate of its
-        mirror: ``g(-m) = conj(g(m))`` for a real kernel.
-        """
-        n = self.n
-        freqs = np.asarray(freqs) % n
-        neg = freqs > n // 2
-        cols = self.g_coeffs[:, np.where(neg, n - freqs, freqs)]
-        return np.where(neg, cols.conj(), cols)
-
     @cached_property
     def zero_floor(self) -> np.ndarray:
         """Per-profile amplitude (M, 1) at or below which a coefficient counts as zero."""
         return _ZERO_REL * np.abs(self.g_coeffs).max(axis=1, keepdims=True)
 
 
-def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> ProfileSpectrum:
-    """Fourier coefficients of every (real) profile row, ``m = 0 .. N/2``.
+def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> np.ndarray:
+    """Fourier coefficients (M, N/2 + 1) of every (real) profile row, ``m = 0 .. N/2``.
 
     One ``rfft`` with forward normalisation: column ``m`` equals
     ``fft(rows)[:, m] / N`` to rounding.
@@ -134,20 +106,20 @@ def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> ProfileSpectrum:
     m, n = samples.shape
     if not _is_pow2(n) or n < 2:
         raise ConfigError(f"time length N={n} must be a power of two >= 2")
-    return ProfileSpectrum(np.fft.rfft(samples, axis=1, norm="forward"))
+    return np.fft.rfft(samples, axis=1, norm="forward")
 
 
-def spectrum_to_samples(spec: ProfileSpectrum | np.ndarray, n: int | None = None) -> np.ndarray:
+def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
     """Real inverse of :func:`fourier_coeffs`: ``irfft`` to N samples per row.
 
-    ``spec`` holds frequencies ``0 .. cols-1``; those from ``cols`` up to N/2
+    ``coeffs`` holds frequencies ``0 .. cols-1``; those from ``cols`` up to N/2
     count as zero, so a band-limited spectrum needs only its band. N
     defaults to ``2 * (cols - 1)``, the full half spectrum. The half stands
     for the conjugate-symmetric two-sided spectrum, so the result is real;
     the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is not
     read.
     """
-    coeffs = spec.coeffs if isinstance(spec, ProfileSpectrum) else np.asarray(spec)
+    coeffs = np.asarray(coeffs)
     full = _half_width_to_n(coeffs.shape[-1])
     if n is None:
         n = full
@@ -166,7 +138,7 @@ def kernel_spectrum(kernel_samples: np.ndarray) -> KernelSpectrum:
     samples = np.asarray(kernel_samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ConfigError("kernel samples contain non-finite values")
-    return KernelSpectrum(fourier_coeffs(samples).coeffs)
+    return KernelSpectrum(fourier_coeffs(samples))
 
 
 # Coefficients at or below this fraction of a profile's peak amplitude count
@@ -176,44 +148,63 @@ _ZERO_REL = 1e-12
 
 
 def validate_invertible(ks: KernelSpectrum, freqs) -> None:
-    """Raise :class:`IllPosedKernel` naming (l, m) where |g_m(u_l)| vanishes on ``freqs``."""
+    """Raise :class:`IllPosedKernel` naming (l, m) where |g_m(u_l)| vanishes on ``freqs``.
+
+    ``freqs`` may have either sign: a real kernel has ``|g_{-m}| = |g_m|``,
+    so column ``|m|`` is read. :class:`ConfigError` is raised for
+    ``|m| > N/2``, a frequency the grid does not resolve.
+    """
     freqs = np.asarray(freqs, dtype=int)
-    block = np.abs(ks.at_freq(freqs))
+    mags = np.abs(freqs)
+    if mags.max(initial=0) > ks.n // 2:
+        raise ConfigError(f"frequencies up to |m|={mags.max()} exceed N/2 at N={ks.n}")
+    block = np.abs(ks.g_coeffs[:, mags])
     zeros = np.argwhere(block <= ks.zero_floor)
     if zeros.size:
         l, mi = zeros[0]
         raise IllPosedKernel(profile=int(l), frequency=int(freqs[mi]))
 
 
-def _fit_window(ks: KernelSpectrum, m_range: tuple[int, int] | None):
+def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | None):
+    """Frequencies ``lo..hi`` and their amplitudes (M, hi - lo + 1).
+
+    A missing ``m_range``, or a ``None`` end of it, defaults to ``N/16``
+    (``lo``) and ``N/4`` (``hi``).
+    """
     n = ks.n
-    if m_range is None:
-        m_range = (n // 16, n // 4)
-    lo, hi = int(m_range[0]), int(m_range[1])
+    lo, hi = m_range if m_range is not None else (None, None)
+    lo = n // 16 if lo is None else int(lo)
+    hi = n // 4 if hi is None else int(hi)
     if lo < 1 or hi >= n // 2 + 1 or hi < lo:
         raise InsufficientRange(f"frequency window [{lo}, {hi}] not representable at N={n}")
     freqs = np.arange(lo, hi + 1)
     if freqs.size < 8:
         raise InsufficientRange(f"need at least 8 frequencies, window [{lo}, {hi}] has {freqs.size}")
-    amps = np.abs(ks.at_freq(freqs))
+    # indexed, not sliced: the column-major copy fixes the summation order of
+    # the mean over profiles in estimate_nu
+    amps = np.abs(ks.g_coeffs[:, freqs])
     if np.any(amps <= ks.zero_floor):
         raise InsufficientRange("vanishing kernel coefficients inside the fit window")
     return freqs, amps
 
 
-def kernel_bounds(ks: KernelSpectrum, nu: float,
-                  m_range: tuple[int, int] | None = None) -> tuple[float, float]:
-    """Empirical (c1, c2) bounding |g_m(u_l)|^2 |m|^(2 nu) over the fit window."""
-    freqs, amps = _fit_window(ks, m_range)
+def _bounds(freqs, amps, nu: float) -> tuple[float, float]:
     scaled = amps**2 * freqs.astype(float) ** (2.0 * nu)
     return float(scaled.min()), float(scaled.max())
 
 
-def estimate_nu(ks: KernelSpectrum, m_range: tuple[int, int] | None = None) -> float:
+def kernel_bounds(ks: KernelSpectrum, nu: float,
+                  m_range: tuple[int | None, int | None] | None = None) -> tuple[float, float]:
+    """Empirical (c1, c2) bounding |g_m(u_l)|^2 |m|^(2 nu) over the fit window."""
+    return _bounds(*_fit_window(ks, m_range), nu)
+
+
+def estimate_nu(ks: KernelSpectrum,
+                m_range: tuple[int | None, int | None] | None = None) -> float:
     """Least-squares estimate of the kernel's polynomial decay exponent.
 
     Fits ``log mean_l |g_m(u_l)|`` against ``log m`` over the inclusive window
-    ``m_range`` (default ``[N/16, N/4]``) and returns ``nu_hat = -slope``.
+    ``m_range`` (default ``[N/16, N/4]``, also for a ``None`` end) and returns ``nu_hat = -slope``.
     Updates ``ks.nu`` and the empirical ``c1``/``c2`` diagnostics in place.
     """
     freqs, amps = _fit_window(ks, m_range)
@@ -221,5 +212,5 @@ def estimate_nu(ks: KernelSpectrum, m_range: tuple[int, int] | None = None) -> f
     slope, _ = np.polyfit(np.log(freqs.astype(float)), np.log(mean_amp), 1)
     nu_hat = -float(slope)
     ks.nu = nu_hat
-    ks.c1, ks.c2 = kernel_bounds(ks, nu_hat, m_range)
+    ks.c1, ks.c2 = _bounds(freqs, amps, nu_hat)
     return nu_hat

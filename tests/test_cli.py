@@ -5,15 +5,28 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import funcdeconv as fd
 from funcdeconv import gridio, simlab
 from funcdeconv.cli import _rational, _write_coeffs_csv, build_parser, main
+
+
+def main_recording_warnings(argv):
+    """``main(argv)`` and the Python warnings it raised, which a shell run
+    would print on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, caught
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +108,15 @@ class TestNuEstimateCommand:
                      "--mlo", "8", "--mhi", "32"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert 1.5 < out["nu"] < 2.5
+
+    def test_one_given_end_takes_the_default_other_end(self, workspace, capsys):
+        """--mlo alone fits over [mlo, N/4], the default upper end."""
+        _, _, kern_path = workspace
+        assert main(["nu-estimate", "--kernel", str(kern_path), "--mlo", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ks = fd.kernel_spectrum(gridio.load_grid(kern_path).samples)
+        assert out["nu"] == fd.estimate_nu(ks, (10, 256 // 4))
+        assert (out["c1"], out["c2"]) == (ks.c1, ks.c2)
 
 
 class TestDeconvolveCommand:
@@ -231,7 +253,9 @@ class TestMalformedInput:
         gridio.MAGIC + bytes(8),
         gridio.MAGIC + gridio._HEADER.pack(64, 256, math.nan)
         + bytes(8 * 64 * 256),
-    ], ids=["truncated_header", "nan_sigma"])
+        gridio.MAGIC + gridio._HEADER.pack(0, 0, 0.5),
+        gridio.MAGIC + gridio._HEADER.pack(0, 2**63, 0.5),
+    ], ids=["truncated_header", "nan_sigma", "empty_grid", "empty_grid_huge_n"])
     def test_bad_grid_file(self, workspace, tmp_path, capsys, raw):
         _, _, kern_path = workspace
         path = tmp_path / "bad.fdg"
@@ -239,6 +263,19 @@ class TestMalformedInput:
         code = main(["deconvolve", "--input", str(path), "--kernel",
                      str(kern_path), "--out", str(tmp_path / "z.fdg")])
         self.assert_one_line_usage_failure(code, capsys)
+
+    def test_values_near_the_float_limit(self, workspace, tmp_path, capsys):
+        """Finite samples whose spectrum overflows stop with one line, no
+        RuntimeWarning and no output, instead of writing NaNs."""
+        _, _, kern_path = workspace
+        path = tmp_path / "huge.fdg"
+        gridio.save_grid(path, fd.ObservationGrid(np.full((64, 256), 1e306), sigma=0.5))
+        out = tmp_path / "z.fdg"
+        code, caught = main_recording_warnings(["deconvolve", "--input", str(path),
+                                                "--kernel", str(kern_path), "--out", str(out)])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert "overflow" in err
+        assert not caught and not out.exists()
 
     def test_functional_mode_names_a_non_power_of_two_m(self, tmp_path, capsys):
         truth = simlab.product_truth("Quadratic", "Blip", 100, 512)
@@ -255,6 +292,113 @@ class TestMalformedInput:
         code = main(["simulate", "--m", "64", "--n", "256", "--runs", "0",
                      "--out", str(tmp_path / "x.csv")])
         self.assert_one_line_usage_failure(code, capsys)
+
+    @pytest.mark.parametrize("name,raw", [
+        ("grid.csv", b"a,b,c\n1,2\n"),
+        ("grid.csv", b"2,2,0.1\n1,x\n3,4\n"),
+        ("grid.csv", b"2,2,0.1\n1,2\n3\n"),
+        ("grid.csv", b"2,2,0.1\n"),
+        ("grid.fdg", b"\xff\xfe\x00\x01abc"),
+    ], ids=["non_numeric_header", "non_numeric_cell", "ragged_row",
+            "header_only", "non_utf8_without_magic"])
+    def test_bad_csv_grid(self, workspace, tmp_path, capsys, name, raw):
+        _, _, kern_path = workspace
+        path = tmp_path / name
+        path.write_bytes(raw)
+        code, caught = main_recording_warnings(["deconvolve", "--input", str(path),
+                                                "--kernel", str(kern_path),
+                                                "--out", str(tmp_path / "z.fdg")])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert str(path) in err and not caught
+
+    @pytest.mark.parametrize("flags", [
+        ["--nu", "nan"], ["--nu", "1e300"], ["--nu", "inf"],
+        ["--cbeta", "nan"], ["--cbeta", "inf"], ["--nu", "600", "--cbeta", "1"],
+    ], ids=["nu_nan", "nu_1e300", "nu_inf", "cbeta_nan", "cbeta_inf",
+            "lambda_overflow"])
+    def test_bad_estimator_parameter(self, workspace, tmp_path, capsys, flags):
+        _, obs_path, kern_path = workspace
+        out = tmp_path / "z.fdg"
+        code = main(["deconvolve", "--input", str(obs_path), "--kernel",
+                     str(kern_path), "--out", str(out), *flags])
+        self.assert_one_line_usage_failure(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--s1", "1/0", "--s2", "1", "--nu", "1"],
+        ["compare", "--s1", "1", "--s2", "1/0", "--nu", "1", "--M", "4", "--N", "8"],
+        ["compare", "--s1", "1", "--s2", "1", "--nu", "1", "--M", "0", "--N", "0"],
+        ["compare", "--s1", "10", "--s2", "0.6", "--nu", "0", "--M", "-4", "--N", "64"],
+        ["compare", "--s1", "10", "--s2", "0.6", "--nu", "0", "--M", "4", "--N", "0"],
+        ["rates", "--s1", "2", "--s2=-1/2", "--nu", "1"],
+        ["compare", "--s1=-1/2", "--s2", "1", "--nu", "0", "--M", "4", "--N", "64"],
+    ], ids=["rates_zero_denominator", "compare_zero_denominator", "compare_m_n_zero",
+            "compare_negative_m", "compare_n_zero", "rates_negative_s2",
+            "compare_negative_s1"])
+    def test_bad_rate_arguments(self, capsys, argv):
+        self.assert_one_line_usage_failure(main(argv), capsys)
+
+
+def _grid_file_bytes():
+    """Random files, and random ``FDG1``/CSV headers whose payload is random
+    bytes or M*N - 1, M*N or M*N + 1 random doubles (NaN and inf included).
+    The shapes lean towards the 16 x 64 of the kernel the test uses."""
+    blob = st.binary(max_size=300)
+    rows = st.sampled_from([16] * 4 + [0, 1, 3, 2**63, 2**64 - 1])
+    cols = st.sampled_from([64] * 4 + [0, 2, 48, 2**32, 2**64 - 1])
+
+    def payload(m, n):
+        if m * n > 16 * 64:
+            return blob
+        return st.one_of(blob, st.sampled_from([0, 0, -1, 1]).flatmap(
+            lambda d: hnp.arrays("<f8", max(m * n + d, 0), elements=st.floats())))
+
+    def fdg(m, n, sigma, body):
+        if isinstance(body, np.ndarray):
+            body = body.tobytes()
+        return gridio.MAGIC + gridio._HEADER.pack(m, n, sigma) + body
+
+    def csv(m, n, sigma, body):
+        head = f"{m},{n},{sigma!r}\n".encode()
+        if isinstance(body, bytes):
+            return head + body
+        cells = [repr(float(v)) for v in body]
+        return head + "".join(",".join(cells[i:i + n]) + "\n"
+                              for i in range(0, len(cells), max(n, 1))).encode()
+
+    def framed(mn):
+        m, n = mn
+        return st.builds(lambda frame, sigma, body: frame(m, n, sigma, body),
+                         st.sampled_from([fdg, csv]), st.floats(), payload(m, n))
+
+    return st.one_of(blob, st.tuples(rows, cols).flatmap(framed))
+
+
+class TestFuzzGridInput:
+    """Whatever bytes the input grid holds, `deconvolve` ends with an exit
+    code and at most one stderr line (warnings included), never an exception."""
+
+    @pytest.fixture(scope="class")
+    def small_kernel(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzzkernel") / "k.fdg"
+        gridio.save_grid(path, fd.ObservationGrid(simlab.kernel_grid(16, 64)))
+        return path
+
+    @given(raw=_grid_file_bytes(), suffix=st.sampled_from([".fdg", ".csv", ".dat"]))
+    @example(raw=gridio.MAGIC + gridio._HEADER.pack(16, 64, 0.0)
+             + np.full(16 * 64, 2.8e306).tobytes(), suffix=".fdg")
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_deconvolve_never_raises(self, small_kernel, tmp_path, capsys, raw, suffix):
+        path = tmp_path / f"in{suffix}"
+        path.write_bytes(raw)
+        code, caught = main_recording_warnings(["deconvolve", "--input", str(path),
+                                                "--kernel", str(small_kernel),
+                                                "--out", str(tmp_path / "out.fdg")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
 
 
 class TestTableCommand:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import funcdeconv as fd
 from funcdeconv import simlab
 from funcdeconv.estimator import HyperCoeffs
-from funcdeconv.exceptions import ConfigError, LevelTooFine, NumericalError
+from funcdeconv.exceptions import ConfigError, LevelTooFine
 
 
 def observe(truth, sigma=0.0, seed=0, rep=0):
@@ -395,24 +395,23 @@ class TestReconstruct:
         assert np.abs(outs["functional"] - outs["separate"]).max() < 1e-8
 
     def test_broken_symmetry_is_caught(self):
-        """Coefficients of a real field are real: a supplied imaginary part
-        above rounding level raises, a rounding-level one is dropped."""
+        """Coefficients of a real field are real: complex entries raise in
+        both modes, down to a 1e-15 imaginary part and a zero one; real
+        entries reconstruct unchanged."""
         rng = np.random.default_rng(3)
         entries = rng.standard_normal((16, 16))
-        cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
-        with pytest.raises(NumericalError):
-            fd.reconstruct(make_coeffs(entries + 1j * rng.standard_normal((16, 16))),
-                           cfg, 16, 128)
-        base = fd.reconstruct(make_coeffs(entries), cfg, 16, 128).values
-        for delta, raises in ((1e-15, False), (1e-3, True)):
-            perturbed = entries.astype(complex)
-            perturbed[9, 3] += 1j * delta
-            if raises:
-                with pytest.raises(NumericalError):
-                    fd.reconstruct(make_coeffs(perturbed), cfg, 16, 128)
-            else:
-                rec = fd.reconstruct(make_coeffs(perturbed), cfg, 16, 128)
-                assert np.array_equal(rec.values, base)
+        for mode in ("functional", "separate"):
+            cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4,
+                                     j_prime=4, mode=mode)
+            base = fd.reconstruct(make_coeffs(entries, mode), cfg, 16, 128).values
+            assert base.dtype == np.float64 and base.shape == (16, 128)
+            for delta in (1.0, 1e-3, 1e-15, 0.0):
+                perturbed = entries.astype(complex)
+                perturbed[9, 3] += 1j * delta
+                with pytest.raises(ConfigError, match="complex"):
+                    fd.reconstruct(make_coeffs(perturbed, mode), cfg, 16, 128)
+            again = fd.reconstruct(make_coeffs(entries.copy(), mode), cfg, 16, 128)
+            assert np.array_equal(again.values, base), mode
 
 
 class TestDeconvolve:

@@ -31,25 +31,31 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 def test_count_hooks_see_a_deconvolve_in_each_mode(monkeypatch):
     """The count hooks read the program's outputs (``kept``, the spatial
-    basis's ``m0p``); a traced 64 x 256 deconvolve must feed every one."""
+    basis's ``m0p``, the spectra's sizes); a traced 64 x 256 deconvolve must
+    feed every one, and ``spectra.fft_bytes`` must equal the bytes in and out
+    of the kernel and data ``rfft`` plus the band ``irfft``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     truth = simlab.product_truth("Quadratic", "Blip", 64, 256)
     obs = simlab.synthesize_data(truth, 0.5, seed=1)
     kernel = simlab.kernel_grid(64, 256)
     t = tracer.Tracer()
-    counts = {}
+    counts, bands = {}, {}
     try:
         t.install()
         t.enabled = True
         for mode in (fd.FUNCTIONAL, fd.SEPARATE):
             t.counts.clear()
-            fd.deconvolve(obs, kernel, mode=mode)
+            rec = fd.deconvolve(obs, kernel, mode=mode)
             counts[mode] = dict(t.counts)
+            bands[mode] = fd.MeyerBasis().band_size(rec.config.j, 256)
     finally:
         t.uninstall()
     for mode, c in counts.items():
         for key in ("kept.total", "band.calls", "spectra.fft_bytes"):
             assert c.get(key, 0) > 0, (mode, key)
+    real, half = 64 * 256 * 8, 64 * 129 * 16       # float64 grid, complex128 rfft
+    for mode, k in bands.items():
+        assert counts[mode]["spectra.fft_bytes"] == 2 * (real + half) + 64 * k * 16 + real, mode
     assert counts[fd.FUNCTIONAL]["spatial.dwt_madds"] > 0
     assert counts[fd.SEPARATE].get("spatial.dwt_madds", 0) == 0

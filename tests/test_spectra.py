@@ -19,32 +19,35 @@ def tone(n, m, amp=1.0, phase=0.0):
 class TestFourierCoeffs:
     def test_constant_row_concentrates_at_dc(self):
         spec = fd.fourier_coeffs(np.full((1, 8), 3.5))
-        assert spec.coeffs[0, 0] == pytest.approx(3.5, abs=1e-14)
-        np.testing.assert_allclose(spec.coeffs[0, 1:], 0.0, atol=1e-14)
+        assert spec[0, 0] == pytest.approx(3.5, abs=1e-14)
+        np.testing.assert_allclose(spec[0, 1:], 0.0, atol=1e-14)
 
     def test_cosine_tone_splits_evenly(self):
         """cos(2 pi m t) puts coefficient 1/2 at +-m under the 1/N convention."""
         row = tone(8, 1).reshape(1, -1)
-        c = fd.fourier_coeffs(row).coeffs[0]
+        c = fd.fourier_coeffs(row)[0]
         assert c.shape == (5,)
         assert c[1] == pytest.approx(0.5, abs=1e-14)
         np.testing.assert_allclose(np.delete(c, 1), 0.0, atol=1e-14)
-        assert fd.kernel_spectrum(row).at_freq([-1])[0, 0] == pytest.approx(0.5, abs=1e-14)
+        # column 1 also stands for m = -1, whose coefficient is its conjugate
+        assert np.conj(c[1]) == pytest.approx(0.5, abs=1e-14)
 
     def test_hermitian_symmetry(self):
         """The half spectrum stands for a conjugate-symmetric one: DC and
-        Nyquist are real, and negative frequencies read as conjugates."""
+        Nyquist are real, and the negative frequencies of the two-sided
+        spectrum are the conjugates of its columns."""
         rng = np.random.default_rng(3)
-        c = fd.fourier_coeffs(rng.standard_normal((4, 64))).coeffs
+        x = rng.standard_normal((4, 64))
+        c = fd.fourier_coeffs(x)
         assert not c[:, [0, 32]].imag.any()
-        ks = fd.KernelSpectrum(c)
+        full = np.fft.fft(x, axis=1) / 64
         m = np.arange(1, 32)
-        assert np.array_equal(ks.at_freq(-m), np.conj(ks.at_freq(m)))
+        np.testing.assert_allclose(np.conj(c[:, m]), full[:, -m], rtol=0, atol=1e-15)
 
     def test_parseval_per_row(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 128))
-        p = np.abs(fd.fourier_coeffs(x).coeffs) ** 2
+        p = np.abs(fd.fourier_coeffs(x)) ** 2
         energy = p[:, 0] + 2 * p[:, 1:64].sum(axis=1) + p[:, 64]
         np.testing.assert_allclose(energy, (x ** 2).mean(axis=1), rtol=1e-12)
 
@@ -61,17 +64,16 @@ class TestFourierCoeffs:
     def test_linearity(self, seed, a, b):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((2, 2, 16))
-        lhs = fd.fourier_coeffs(a * x + b * y).coeffs
-        rhs = a * fd.fourier_coeffs(x).coeffs + b * fd.fourier_coeffs(y).coeffs
+        lhs = fd.fourier_coeffs(a * x + b * y)
+        rhs = a * fd.fourier_coeffs(x) + b * fd.fourier_coeffs(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_real_fft_matches_full_fft_and_is_exactly_hermitian(self):
         """M x (N/2 + 1), equal to fft/N on m >= 0; the two-sided spectrum it
         stands for is conjugate-symmetric by construction."""
         x = np.random.default_rng(5).standard_normal((3, 64))
-        spec = fd.fourier_coeffs(x)
-        c = spec.coeffs
-        assert c.shape == (3, 33) and (spec.m, spec.n) == (3, 64)
+        c = fd.fourier_coeffs(x)
+        assert isinstance(c, np.ndarray) and c.shape == (3, 33)
         np.testing.assert_allclose(c, np.fft.fft(x, axis=1)[:, :33] / 64,
                                    rtol=0, atol=1e-15)
         assert not c[:, [0, 32]].imag.any()
@@ -174,14 +176,23 @@ class TestKernelSpectrum:
         _, ks = kernel_for(64, 512)
         band = np.concatenate([np.arange(-170, 0), np.arange(0, 171)])
         fd.validate_invertible(ks, band)    # should not raise
-        assert np.abs(ks.at_freq(band)).min() > 0
+        assert np.abs(ks.g_coeffs[:, :171]).min() > 0
 
-    def test_at_freq_reads_any_frequency_of_the_full_spectrum(self, kernel_for):
-        """Negative and aliased frequencies read as in fft(g)/N at m mod N."""
-        grid, ks = kernel_for(64, 512)
-        full = np.fft.fft(grid, axis=1) / 512
-        m = np.arange(-700, 1100, 7)
-        np.testing.assert_allclose(ks.at_freq(m), full[:, m % 512], rtol=0, atol=1e-15)
+    def test_validate_invertible_reads_plus_and_minus_m_alike(self, kernel_for):
+        """A real kernel has |g(-m)| = |g(m)|: -m passes or fails with m,
+        naming the frequency as given; |m| > N/2 is not on the grid."""
+        t = np.arange(64) / 64
+        ks = fd.kernel_spectrum(np.tile(np.cos(2 * np.pi * t), (4, 1)))
+        fd.validate_invertible(ks, [-1, 1])
+        for m in (2, -2, 32, -32):
+            with pytest.raises(IllPosedKernel) as err:
+                fd.validate_invertible(ks, [1, -1, m])
+            assert err.value.frequency == m
+        _, ref = kernel_for(64, 512)
+        fd.validate_invertible(ref, [-256, 256])
+        for m in (257, -257, 700):
+            with pytest.raises(ConfigError, match="N/2"):
+                fd.validate_invertible(ref, [0, m])
 
 
 class TestEstimateNu:
