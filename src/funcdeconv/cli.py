@@ -4,9 +4,9 @@ Subcommands: ``deconvolve``, ``simulate``, ``table1``, ``rates``,
 ``compare``, ``nu-estimate``. Exit codes: 0 success, 1 bad usage,
 configuration or input, 2 ill-posed kernel; a failure prints one ``error:``
 line on stderr. Each file-producing command writes a flat ``key=value``
-manifest echoing the fully resolved parameters; ``funcdeconv
---from-manifest PATH`` replays a manifest and reproduces its outputs byte
-for byte.
+manifest with the command and every option it ran with, defaults and
+parameters resolved from the data included; ``funcdeconv --from-manifest
+PATH`` replays a manifest and reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import functools
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve
+from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve, finite_arithmetic
 from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
 from .gridio import load_grid, rewrite, save_grid
-from .rates import BesovBall, compare_strategies, exponent_2d, exponent_multi
+from .rates import BesovBall, compare_strategies, exponent_multi
 from .simlab import (
     SimConfig,
     run_mise,
@@ -53,19 +54,24 @@ def _auto_int(text: str):
     return None if text.lower() == "auto" else int(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_manifest(args) -> None:
+    """``command=`` then every option of ``args`` that has a value, in parser order.
 
-
-def _write_manifest(path, command: str, pairs: dict) -> None:
+    Written to ``--manifest``, else to ``OUT.manifest`` when the command has
+    an ``--out``; a command with neither writes none.
+    """
+    path = getattr(args, "manifest", None) \
+        or (getattr(args, "out", None) and f"{args.out}.manifest")
+    if not path:
+        return
     with rewrite(path) as fh:
-        fh.write(f"command={command}\n")
-        for key, value in pairs.items():
-            if value is None:
+        fh.write(f"command={args.command}\n")
+        for key, value in vars(args).items():
+            if key in {"command", "func", "manifest"} or value is None:
                 continue
-            fh.write(f"{key}={_fmt(value)}\n")
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            fh.write(f"{key}={value}\n")
 
 
 def _argv_from_manifest(path) -> list:
@@ -87,14 +93,6 @@ def _argv_from_manifest(path) -> list:
     if command is None:
         raise FuncDeconvError(f"{path}: manifest has no 'command' line")
     return [command] + argv
-
-
-def _manifest_path(args, default_anchor) -> str | None:
-    if args.manifest:
-        return args.manifest
-    if default_anchor:
-        return str(default_anchor) + ".manifest"
-    return None
 
 
 # --- subcommand implementations -------------------------------------------
@@ -132,16 +130,9 @@ def cmd_deconvolve(args) -> int:
     cfg = cfg.resolved(grid.m, grid.n)
     rec = deconvolve(grid, ks, cfg=cfg)
     save_grid(args.out, ObservationGrid(rec.values, sigma=0.0))
-    coeffs_path = args.coeffs or str(args.out) + ".coeffs.csv"
-    _write_coeffs_csv(coeffs_path, rec.coeffs)
-    manifest = _manifest_path(args, args.out)
-    if manifest:
-        _write_manifest(manifest, "deconvolve", {
-            "input": args.input, "kernel": args.kernel, "mode": cfg.mode,
-            "nu": cfg.nu, "cbeta": cfg.c_beta, "m0": cfg.m0, "m0p": cfg.m0p,
-            "j": cfg.j, "jprime": cfg.j_prime, "out": args.out,
-            "coeffs": coeffs_path,
-        })
+    args.coeffs = args.coeffs or f"{args.out}.coeffs.csv"
+    _write_coeffs_csv(args.coeffs, rec.coeffs)
+    args.nu, args.cbeta, args.j, args.jprime = cfg.nu, cfg.c_beta, cfg.j, cfg.j_prime
     if grid.sigma == 0:
         print(f"warning: {args.input} records sigma = 0, so no threshold is "
               "applied and levels default to grid capacity", file=sys.stderr)
@@ -161,13 +152,6 @@ def cmd_simulate(args) -> int:
             fh.write("rep,mise\n")
             for rep, val in enumerate(res.per_run):
                 fh.write(f"{rep},{float(val)!r}\n")
-    manifest = _manifest_path(args, args.out)
-    if manifest:
-        _write_manifest(manifest, "simulate", {
-            "f1": args.f1, "f2": args.f2, "m": args.m, "n": args.n,
-            "sigma": args.sigma, "mode": args.mode, "runs": args.runs,
-            "seed": args.seed, "threads": args.threads, "out": args.out,
-        })
     print(f"mean_mise={float(res.mean_mise)!r}")
     print(f"sd_mise={float(res.sd_mise)!r}")
     print(f"runs={args.runs}")
@@ -180,41 +164,24 @@ def cmd_table1(args) -> int:
     if args.xy:
         for path in slope_files(rows, args.xy, n=args.n):
             print(f"wrote {path}")
-    manifest = _manifest_path(args, args.out)
-    if manifest:
-        _write_manifest(manifest, "table1", {
-            "runs": args.runs, "seed": args.seed, "n": args.n,
-            "threads": args.threads, "out": args.out, "xy": args.xy,
-        })
     print(f"wrote {len(rows)} cells to {args.out}")
     return 0
 
 
 def cmd_rates(args) -> int:
     ball = BesovBall(s1=args.s1, s2_vec=tuple(args.s2), p=args.p, q=args.q)
-    if ball.r == 1:
-        report = exponent_2d(ball, args.nu)
-    else:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         report = exponent_multi(ball, args.nu)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     print(json.dumps(report.as_dict()))
-    manifest = _manifest_path(args, None)
-    if manifest:
-        _write_manifest(manifest, "rates", {
-            "s1": args.s1, "s2": ",".join(str(s) for s in args.s2),
-            "nu": args.nu, "p": args.p, "q": args.q,
-        })
     return 0
 
 
 def cmd_compare(args) -> int:
     report = compare_strategies(args.s1, args.s2[0], args.nu, args.M, args.N)
     print(json.dumps(report.as_dict()))
-    manifest = _manifest_path(args, None)
-    if manifest:
-        _write_manifest(manifest, "compare", {
-            "s1": args.s1, "s2": ",".join(str(s) for s in args.s2),
-            "nu": args.nu, "M": args.M, "N": args.N,
-        })
     return 0
 
 
@@ -361,10 +328,10 @@ def main(argv=None) -> int:
             argv = _argv_from_manifest(argv[idx + 1]) \
                 + argv[:idx] + argv[idx + 2:]
         args = build_parser().parse_args(argv)
-        # an overflow or NaN in the arithmetic (input values or parameters near
-        # the float limit) stops the command instead of warning and writing NaNs
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args) or 0
+        with finite_arithmetic():
+            code = args.func(args)
+        _write_manifest(args)
+        return code
     except SystemExit as exc:           # --help, --version
         return 0 if not exc.code else 1
     except IllPosedKernel as exc:
@@ -372,10 +339,6 @@ def main(argv=None) -> int:
         return 2
     except (FuncDeconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
-        print(f"error: floating-point {exc} (input values or parameters out of range)",
-              file=sys.stderr)
         return 1
 
 

@@ -16,6 +16,7 @@ are the same array with one spatial block, labeled -1, of M profile rows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -140,6 +141,21 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
                            m0p=m0p, j=j, j_prime=j_prime, mode=mode)
 
 
+@contextlib.contextmanager
+def finite_arithmetic():
+    """Turn an overflow or NaN in numpy arithmetic into a :class:`ConfigError`.
+
+    Values or parameters near the float limit then stop a computation
+    instead of warning and carrying non-finite values into its results.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"floating-point {exc} (input values or parameters "
+                          "out of range)") from None
+
+
 def threshold_value(j: int, cfg: EstimatorConfig) -> float:
     """Level-j hard threshold lambda_j = C_beta sqrt(ln(1/eps)) 2^(j nu) eps."""
     eps = cfg.epsilon
@@ -156,37 +172,55 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
     return lam
 
 
+@dataclass
 class HyperCoeffs:
-    """Dense real hyperbolic coefficient array plus kept/killed flags.
+    """Dense real hyperbolic coefficients, their config and kept/killed flags.
 
     ``entries[s, tau]`` is indexed by packed time position tau (levels j in
     [m0-1, J)) and, in functional mode, packed spatial position s (levels j'
     in [m0'-1, J')); in separate mode s is the profile, in one block j' = -1.
+    The levels, the mode and the thresholds come from ``config``, whose J and
+    J' must be resolved.
     """
 
-    def __init__(self, entries: np.ndarray, m0: int, big_j: int, mode: str,
-                 m0p: int | None = None, big_jp: int | None = None,
-                 kept: np.ndarray | None = None):
-        self.entries = entries
-        self.kept = np.ones(entries.shape, dtype=bool) if kept is None else kept
-        self.m0 = m0
-        self.big_j = big_j
-        self.m0p = m0p
-        self.big_jp = big_jp
-        self.mode = mode
+    entries: np.ndarray
+    config: EstimatorConfig
+    kept: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.config.j is None or self.config.j_prime is None:
+            raise ConfigError("coefficients need a config with resolved J and J' "
+                              "(EstimatorConfig.resolved)")
+        if self.kept is None:
+            self.kept = np.ones(self.entries.shape, dtype=bool)
 
     def time_slices(self) -> dict[int, slice]:
-        return level_slices(self.m0, self.big_j)
+        return level_slices(self.config.m0, self.config.j)
 
     def spatial_slices(self) -> dict[int, slice]:
         """Row blocks by level j'; separate mode has one block, j' = -1."""
-        if self.mode == FUNCTIONAL:
-            return level_slices(self.m0p, self.big_jp)
+        if self.config.mode == FUNCTIONAL:
+            return level_slices(self.config.m0p, self.config.j_prime)
         return {-1: slice(0, self.entries.shape[0])}
 
     def thresholded(self) -> np.ndarray:
         """Entries with killed coefficients zeroed."""
         return np.where(self.kept, self.entries, 0.0)
+
+
+def _bases(cfg: EstimatorConfig, meyer_basis: MeyerBasis | None,
+           spatial_basis: SpatialBasis | None) -> tuple[MeyerBasis, SpatialBasis]:
+    """The given bases, or new ones at the config's coarsest levels.
+
+    :class:`ConfigError` is raised for a basis whose coarsest level is not
+    the config's: its coefficients would be laid out at other levels.
+    """
+    basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
+    sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
+    if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
+        raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
+                          f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
+    return basis, sbasis
 
 
 def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
@@ -203,21 +237,18 @@ def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
         raise ConfigError("data and kernel spectra have mismatched shapes")
     m, n = ks.m, ks.n
     cfg = cfg.resolved(m, n)
-    basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
+    basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
     validate_invertible(ks, basis.union_band(cfg.j))
     k = basis.band_size(cfg.j, n)
     ratio = spec[:, :k] / ks.g_coeffs[:, :k]          # (M, K)
     timec = basis.analyze_t(ratio, cfg.j)             # (M, 2^J) real
     if cfg.mode == SEPARATE:
-        return HyperCoeffs(timec, cfg.m0, cfg.j, SEPARATE)
-    sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
+        return HyperCoeffs(timec, cfg)
     packed = sbasis.dwt_forward(timec.T) / math.sqrt(m)  # (2^J, M)
-    entries = packed[:, :2**cfg.j_prime].T.copy()        # (2^J', 2^J)
-    return HyperCoeffs(entries, cfg.m0, cfg.j, FUNCTIONAL,
-                       m0p=cfg.m0p, big_jp=cfg.j_prime)
+    return HyperCoeffs(packed[:, :2**cfg.j_prime].T.copy(), cfg)  # (2^J', 2^J)
 
 
-def hard_threshold(coeffs: HyperCoeffs, cfg: EstimatorConfig) -> HyperCoeffs:
+def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
     """Keep entries with |beta-tilde| strictly above the level-j threshold.
 
     Only the first spatial block times the time scaling block is exempt: the
@@ -228,51 +259,53 @@ def hard_threshold(coeffs: HyperCoeffs, cfg: EstimatorConfig) -> HyperCoeffs:
     tslices = coeffs.time_slices()
     lam = np.empty(coeffs.entries.shape[1])
     for j, ts in tslices.items():
-        lam[ts] = threshold_value(j, cfg)
+        lam[ts] = threshold_value(j, coeffs.config)
     kept = np.abs(coeffs.entries) > lam
     kept[next(iter(coeffs.spatial_slices().values())),
          next(iter(tslices.values()))] = True
-    return HyperCoeffs(coeffs.entries, coeffs.m0, coeffs.big_j, coeffs.mode,
-                       m0p=coeffs.m0p, big_jp=coeffs.big_jp, kept=kept)
+    return replace(coeffs, kept=kept)
 
 
 @dataclass
 class Reconstruction:
-    """Grid estimate plus the coefficients and configuration that made it."""
+    """Grid estimate plus the coefficients, and their config, that made it."""
 
     values: np.ndarray          # (M, N) real
     coeffs: HyperCoeffs
-    config: EstimatorConfig
+
+    @property
+    def config(self) -> EstimatorConfig:
+        return self.coeffs.config
 
 
-def reconstruct(coeffs: HyperCoeffs, cfg: EstimatorConfig, m: int, n: int,
+def reconstruct(coeffs: HyperCoeffs, m: int, n: int,
                 meyer_basis: MeyerBasis | None = None,
                 spatial_basis: SpatialBasis | None = None) -> Reconstruction:
     """Invert thresholded coefficients back to grid samples.
 
     :class:`ConfigError` is raised for complex entries (a real field has
-    real coefficients) and when the coefficients do not fit the M x N grid:
-    more than M spatial rows (functional), other than M profile rows
-    (separate), or time levels beyond ``j_capacity(n)``.
+    real coefficients), for a basis at other levels than ``coeffs.config``,
+    and when the coefficients do not fit the M x N grid: more than M spatial
+    rows (functional), other than M profile rows (separate), or time levels
+    beyond ``j_capacity(n)``.
     """
+    cfg = coeffs.config
     if np.iscomplexobj(coeffs.entries):
         raise ConfigError("coefficients must be real, got complex entries")
     rows = coeffs.entries.shape[0]
-    if rows > m or (coeffs.mode == SEPARATE and rows < m) \
-            or coeffs.big_j > j_capacity(n):
-        raise ConfigError(f"{coeffs.mode} coefficients of shape {coeffs.entries.shape} "
-                          f"(J={coeffs.big_j}) do not fit an (M, N) = ({m}, {n}) grid")
-    basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
+    if rows > m or (cfg.mode == SEPARATE and rows < m) or cfg.j > j_capacity(n):
+        raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
+                          f"(J={cfg.j}) do not fit an (M, N) = ({m}, {n}) grid")
+    basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
     arr = coeffs.thresholded()
-    if coeffs.mode == FUNCTIONAL:
-        sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
+    if cfg.mode == FUNCTIONAL:
         full = np.zeros((arr.shape[1], m))                 # (2^J, M)
         full[:, :arr.shape[0]] = arr.T
         timec = sbasis.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
     else:
         timec = arr
     values = spectrum_to_samples(basis.synthesize_t(timec), n)
-    return Reconstruction(values, coeffs, cfg)
+    return Reconstruction(values, coeffs)
 
 
 def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None,
@@ -283,15 +316,16 @@ def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None
 
     ``kernel`` is a :class:`KernelSpectrum` or a sampled M x N kernel grid.
     With ``cfg=None`` the configuration is resolved from the grid and kernel
-    (estimated nu, default C_beta, eps from sigma and the mode).
+    (estimated nu, default C_beta, eps from sigma and the mode). It runs
+    under :func:`finite_arithmetic`, so it never returns non-finite values.
     """
-    ks = kernel if isinstance(kernel, KernelSpectrum) else kernel_spectrum(kernel)
-    if cfg is None:
-        cfg = config_for(grid, ks, mode=mode, **config_kwargs)
-    elif config_kwargs:
+    if cfg is not None and config_kwargs:
         raise ConfigError("pass either cfg or config keyword overrides, not both")
-    cfg = cfg.resolved(grid.m, grid.n)
-    spec = fourier_coeffs(grid)
-    tilde = estimate_coeffs(spec, ks, cfg, meyer_basis, spatial_basis)
-    hat = hard_threshold(tilde, cfg)
-    return reconstruct(hat, cfg, grid.m, grid.n, meyer_basis, spatial_basis)
+    with finite_arithmetic():
+        ks = kernel if isinstance(kernel, KernelSpectrum) else kernel_spectrum(kernel)
+        if cfg is None:
+            cfg = config_for(grid, ks, mode=mode, **config_kwargs)
+        cfg = cfg.resolved(grid.m, grid.n)
+        meyer_basis, spatial_basis = _bases(cfg, meyer_basis, spatial_basis)
+        tilde = estimate_coeffs(fourier_coeffs(grid), ks, cfg, meyer_basis, spatial_basis)
+        return reconstruct(hard_threshold(tilde), grid.m, grid.n, meyer_basis, spatial_basis)

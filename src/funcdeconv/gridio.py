@@ -84,14 +84,6 @@ def _read_binary(fh, path) -> ObservationGrid:
     return ObservationGrid(samples, sigma=sigma)
 
 
-def load_grid_binary(path) -> ObservationGrid:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ConfigError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        return _read_binary(fh, path)
-
-
 def save_grid_csv(path, grid: ObservationGrid) -> None:
     with rewrite(path) as fh:
         fh.write(f"{grid.m},{grid.n},{grid.sigma!r}\n")

@@ -199,7 +199,7 @@ def besov_norm(coeffs, s1, s2, p=2, q=2) -> float:
     with s* = s + 1/2 - 1/p and p, q = inf handled as suprema. ``coeffs`` is
     a functional-mode :class:`~funcdeconv.estimator.HyperCoeffs`.
     """
-    if coeffs.mode != FUNCTIONAL:
+    if coeffs.config.mode != FUNCTIONAL:
         raise ConfigError("besov_norm needs functional-mode hyperbolic coefficients")
     inv_p = 0.0 if p == math.inf else 1.0 / p
     s1s = float(s1) + 0.5 - inv_p

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve
+from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve, finite_arithmetic
 from .exceptions import ConfigError
 from .gridio import rewrite
 from .meyer import MeyerBasis
@@ -168,8 +168,9 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        for name, least in (("m", 1), ("n", 2), ("runs", 1), ("seed", 0), ("threads", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -223,10 +224,12 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     spatial = SpatialBasis(m0p=cfg.m0p)
 
     def one(rep: int) -> float:
-        grid = _observe(clean, sim.sigma, sim.seed, rep)
-        rec = deconvolve(grid, kernel_spec, cfg=cfg, meyer_basis=meyer,
-                         spatial_basis=spatial)
-        return mise(rec.values, truth)
+        # worker threads do not inherit the caller's numpy error state
+        with finite_arithmetic():
+            grid = _observe(clean, sim.sigma, sim.seed, rep)
+            rec = deconvolve(grid, kernel_spec, cfg=cfg, meyer_basis=meyer,
+                             spatial_basis=spatial)
+            return mise(rec.values, truth)
 
     per_run = np.empty(sim.runs)
     if sim.threads > 1:

@@ -75,6 +75,15 @@ class TestRatesCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["d"] == pytest.approx(7 / 27)
 
+    def test_out_of_regime_ball_warns_on_one_line(self, capsys):
+        code, caught = main_recording_warnings(["rates", "--s1", "1/4", "--s2", "1",
+                                                "--nu", "1"])
+        out, err = capsys.readouterr()
+        assert code == 0 and not caught
+        assert err.startswith("warning: ") and "regime" in err
+        assert len(err.splitlines()) == 1
+        assert json.loads(out)["regime_warning"] is True
+
     def test_manifest_written_on_request(self, tmp_path, capsys):
         man = tmp_path / "rates.manifest"
         assert main(["rates", "--s1", "2", "--s2", "1", "--nu", "1",
@@ -293,6 +302,23 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "x.csv")])
         self.assert_one_line_usage_failure(code, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"],
+        ["table1", "--seed", "-1"],
+        ["simulate", "--m", "0"],
+        ["simulate", "--n", "0"],
+        ["simulate", "--threads", "0"],
+        ["simulate", "--threads", "-1"],
+    ], ids=["simulate_negative_seed", "table1_negative_seed", "simulate_m_zero",
+            "simulate_n_zero", "simulate_threads_zero", "simulate_negative_threads"])
+    def test_bad_simulation_parameter(self, tmp_path, capsys, argv):
+        code, caught = main_recording_warnings(
+            argv[:1] + ["--runs", "1", "--n", "64", "--out", str(tmp_path / "x.csv")]
+            + argv[1:])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert argv[1][2:] in err and not caught
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("name,raw", [
         ("grid.csv", b"a,b,c\n1,2\n"),
         ("grid.csv", b"2,2,0.1\n1,x\n3,4\n"),
@@ -374,31 +400,83 @@ def _grid_file_bytes():
     return st.one_of(blob, st.tuples(rows, cols).flatmap(framed))
 
 
+def _numbers():
+    """Flag values: small and boundary integers, any float (NaN and inf
+    included), and the words the flags accept besides numbers."""
+    return st.one_of(st.integers(-3, 9), st.sampled_from([2**31, 10**400]),
+                     st.floats(), st.just("auto")).map(str)
+
+
+_FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
+
+
 class TestFuzzGridInput:
-    """Whatever bytes the input grid holds, `deconvolve` ends with an exit
-    code and at most one stderr line (warnings included), never an exception."""
+    """Whatever bytes the input grid or the kernel holds and whatever values
+    the numeric flags of `deconvolve` and `simulate` get, the command ends
+    with an exit code and at most one stderr line (warnings included), never
+    an exception."""
 
     @pytest.fixture(scope="class")
-    def small_kernel(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("fuzzkernel") / "k.fdg"
-        gridio.save_grid(path, fd.ObservationGrid(simlab.kernel_grid(16, 64)))
-        return path
+    def small_grids(self, tmp_path_factory):
+        """A 16 x 64 kernel and an observation of a truth under it."""
+        root = tmp_path_factory.mktemp("fuzzgrids")
+        kernel, obs = root / "k.fdg", root / "y.fdg"
+        gridio.save_grid(kernel, fd.ObservationGrid(simlab.kernel_grid(16, 64)))
+        truth = simlab.product_truth("Quadratic", "Blip", 16, 64)
+        gridio.save_grid(obs, simlab.synthesize_data(truth, 0.5, seed=1))
+        return {"input": obs, "kernel": kernel}
+
+    def assert_ends_cleanly(self, argv, capsys):
+        code, caught = main_recording_warnings(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
+
+    def deconvolve_with(self, files, role, raw, suffix, tmp_path, capsys):
+        path = tmp_path / f"in{suffix}"
+        path.write_bytes(raw)
+        files = {**files, role: path}
+        self.assert_ends_cleanly(["deconvolve", "--input", str(files["input"]),
+                                  "--kernel", str(files["kernel"]),
+                                  "--out", str(tmp_path / "out.fdg")], capsys)
 
     @given(raw=_grid_file_bytes(), suffix=st.sampled_from([".fdg", ".csv", ".dat"]))
     @example(raw=gridio.MAGIC + gridio._HEADER.pack(16, 64, 0.0)
              + np.full(16 * 64, 2.8e306).tobytes(), suffix=".fdg")
-    @settings(max_examples=400, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.too_slow])
-    def test_deconvolve_never_raises(self, small_kernel, tmp_path, capsys, raw, suffix):
-        path = tmp_path / f"in{suffix}"
-        path.write_bytes(raw)
-        code, caught = main_recording_warnings(["deconvolve", "--input", str(path),
-                                                "--kernel", str(small_kernel),
-                                                "--out", str(tmp_path / "out.fdg")])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2)
-        assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
+    @settings(_FUZZ, max_examples=400)
+    def test_deconvolve_never_raises(self, small_grids, tmp_path, capsys, raw, suffix):
+        self.deconvolve_with(small_grids, "input", raw, suffix, tmp_path, capsys)
+
+    @given(raw=_grid_file_bytes(), suffix=st.sampled_from([".fdg", ".csv", ".dat"]))
+    @settings(_FUZZ, max_examples=100)
+    def test_deconvolve_never_raises_on_a_bad_kernel(self, small_grids, tmp_path, capsys,
+                                                     raw, suffix):
+        self.deconvolve_with(small_grids, "kernel", raw, suffix, tmp_path, capsys)
+
+    @given(flags=st.dictionaries(st.sampled_from(["--nu", "--cbeta", "--m0", "--m0p",
+                                                  "--j", "--jprime"]), _numbers()),
+           mode=st.sampled_from(["functional", "separate"]))
+    @settings(_FUZZ, max_examples=100)
+    def test_deconvolve_flags_never_raise(self, small_grids, tmp_path, capsys, flags,
+                                          mode):
+        self.assert_ends_cleanly(["deconvolve", "--input", str(small_grids["input"]),
+                                  "--kernel", str(small_grids["kernel"]), "--mode", mode,
+                                  "--out", str(tmp_path / "out.fdg"),
+                                  *(x for kv in flags.items() for x in kv)], capsys)
+
+    @given(flags=st.dictionaries(st.sampled_from(["--sigma", "--seed", "--cbeta", "--nu"]),
+                                 _numbers()),
+           m=st.integers(-1, 64), n=st.integers(-1, 64), runs=st.integers(-1, 2),
+           threads=st.integers(-1, 2), mode=st.sampled_from(["functional", "separate"]))
+    @example(flags={"--sigma": "1e308"}, m=16, n=64, runs=2, threads=2, mode="separate")
+    @settings(_FUZZ, max_examples=100)
+    def test_simulate_flags_never_raise(self, tmp_path, capsys, flags, m, n, runs,
+                                        threads, mode):
+        self.assert_ends_cleanly(["simulate", "--m", str(m), "--n", str(n),
+                                  "--runs", str(runs), "--threads", str(threads),
+                                  "--mode", mode, "--out", str(tmp_path / "sim.csv"),
+                                  *(x for kv in flags.items() for x in kv)], capsys)
 
 
 class TestTableCommand:
@@ -413,6 +491,52 @@ class TestTableCommand:
         assert len(dats) == 24    # 6 pairs x 2 sigmas x 2 modes
         xs = np.loadtxt(dats[0])[:, 0]
         assert list(xs) == [128 * 256, 256 * 256]
+
+
+class TestManifestReplay:
+    """Every file-producing command records each option it was given, and
+    ``--from-manifest`` rewrites every output, the manifest included, byte
+    for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ["deconvolve", "--input", "{obs}", "--kernel", "{kernel}", "--mode", "functional",
+         "--nu", "2.0", "--cbeta", "3.0", "--m0", "3", "--m0p", "2", "--j", "4",
+         "--jprime", "5", "--out", "f.fdg"],
+        ["deconvolve", "--input", "{obs}", "--kernel", "{kernel}", "--mode", "separate",
+         "--j", "5", "--cbeta", "0.3", "--m0p", "2", "--out", "s.fdg",
+         "--coeffs", "s.csv", "--manifest", "s.manifest"],
+        ["simulate", "--m", "32", "--n", "128", "--runs", "2", "--cbeta", "0.5",
+         "--nu", "1", "--threads", "2", "--seed", "3", "--out", "sim.csv"],
+        ["table1", "--runs", "1", "--n", "64", "--out", "t.csv", "--xy", "xy"],
+        ["rates", "--s1", "2", "--s2", "1", "1/2", "--nu", "1", "--p", "inf",
+         "--manifest", "r.manifest"],
+        ["compare", "--s1", "10", "--s2", "0.6", "--nu", "0", "--M", "4",
+         "--N", "65536", "--manifest", "c.manifest"],
+    ], ids=["deconvolve_functional", "deconvolve_separate", "simulate", "table1",
+            "rates", "compare"])
+    def test_replay_rewrites_every_output(self, workspace, tmp_path, monkeypatch,
+                                          capsys, argv):
+        _, obs_path, kern_path = workspace
+        argv = [a.format(obs=obs_path, kernel=kern_path) for a in argv]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        manifest = argv[argv.index("--manifest") + 1] if "--manifest" in argv \
+            else argv[argv.index("--out") + 1] + ".manifest"
+        recorded = dict(line.split("=", 1)
+                        for line in Path(manifest).read_text().splitlines())
+        assert recorded["command"] == argv[0]
+        given = {a[2:] for a in argv if a.startswith("--")} - {"manifest"}
+        assert given <= set(recorded), given - set(recorded)
+
+        outputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        saved = tmp_path.parent / f"{tmp_path.name}.manifest"
+        Path(manifest).rename(saved)
+        for name in outputs:
+            Path(name).unlink(missing_ok=True)
+        assert main(["--from-manifest", str(saved), "--manifest", manifest]) == 0
+        assert capsys.readouterr().out == stdout
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == outputs
 
 
 class TestParser:

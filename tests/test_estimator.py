@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -222,36 +223,33 @@ class TestEstimateCoeffs:
         coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks,
                                     cfg.resolved(64, 256))
         assert coeffs.entries.shape == (64, 32)
-        assert coeffs.mode == "separate"
+        assert coeffs.config.mode == "separate"
         assert coeffs.spatial_slices() == {-1: slice(0, 64)}
 
 
-def make_coeffs(entries, mode="functional"):
+def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
+    """Coefficients at m0 = m0' = 3 whose config's J and J' (functional
+    mode; 3 in separate mode) are read off the shape of ``entries``."""
     entries = np.asarray(entries)
     if not np.iscomplexobj(entries):
         entries = entries.astype(float)
-    if mode == "functional":
-        jp = int(np.log2(entries.shape[0]))
-        return HyperCoeffs(entries, 3, int(np.log2(entries.shape[1])), mode,
-                           m0p=3, big_jp=jp)
-    return HyperCoeffs(entries, 3, int(np.log2(entries.shape[1])), mode)
+    rows, cols = entries.shape
+    jp = int(np.log2(rows)) if mode == "functional" else 3
+    cfg = fd.EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=eps, mode=mode,
+                             j=int(np.log2(cols)), j_prime=jp)
+    return HyperCoeffs(entries, cfg)
 
 
 class TestHardThreshold:
-    def cfg(self, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
-        return fd.EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=eps, mode=mode)
-
     def test_zero_constant_keeps_everything(self):
         rng = np.random.default_rng(0)
-        coeffs = make_coeffs(rng.standard_normal((16, 16)))
-        out = fd.hard_threshold(coeffs, self.cfg(c_beta=0.0))
+        coeffs = make_coeffs(rng.standard_normal((16, 16)), c_beta=0.0)
+        out = fd.hard_threshold(coeffs)
         assert out.kept.all()
         np.testing.assert_array_equal(out.thresholded(), coeffs.entries)
 
     def test_everything_below_kills_details_keeps_corner(self):
-        cfg = self.cfg(c_beta=100.0)
-        coeffs = make_coeffs(np.full((16, 16), 1e-6))
-        out = fd.hard_threshold(coeffs, cfg)
+        out = fd.hard_threshold(make_coeffs(np.full((16, 16), 1e-6), c_beta=100.0))
         kept = out.kept
         assert kept[:8, :8].all()              # scaling x scaling corner
         assert not kept[8:, :].any()
@@ -261,28 +259,25 @@ class TestHardThreshold:
         assert arr[:8, :8].all()
 
     def test_exact_tie_is_killed(self):
-        cfg = self.cfg(c_beta=2.0, nu=1.0, eps=0.01)
-        lam3 = fd.threshold_value(3, cfg)
+        lam3 = fd.threshold_value(3, fd.EstimatorConfig(c_beta=2.0, nu=1.0, epsilon=0.01))
         entries = np.zeros((16, 16))
         entries[9, 9] = lam3               # level (3,3), exactly at threshold
         entries[9, 10] = lam3 * (1 + 1e-9)
-        out = fd.hard_threshold(make_coeffs(entries), cfg)
+        out = fd.hard_threshold(make_coeffs(entries, c_beta=2.0, nu=1.0, eps=0.01))
         assert not out.kept[9, 9]
         assert out.kept[9, 10]
 
     def test_mixed_blocks_are_not_exempt(self):
         """Time-scaling x spatial-detail blocks (and the transpose) face the
         threshold; only the scaling x scaling corner is exempt."""
-        cfg = self.cfg(c_beta=100.0)
-        coeffs = make_coeffs(np.full((16, 16), 1e-6))
-        kept = fd.hard_threshold(coeffs, cfg).kept
+        coeffs = make_coeffs(np.full((16, 16), 1e-6), c_beta=100.0)
+        kept = fd.hard_threshold(coeffs).kept
         assert not kept[8:, :8].any()          # spatial detail, time scaling
         assert not kept[:8, 8:].any()          # spatial scaling, time detail
 
     def test_separate_mode_exempts_time_scaling(self):
-        cfg = self.cfg(c_beta=100.0, mode="separate")
-        coeffs = make_coeffs(np.full((5, 16), 1e-6), mode="separate")
-        kept = fd.hard_threshold(coeffs, cfg).kept
+        coeffs = make_coeffs(np.full((5, 16), 1e-6), c_beta=100.0, mode="separate")
+        kept = fd.hard_threshold(coeffs).kept
         assert kept[:, :8].all()
         assert not kept[:, 8:].any()
 
@@ -291,9 +286,8 @@ class TestHardThreshold:
     def test_kept_set_shrinks_as_constant_grows(self, c_a, c_b, seed):
         c_a, c_b = sorted((c_a, c_b))
         entries = np.random.default_rng(seed).standard_normal((16, 16))
-        coeffs = make_coeffs(entries)
-        kept_a = fd.hard_threshold(coeffs, self.cfg(c_beta=c_a)).kept
-        kept_b = fd.hard_threshold(coeffs, self.cfg(c_beta=c_b)).kept
+        kept_a = fd.hard_threshold(make_coeffs(entries, c_beta=c_a)).kept
+        kept_b = fd.hard_threshold(make_coeffs(entries, c_beta=c_b)).kept
         assert np.all(kept_b <= kept_a)
 
     @pytest.mark.parametrize("mode,rows", [("functional", 16), ("separate", 5)])
@@ -304,9 +298,10 @@ class TestHardThreshold:
         def label(pos, m0):
             return m0 - 1 if pos < 2**m0 else pos.bit_length() - 1
 
-        cfg = self.cfg(c_beta=1.0, nu=0.7, eps=0.03, mode=mode)
         entries = 0.3 * np.random.default_rng(2).standard_normal((rows, 32))
-        kept = fd.hard_threshold(make_coeffs(entries, mode=mode), cfg).kept
+        coeffs = make_coeffs(entries, c_beta=1.0, nu=0.7, eps=0.03, mode=mode)
+        cfg = coeffs.config
+        kept = fd.hard_threshold(coeffs).kept
         want = np.zeros(entries.shape, dtype=bool)
         for s in range(rows):
             for tau in range(32):
@@ -319,12 +314,11 @@ class TestHardThreshold:
     def test_per_level_rule(self):
         """Within every (j', j) block survivors are exactly the entries with
         |value| strictly above the level-j threshold."""
-        cfg = self.cfg(c_beta=1.0, nu=0.7, eps=0.03)
         rng = np.random.default_rng(1)
-        coeffs = make_coeffs(0.2 * rng.standard_normal((16, 16)))
-        out = fd.hard_threshold(coeffs, cfg)
+        coeffs = make_coeffs(0.2 * rng.standard_normal((16, 16)), nu=0.7, eps=0.03)
+        out = fd.hard_threshold(coeffs)
         for j, ts in out.time_slices().items():
-            lam = fd.threshold_value(j, cfg)   # scaling block prices at j = m0-1
+            lam = fd.threshold_value(j, coeffs.config)   # scaling block prices at j = m0-1
             for jp, ss in out.spatial_slices().items():
                 block = coeffs.entries[ss, ts]
                 kept = out.kept[ss, ts]
@@ -336,9 +330,7 @@ class TestHardThreshold:
 
 class TestReconstruct:
     def test_zero_coefficients_give_zero_field(self):
-        coeffs = make_coeffs(np.zeros((16, 16)))
-        cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
-        rec = fd.reconstruct(coeffs, cfg, 16, 128)
+        rec = fd.reconstruct(make_coeffs(np.zeros((16, 16))), 16, 128)
         assert rec.values.shape == (16, 128)
         np.testing.assert_allclose(rec.values, 0.0, atol=1e-14)
 
@@ -347,8 +339,7 @@ class TestReconstruct:
         sslices = fd.level_slices(3, 4)
         tslices = fd.level_slices(3, 4)
         entries[sslices[3].start + 1, tslices[3].start + 2] = 1.0
-        cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4, j_prime=4)
-        rec = fd.reconstruct(make_coeffs(entries), cfg, 16, 128)
+        rec = fd.reconstruct(make_coeffs(entries), 16, 128)
         packed = np.zeros((1, 16))
         packed[0, tslices[3].start + 2] = 1.0
         t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), 128)[0]
@@ -364,10 +355,9 @@ class TestReconstruct:
     ], ids=["functional-rows-above-m", "separate-rows-not-m", "band-beyond-n"])
     def test_coefficients_that_do_not_fit_the_grid_are_rejected(self, entries,
                                                                 mode, m, n):
-        cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, mode=mode)
         shape_and_grid = re.escape(str(entries.shape)) + ".*" + re.escape(f"({m}, {n})")
         with pytest.raises(ConfigError, match=shape_and_grid):
-            fd.reconstruct(make_coeffs(entries, mode=mode), cfg, m, n)
+            fd.reconstruct(make_coeffs(entries, mode=mode), m, n)
 
     def test_in_span_truth_roundtrips(self, spatial, kernel_for):
         """sigma = 0, thresholds off: a truth inside the model span is
@@ -401,16 +391,14 @@ class TestReconstruct:
         rng = np.random.default_rng(3)
         entries = rng.standard_normal((16, 16))
         for mode in ("functional", "separate"):
-            cfg = fd.EstimatorConfig(c_beta=0.0, nu=1.0, epsilon=0.0, j=4,
-                                     j_prime=4, mode=mode)
-            base = fd.reconstruct(make_coeffs(entries, mode), cfg, 16, 128).values
+            base = fd.reconstruct(make_coeffs(entries, mode=mode), 16, 128).values
             assert base.dtype == np.float64 and base.shape == (16, 128)
             for delta in (1.0, 1e-3, 1e-15, 0.0):
                 perturbed = entries.astype(complex)
                 perturbed[9, 3] += 1j * delta
                 with pytest.raises(ConfigError, match="complex"):
-                    fd.reconstruct(make_coeffs(perturbed, mode), cfg, 16, 128)
-            again = fd.reconstruct(make_coeffs(entries.copy(), mode), cfg, 16, 128)
+                    fd.reconstruct(make_coeffs(perturbed, mode=mode), 16, 128)
+            again = fd.reconstruct(make_coeffs(entries.copy(), mode=mode), 16, 128)
             assert np.array_equal(again.values, base), mode
 
 
@@ -452,3 +440,30 @@ class TestDeconvolve:
         assert rec.config.j is not None and rec.config.j_prime is not None
         assert rec.coeffs.kept.any()
         assert not rec.coeffs.kept.all()
+
+    @pytest.mark.parametrize("basis,levels", [
+        ({"meyer_basis": fd.MeyerBasis(4)}, "m0=4.*m0=3"),
+        ({"spatial_basis": fd.SpatialBasis(m0p=1)}, "m0'=1.*m0'=3"),
+    ], ids=["meyer_m0_4", "spatial_m0p_1"])
+    def test_a_basis_at_other_levels_than_the_config_is_rejected(self, kernel_for,
+                                                                 basis, levels):
+        """Coefficients are laid out at the config's coarsest levels, so a basis
+        at other levels would mislabel every block; both ends name both levels."""
+        _, ks = kernel_for(64, 256)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.1)
+        cfg = fd.config_for(obs, ks).resolved(64, 256)
+        spec = fd.fourier_coeffs(obs.samples)
+        with pytest.raises(ConfigError, match=levels):
+            fd.estimate_coeffs(spec, ks, cfg, **basis)
+        with pytest.raises(ConfigError, match=levels):
+            fd.reconstruct(fd.estimate_coeffs(spec, ks, cfg), 64, 256, **basis)
+
+    def test_values_near_the_float_limit_raise_instead_of_returning_nan(self):
+        """Finite samples whose spectrum overflows stop with a ConfigError and
+        no RuntimeWarning, instead of a grid of NaNs."""
+        obs = fd.ObservationGrid(np.full((16, 64), 1e307), sigma=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="overflow"):
+                fd.deconvolve(obs, simlab.kernel_grid(16, 64))
+        assert not caught

@@ -17,7 +17,7 @@ def grid():
 def test_binary_roundtrip_is_bitwise(tmp_path, grid):
     path = tmp_path / "grid.fdg"
     gridio.save_grid_binary(path, grid)
-    back = gridio.load_grid_binary(path)
+    back = gridio.load_grid(path)
     assert back.sigma == grid.sigma
     assert np.array_equal(back.samples, grid.samples)
 
@@ -85,7 +85,7 @@ def test_wrong_magic_rejected(tmp_path, grid):
     raw = path.read_bytes()
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ConfigError):
-        gridio.load_grid_binary(path)
+        gridio.load_grid(path)
 
 
 def test_csv_header_mismatch_rejected(tmp_path, grid):
@@ -120,7 +120,7 @@ def test_rewrite_creates_missing_files_and_never_opens_with_truncation(
     path = tmp_path / "grid.fdg"
     gridio.save_grid_binary(path, grid)
     gridio.save_grid_binary(path, grid)
-    assert np.array_equal(gridio.load_grid_binary(path).samples, grid.samples)
+    assert np.array_equal(gridio.load_grid(path).samples, grid.samples)
     assert len(flags) == 2
     assert all(f & gridio.os.O_CREAT and not f & gridio.os.O_TRUNC for f in flags)
 

@@ -129,11 +129,12 @@ class TestCaseSelection:
         assert d["d1"] == 0
 
 
-def coeffs_with(entries):
+def coeffs_with(entries, mode="functional"):
     entries = np.asarray(entries, dtype=complex)
-    jp = int(np.log2(entries.shape[0]))
-    j = int(np.log2(entries.shape[1]))
-    return HyperCoeffs(entries, 3, j, "functional", m0p=3, big_jp=jp)
+    cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.0, mode=mode,
+                             j=int(np.log2(entries.shape[1])),
+                             j_prime=int(np.log2(entries.shape[0])))
+    return HyperCoeffs(entries, cfg)
 
 
 class TestBesovNorm:
@@ -185,9 +186,8 @@ class TestBesovNorm:
         assert got == pytest.approx(2.0 * 2 ** (2 * 1.5) * 2 ** (2 * 1.5), rel=1e-10)
 
     def test_separate_mode_rejected(self):
-        c = HyperCoeffs(np.zeros((4, 16), dtype=complex), 3, 4, "separate")
         with pytest.raises(ConfigError):
-            fd.besov_norm(c, 1.0, 1.0)
+            fd.besov_norm(coeffs_with(np.zeros((8, 16)), mode="separate"), 1.0, 1.0)
 
 
 class TestCompareStrategies:
