@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve, finite_arithmetic
+from .estimator import FUNCTIONAL, SEPARATE, deconvolve, finite_arithmetic
 from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
 from .gridio import load_grid, rewrite, save_grid
 from .rates import BesovBall, compare_strategies, exponent_multi
@@ -34,7 +34,7 @@ from .simlab import (
     table1,
     write_table_csv,
 )
-from .spectra import ObservationGrid, estimate_nu, kernel_spectrum
+from .spectra import ObservationGrid, estimate_nu, kernel_bounds, kernel_spectrum
 
 
 def _rational(text: str):
@@ -125,10 +125,9 @@ def cmd_deconvolve(args) -> int:
     grid = load_grid(args.input)
     kernel = load_grid(args.kernel)
     ks = kernel_spectrum(kernel.samples)
-    cfg = config_for(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
+    rec = deconvolve(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
                      m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
-    cfg = cfg.resolved(grid.m, grid.n)
-    rec = deconvolve(grid, ks, cfg=cfg)
+    cfg = rec.config
     save_grid(args.out, ObservationGrid(rec.values, sigma=0.0))
     args.coeffs = args.coeffs or f"{args.out}.coeffs.csv"
     _write_coeffs_csv(args.coeffs, rec.coeffs)
@@ -188,8 +187,9 @@ def cmd_compare(args) -> int:
 def cmd_nu_estimate(args) -> int:
     kernel = load_grid(args.kernel)
     ks = kernel_spectrum(kernel.samples)
-    nu = estimate_nu(ks, m_range=(args.mlo, args.mhi))
-    print(json.dumps({"nu": nu, "c1": ks.c1, "c2": ks.c2}))
+    nu = estimate_nu(ks, (args.mlo, args.mhi))
+    c1, c2 = kernel_bounds(ks, nu, (args.mlo, args.mhi))
+    print(json.dumps({"nu": nu, "c1": c1, "c2": c2}))
     return 0
 
 

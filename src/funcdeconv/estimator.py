@@ -114,13 +114,10 @@ class EstimatorConfig:
 
 
 def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
-    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical)."""
-    if nu is None or nu == ks.nu:
-        if ks.c1 is None:
-            estimate_nu(ks)
-        nu, c1 = ks.nu, ks.c1
-    else:
-        c1, _ = kernel_bounds(ks, nu)
+    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical); nu = None fits nu."""
+    if nu is None:
+        nu = estimate_nu(ks)
+    c1, _ = kernel_bounds(ks, nu)
     return 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
 
 
@@ -130,7 +127,7 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
                j: int | None = None, j_prime: int | None = None) -> EstimatorConfig:
     """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma."""
     if nu is None:
-        nu = ks.nu if ks.c1 is not None else estimate_nu(ks)
+        nu = estimate_nu(ks)
     if c_beta is None:
         c_beta = default_c_beta(ks, nu)
     if mode == SEPARATE:

@@ -6,8 +6,8 @@ Two interchangeable on-disk forms:
   then M*N f64 samples in row-major order;
 * CSV (``.csv``): first line ``M,N,sigma``, then M rows of N samples.
 
-``load_grid``/``save_grid`` dispatch on file extension, falling back to
-magic-byte sniffing on read.
+``load_grid``/``save_grid`` dispatch on file extension; on read, any
+extension other than ``.csv`` and ``.fdg`` is sniffed for the magic.
 
 Every output file of the package is written through :func:`rewrite`, which
 replaces an existing file's contents in place instead of truncating it on
@@ -110,22 +110,27 @@ def load_grid_csv(path) -> ObservationGrid:
 
 
 def save_grid(path, grid: ObservationGrid) -> None:
-    """Write a grid, choosing the format from the file extension."""
-    if _is_csv(path):
+    """Write a grid: CSV for a ``.csv`` path, binary for any other."""
+    if _suffix(path) == ".csv":
         save_grid_csv(path, grid)
     else:
         save_grid_binary(path, grid)
 
 
 def load_grid(path) -> ObservationGrid:
-    """Read a grid, sniffing the binary magic when the extension is ambiguous."""
-    if _is_csv(path):
+    """Read a grid: a ``.csv`` path as CSV, a ``.fdg`` path as binary (a
+    wrong magic raises :class:`ConfigError`), any other by its magic."""
+    suffix = _suffix(path)
+    if suffix == ".csv":
         return load_grid_csv(path)
     with open(path, "rb") as fh:
-        if fh.read(4) == MAGIC:
+        magic = fh.read(len(MAGIC))
+        if magic == MAGIC:
             return _read_binary(fh, path)
+    if suffix == ".fdg":
+        raise ConfigError(f"{path}: magic {magic!r} is not the .fdg magic {MAGIC!r}")
     return load_grid_csv(path)
 
 
-def _is_csv(path) -> bool:
-    return os.fspath(path).lower().endswith(".csv")
+def _suffix(path) -> str:
+    return os.path.splitext(os.fspath(path))[1].lower()

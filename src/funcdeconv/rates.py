@@ -45,6 +45,14 @@ def _exactify(x):
     return x
 
 
+def _as_float(x) -> float:
+    """``float(x)``, with a signed inf for a rational beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _inv(p):
     """1/p with p = inf allowed (gives exact 0)."""
     if p == math.inf:
@@ -84,8 +92,8 @@ class BesovBall:
         self.q = _exactify(self.q)
         if len(self.s2_vec) < 1:
             raise ConfigError("need at least one spatial smoothness component")
-        if not (self.s1 > 0 and min(self.s2_vec) > 0):
-            raise ConfigError("smoothness s1 and s2 must be positive")
+        if not 0 < min(self.s1, *self.s2_vec) <= max(self.s1, *self.s2_vec) < math.inf:
+            raise ConfigError("smoothness s1 and s2 must be positive and finite")
         if not (self.p == math.inf or self.p >= 1) or not (self.q == math.inf or self.q >= 1):
             raise ConfigError("p and q must lie in [1, inf]")
         if self.a_radius <= 0:
@@ -96,21 +104,13 @@ class BesovBall:
         return len(self.s2_vec)
 
     @property
-    def p_prime(self):
-        return min(self.p, 2)
-
-    @property
     def s1_prime(self):
-        return self.s1 + Fraction(1, 2) - _inv(self.p_prime)
+        """s1 + 1/2 - 1/p' with p' = min(p, 2); exact for rational s1."""
+        return self.s1 + Fraction(1, 2) - max(_inv(self.p), Fraction(1, 2))
 
     @property
     def s2_min(self):
         return min(self.s2_vec)
-
-    @property
-    def l_min(self) -> int:
-        s20 = self.s2_min
-        return next(l for l, s in enumerate(self.s2_vec) if _eq(s, s20))
 
     def in_regime(self) -> bool:
         """min(s1, s_{2,0}) >= max(1/p, 1/2), the theorem regime."""
@@ -157,8 +157,8 @@ def exponent_min_form(ball: BesovBall, nu) -> object:
 def exponent_multi(ball: BesovBall, nu) -> RateReport:
     """Multivariate rate exponent D and log power D1 via s_{2,0} = min_l s_{2,l}."""
     nu = _exactify(nu)
-    if nu < 0:
-        raise ConfigError("nu must be >= 0")
+    if not 0 <= nu < math.inf:
+        raise ConfigError(f"nu must be finite and >= 0, got {nu}")
     c_spatial, c_time, c_sparse = _candidates(ball, nu)
     b_dense = ball.s2_min * (2 * nu + 1)
     b_sparse = (_inv(ball.p) - Fraction(1, 2)) * (2 * nu + 1)
@@ -168,10 +168,12 @@ def exponent_multi(ball: BesovBall, nu) -> RateReport:
         d, regime = c_sparse, SPARSE
     else:
         d, regime = c_time, DENSE_TIME
+    if not math.isfinite(_as_float(d)):
+        raise ConfigError("the rate exponent is beyond the float range "
+                          "(parameters far outside the theorem regime)")
     on_dense = _eq(ball.s1, b_dense)
     on_sparse = _eq(ball.s1, b_sparse)
-    ties = sum(1 for l, s in enumerate(ball.s2_vec)
-               if l != ball.l_min and _eq(s, ball.s2_min))
+    ties = sum(_eq(s, ball.s2_min) for s in ball.s2_vec) - 1
     d1 = int(on_dense) + int(on_sparse) + ties
     warn = not ball.in_regime()
     if warn:
@@ -238,14 +240,17 @@ def compare_strategies(s1, s2, nu, m: int, n: int) -> ComparisonReport:
     """Evaluate M * N^(-(s1 - s2(2 nu + 1)) / (s2 (2 s1 + 2 nu + 1))) against 1.
 
     SeparateBetter iff the surrogate is < 1 (possible only when
-    s1 > s2 (2 nu + 1)); Boundary within 1e-9 of 1.
+    s1 > s2 (2 nu + 1)); Boundary within 1e-9 of 1. The arguments, the
+    exponent and the surrogate must be finite floats.
     """
-    s1f, s2f, nuf = float(s1), float(s2), float(nu)
-    if not (s1f > 0 and s2f > 0 and nuf >= 0 and m >= 1 and n >= 1):
-        raise ConfigError(f"need s1, s2 > 0, nu >= 0 and M, N >= 1; got s1={s1}, "
-                          f"s2={s2}, nu={nu}, M={m}, N={n}")
-    exponent = (s1f - s2f * (2 * nuf + 1)) / (s2f * (2 * s1f + 2 * nuf + 1))
-    surrogate = m * n ** (-exponent)
+    s1f, s2f, nuf, mf, nf = map(_as_float, (s1, s2, nu, m, n))
+    exponent = surrogate = math.nan
+    if s1f > 0 and s2f > 0 and nuf >= 0 and mf >= 1 and math.inf > nf >= 1:
+        exponent = (s1f - s2f * (2 * nuf + 1)) / (s2f * (2 * s1f + 2 * nuf + 1))
+        surrogate = mf * nf ** (-exponent)
+    if not (math.isfinite(exponent) and math.isfinite(surrogate)):
+        raise ConfigError(f"need finite s1, s2 > 0, nu >= 0, M, N >= 1 and a finite exponent "
+                          f"and surrogate; got s1={s1f}, s2={s2f}, nu={nuf}, M={mf:g}, N={nf:g}")
     if abs(surrogate - 1.0) <= 1e-9:
         verdict = BOUNDARY
     elif s1f > s2f * (2 * nuf + 1) and surrogate < 1.0:

@@ -26,7 +26,7 @@ from .exceptions import ConfigError
 from .gridio import rewrite
 from .meyer import MeyerBasis
 from .spatial import SpatialBasis
-from .spectra import KernelSpectrum, ObservationGrid, estimate_nu, kernel_spectrum
+from .spectra import KernelSpectrum, ObservationGrid, kernel_spectrum
 
 PAIR_ORDER = (
     ("Quadratic", "Blip"),
@@ -175,11 +175,14 @@ class SimConfig:
 
 @dataclass
 class MiseResult:
-    """Replicate MISEs plus their summary statistics."""
+    """Replicate MISEs of a cell plus their summary statistics."""
 
     per_run: np.ndarray
-    mode: str
-    config: SimConfig | None = None
+    config: SimConfig
+
+    @property
+    def mode(self) -> str:
+        return self.config.mode
 
     @property
     def mean_mise(self) -> float:
@@ -215,7 +218,6 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     clean = convolve_rows(kernel, truth)
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel)
-        estimate_nu(kernel_spec)
     template = ObservationGrid(np.zeros((sim.m, sim.n)), sigma=sim.sigma)
     cfg = config_for(template, kernel_spec, mode=sim.mode,
                      c_beta=sim.c_beta, nu=sim.nu)
@@ -239,7 +241,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     else:
         for rep in range(sim.runs):
             per_run[rep] = one(rep)
-    return MiseResult(per_run=per_run, mode=sim.mode, config=sim)
+    return MiseResult(per_run, sim)
 
 
 def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
@@ -250,11 +252,7 @@ def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
     48 rows under the defaults.
     """
     rows = []
-    spectra_cache = {}
-    for m in m_values:
-        ks = kernel_spectrum(kernel_grid(m, n))
-        estimate_nu(ks)
-        spectra_cache[m] = ks
+    spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in m_values}
     for f1, f2 in PAIR_ORDER:
         for m in m_values:
             for sigma in sigmas:

@@ -81,7 +81,11 @@ class SpatialBasis:
             raise ConfigError("coarsest spatial level m0' must be >= 0")
         self.m0p = int(m0p)
 
-    def _check_length(self, n: int) -> int:
+    def _levels(self, v: np.ndarray) -> int:
+        """L for real rows of length n = 2^L >= 2^m0' along the last axis of ``v``."""
+        if np.iscomplexobj(v):
+            raise ConfigError("the spatial DWT takes real rows, got complex input")
+        n = v.shape[-1]
         if n < 1 or (n & (n - 1)) != 0:
             raise ConfigError(f"length {n} is not a power of two")
         big_l = n.bit_length() - 1
@@ -92,14 +96,12 @@ class SpatialBasis:
         return big_l
 
     def dwt_forward(self, v: np.ndarray) -> np.ndarray:
-        """Packed orthonormal DWT along the last axis (length 2^L)."""
+        """Packed orthonormal DWT of real rows along the last axis (length 2^L)."""
         v = np.asarray(v)
+        big_l = self._levels(v)
         n = v.shape[-1]
-        big_l = self._check_length(n)
         lead = v.shape[:-1]
-        a = v.reshape(-1, n)
-        if not np.iscomplexobj(a):
-            a = a.astype(float)
+        a = v.reshape(-1, n).astype(float)
         out = np.empty_like(a)
         for j in range(big_l - 1, self.m0p - 1, -1):
             a, d = _analysis_step(a)
@@ -110,8 +112,8 @@ class SpatialBasis:
     def dwt_inverse(self, packed: np.ndarray) -> np.ndarray:
         """Exact inverse of :func:`dwt_forward`; always a new array."""
         packed = np.asarray(packed)
+        big_l = self._levels(packed)
         n = packed.shape[-1]
-        big_l = self._check_length(n)
         lead = packed.shape[:-1]
         c = packed.reshape(-1, n)
         a = c[:, :2**self.m0p].copy()   # no step runs when n == 2^m0'

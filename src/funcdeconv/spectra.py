@@ -64,18 +64,15 @@ def _half_width_to_n(cols: int) -> int:
 
 @dataclass
 class KernelSpectrum:
-    """Kernel Fourier coefficients g_m(u_l) plus ill-posedness diagnostics.
+    """Kernel Fourier coefficients g_m(u_l).
 
-    ``nu`` stays 0 until :func:`estimate_nu` runs or a value is supplied;
-    ``c1``/``c2`` bound |g_m(u_l)|^2 * |m|^(2 nu) from below/above over the
-    frequency window used for the fit. ``g_coeffs`` is read-only once
-    :attr:`zero_floor` has been used: the floor is computed once and cached.
+    The decay fit is not stored: :func:`estimate_nu` and
+    :func:`kernel_bounds` are functions of the coefficients. ``g_coeffs`` is
+    read-only once :attr:`zero_floor` has been used: the floor is computed
+    once and cached.
     """
 
     g_coeffs: np.ndarray  # (M, N/2 + 1) complex
-    nu: float = 0.0
-    c1: float | None = None
-    c2: float | None = None
 
     @property
     def m(self) -> int:
@@ -188,15 +185,13 @@ def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | Non
     return freqs, amps
 
 
-def _bounds(freqs, amps, nu: float) -> tuple[float, float]:
-    scaled = amps**2 * freqs.astype(float) ** (2.0 * nu)
-    return float(scaled.min()), float(scaled.max())
-
-
 def kernel_bounds(ks: KernelSpectrum, nu: float,
                   m_range: tuple[int | None, int | None] | None = None) -> tuple[float, float]:
-    """Empirical (c1, c2) bounding |g_m(u_l)|^2 |m|^(2 nu) over the fit window."""
-    return _bounds(*_fit_window(ks, m_range), nu)
+    """Empirical (c1, c2) bounding |g_m(u_l)|^2 |m|^(2 nu) from below and above
+    over the fit window of :func:`estimate_nu`."""
+    freqs, amps = _fit_window(ks, m_range)
+    scaled = amps**2 * freqs.astype(float) ** (2.0 * nu)
+    return float(scaled.min()), float(scaled.max())
 
 
 def estimate_nu(ks: KernelSpectrum,
@@ -204,13 +199,10 @@ def estimate_nu(ks: KernelSpectrum,
     """Least-squares estimate of the kernel's polynomial decay exponent.
 
     Fits ``log mean_l |g_m(u_l)|`` against ``log m`` over the inclusive window
-    ``m_range`` (default ``[N/16, N/4]``, also for a ``None`` end) and returns ``nu_hat = -slope``.
-    Updates ``ks.nu`` and the empirical ``c1``/``c2`` diagnostics in place.
+    ``m_range`` (default ``[N/16, N/4]``, also for a ``None`` end) and returns
+    ``nu_hat = -slope``. ``ks`` is not changed.
     """
     freqs, amps = _fit_window(ks, m_range)
     mean_amp = amps.mean(axis=0)
     slope, _ = np.polyfit(np.log(freqs.astype(float)), np.log(mean_amp), 1)
-    nu_hat = -float(slope)
-    ks.nu = nu_hat
-    ks.c1, ks.c2 = _bounds(freqs, amps, nu_hat)
-    return nu_hat
+    return -float(slope)

@@ -21,15 +21,13 @@ def spatial():
 
 @pytest.fixture(scope="session")
 def kernel_for():
-    """Factory: (M, N) -> (kernel grid, fitted KernelSpectrum) with nu estimated."""
+    """Factory: (M, N) -> (reference kernel grid, its KernelSpectrum), cached."""
     cache = {}
 
     def build(m, n):
         if (m, n) not in cache:
             grid = simlab.kernel_grid(m, n)
-            ks = fd.kernel_spectrum(grid)
-            fd.estimate_nu(ks)
-            cache[(m, n)] = (grid, ks)
+            cache[(m, n)] = (grid, fd.kernel_spectrum(grid))
         return cache[(m, n)]
 
     return build

@@ -104,6 +104,7 @@ class TestCriterion4VarianceLaw:
         quadruples when sigma doubles (independent seed block)."""
         m, n, sigma = 64, 512, 0.5
         _, ks = kernel_for(m, n)
+        nu = fd.estimate_nu(ks)
         zero = np.zeros((m, n))
 
         def collect(sig, seed, reps=200):
@@ -111,7 +112,7 @@ class TestCriterion4VarianceLaw:
             for rep in range(reps):
                 obs = simlab.synthesize_data(zero, sig, seed=seed, rep=rep)
                 if cfg is None:
-                    cfg = fd.config_for(obs, ks, mode="functional", nu=ks.nu,
+                    cfg = fd.config_for(obs, ks, mode="functional", nu=nu,
                                         j=6, j_prime=6)
                 co = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
                 ent.append(co.entries)
@@ -120,7 +121,7 @@ class TestCriterion4VarianceLaw:
         ent, co = collect(sigma, seed=0)
         slices = co.time_slices()
         stat = {j: ent[:, :, slices[j]].var(axis=0).mean()
-                * m * n * 2.0 ** (-2 * j * ks.nu) for j in (3, 4, 5)}
+                * m * n * 2.0 ** (-2 * j * nu) for j in (3, 4, 5)}
         spread = max(stat.values()) / min(stat.values())
         ent2, _ = collect(2 * sigma, seed=1)
         doubling = (ent2[:, :, slices[4]].var(axis=0).mean()

@@ -124,8 +124,9 @@ class TestNuEstimateCommand:
         assert main(["nu-estimate", "--kernel", str(kern_path), "--mlo", "10"]) == 0
         out = json.loads(capsys.readouterr().out)
         ks = fd.kernel_spectrum(gridio.load_grid(kern_path).samples)
-        assert out["nu"] == fd.estimate_nu(ks, (10, 256 // 4))
-        assert (out["c1"], out["c2"]) == (ks.c1, ks.c2)
+        nu = fd.estimate_nu(ks, (10, 256 // 4))
+        assert out["nu"] == nu
+        assert (out["c1"], out["c2"]) == fd.kernel_bounds(ks, nu, (10, 256 // 4))
 
 
 class TestDeconvolveCommand:
@@ -190,6 +191,19 @@ class TestDeconvolveCommand:
         assert manifest["j"] == "4"
         assert manifest["jprime"] == "5"
         assert manifest["cbeta"] == "3.0"
+
+    def test_nu_zero_records_the_constant_at_nu_zero(self, workspace):
+        """`--nu 0` thresholds with C_beta = 4 / sqrt(c1) at nu = 0, not with
+        the constant of the fitted nu."""
+        root, obs_path, kern_path = workspace
+        out_path = root / "nu0.fdg"
+        assert main(["deconvolve", "--input", str(obs_path), "--kernel", str(kern_path),
+                     "--out", str(out_path), "--nu", "0"]) == 0
+        manifest = dict(line.split("=", 1) for line in
+                        (root / "nu0.fdg.manifest").read_text().splitlines())
+        ks = fd.kernel_spectrum(gridio.load_grid(kern_path).samples)
+        assert manifest["nu"] == "0.0"
+        assert float(manifest["cbeta"]) == 4.0 / math.sqrt(fd.kernel_bounds(ks, 0.0)[0])
 
     def test_flat_spectrum_kernel_is_a_numerical_failure(self, workspace,
                                                          capsys):
@@ -337,6 +351,15 @@ class TestMalformedInput:
         err = self.assert_one_line_usage_failure(code, capsys)
         assert str(path) in err and not caught
 
+    def test_fdg_kernel_with_a_corrupt_magic(self, workspace, tmp_path, capsys):
+        """The error names the magic, not a CSV decoding failure."""
+        _, _, kern_path = workspace
+        path = tmp_path / "bad.fdg"
+        path.write_bytes(b"XXXX" + kern_path.read_bytes()[4:])
+        err = self.assert_one_line_usage_failure(
+            main(["nu-estimate", "--kernel", str(path)]), capsys)
+        assert str(path) in err and "magic b'XXXX'" in err and "CSV" not in err
+
     @pytest.mark.parametrize("flags", [
         ["--nu", "nan"], ["--nu", "1e300"], ["--nu", "inf"],
         ["--cbeta", "nan"], ["--cbeta", "inf"], ["--nu", "600", "--cbeta", "1"],
@@ -358,9 +381,19 @@ class TestMalformedInput:
         ["compare", "--s1", "10", "--s2", "0.6", "--nu", "0", "--M", "4", "--N", "0"],
         ["rates", "--s1", "2", "--s2=-1/2", "--nu", "1"],
         ["compare", "--s1=-1/2", "--s2", "1", "--nu", "0", "--M", "4", "--N", "64"],
+        ["rates", "--s1", "1", "--s2", "inf", "--nu", "1"],
+        ["rates", "--s1", "1", "--s2", "1", "inf", "--nu", "1"],
+        ["rates", "--s1", "inf", "--s2", "1", "--nu", "1"],
+        ["rates", "--s1", "1", "--s2", "1", "--nu", "inf"],
+        ["compare", "--s1", "inf", "--s2", "1", "--nu", "1", "--M", "4", "--N", "64"],
+        ["compare", "--s1", "1", "--s2", "inf", "--nu", "1", "--M", "4", "--N", "64"],
+        ["compare", "--s1", "1", "--s2", "1", "--nu", "inf", "--M", "4", "--N", "64"],
+        ["compare", "--s1", "1e400", "--s2", "1", "--nu", "1", "--M", "4", "--N", "64"],
     ], ids=["rates_zero_denominator", "compare_zero_denominator", "compare_m_n_zero",
             "compare_negative_m", "compare_n_zero", "rates_negative_s2",
-            "compare_negative_s1"])
+            "compare_negative_s1", "rates_infinite_s2", "rates_infinite_second_s2",
+            "rates_infinite_s1", "rates_infinite_nu", "compare_infinite_s1",
+            "compare_infinite_s2", "compare_infinite_nu", "compare_s1_beyond_float"])
     def test_bad_rate_arguments(self, capsys, argv):
         self.assert_one_line_usage_failure(main(argv), capsys)
 
@@ -407,6 +440,43 @@ def _numbers():
                      st.floats(), st.just("auto")).map(str)
 
 
+def _words():
+    """Flag values that have broken the parsers or the arithmetic before: the
+    non-finite words, a zero denominator, signs and zero, the float limit and
+    beyond, exact fractions; mixed with :func:`_numbers`."""
+    return st.one_of(st.sampled_from(["inf", "nan", "1/0", "-1", "0", "1", "2",
+                                      "1e308", "1e400", "1e-400", "2/3", "-2/3"]),
+                     _numbers())
+
+
+def _flags(flags):
+    """argv words of a {flag: value} dictionary."""
+    return [x for kv in flags.items() for x in kv]
+
+
+def assert_ends_cleanly(argv, capsys, json_out=False):
+    """``main(argv)`` ends with code 0, 1 or 2 and at most one line of stderr
+    and warnings; with ``json_out``, a success prints valid JSON (no NaN or
+    Infinity)."""
+    code, caught = main_recording_warnings(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
+    if json_out and code == 0:
+        json.loads(out, parse_constant=lambda word: pytest.fail(f"{word} in {out}"))
+
+
+@pytest.fixture(scope="module")
+def small_grids(tmp_path_factory):
+    """A 16 x 64 kernel and an observation of a truth under it."""
+    root = tmp_path_factory.mktemp("fuzzgrids")
+    kernel, obs = root / "k.fdg", root / "y.fdg"
+    gridio.save_grid(kernel, fd.ObservationGrid(simlab.kernel_grid(16, 64)))
+    truth = simlab.product_truth("Quadratic", "Blip", 16, 64)
+    gridio.save_grid(obs, simlab.synthesize_data(truth, 0.5, seed=1))
+    return {"input": obs, "kernel": kernel}
+
+
 _FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture,
                                                        HealthCheck.too_slow])
 
@@ -417,29 +487,13 @@ class TestFuzzGridInput:
     with an exit code and at most one stderr line (warnings included), never
     an exception."""
 
-    @pytest.fixture(scope="class")
-    def small_grids(self, tmp_path_factory):
-        """A 16 x 64 kernel and an observation of a truth under it."""
-        root = tmp_path_factory.mktemp("fuzzgrids")
-        kernel, obs = root / "k.fdg", root / "y.fdg"
-        gridio.save_grid(kernel, fd.ObservationGrid(simlab.kernel_grid(16, 64)))
-        truth = simlab.product_truth("Quadratic", "Blip", 16, 64)
-        gridio.save_grid(obs, simlab.synthesize_data(truth, 0.5, seed=1))
-        return {"input": obs, "kernel": kernel}
-
-    def assert_ends_cleanly(self, argv, capsys):
-        code, caught = main_recording_warnings(argv)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2)
-        assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
-
     def deconvolve_with(self, files, role, raw, suffix, tmp_path, capsys):
         path = tmp_path / f"in{suffix}"
         path.write_bytes(raw)
         files = {**files, role: path}
-        self.assert_ends_cleanly(["deconvolve", "--input", str(files["input"]),
-                                  "--kernel", str(files["kernel"]),
-                                  "--out", str(tmp_path / "out.fdg")], capsys)
+        assert_ends_cleanly(["deconvolve", "--input", str(files["input"]),
+                             "--kernel", str(files["kernel"]),
+                             "--out", str(tmp_path / "out.fdg")], capsys)
 
     @given(raw=_grid_file_bytes(), suffix=st.sampled_from([".fdg", ".csv", ".dat"]))
     @example(raw=gridio.MAGIC + gridio._HEADER.pack(16, 64, 0.0)
@@ -460,10 +514,10 @@ class TestFuzzGridInput:
     @settings(_FUZZ, max_examples=100)
     def test_deconvolve_flags_never_raise(self, small_grids, tmp_path, capsys, flags,
                                           mode):
-        self.assert_ends_cleanly(["deconvolve", "--input", str(small_grids["input"]),
-                                  "--kernel", str(small_grids["kernel"]), "--mode", mode,
-                                  "--out", str(tmp_path / "out.fdg"),
-                                  *(x for kv in flags.items() for x in kv)], capsys)
+        assert_ends_cleanly(["deconvolve", "--input", str(small_grids["input"]),
+                             "--kernel", str(small_grids["kernel"]), "--mode", mode,
+                             "--out", str(tmp_path / "out.fdg"),
+                             *_flags(flags)], capsys)
 
     @given(flags=st.dictionaries(st.sampled_from(["--sigma", "--seed", "--cbeta", "--nu"]),
                                  _numbers()),
@@ -473,10 +527,54 @@ class TestFuzzGridInput:
     @settings(_FUZZ, max_examples=100)
     def test_simulate_flags_never_raise(self, tmp_path, capsys, flags, m, n, runs,
                                         threads, mode):
-        self.assert_ends_cleanly(["simulate", "--m", str(m), "--n", str(n),
-                                  "--runs", str(runs), "--threads", str(threads),
-                                  "--mode", mode, "--out", str(tmp_path / "sim.csv"),
-                                  *(x for kv in flags.items() for x in kv)], capsys)
+        assert_ends_cleanly(["simulate", "--m", str(m), "--n", str(n),
+                             "--runs", str(runs), "--threads", str(threads),
+                             "--mode", mode, "--out", str(tmp_path / "sim.csv"),
+                             *_flags(flags)], capsys)
+
+
+class TestFuzzFlags:
+    """Whatever values the flags of `rates`, `compare`, `nu-estimate` and
+    `table1` get, the command ends as in :class:`TestFuzzGridInput`, and a
+    success of the JSON commands prints valid JSON."""
+
+    @given(flags=st.dictionaries(st.sampled_from(["--s1", "--nu", "--p", "--q"]), _words()),
+           s2=st.lists(_words(), min_size=1, max_size=3))
+    @example(flags={"--s1": "1", "--nu": "1"}, s2=["inf"])
+    @example(flags={"--s1": "inf", "--nu": "1"}, s2=["1"])
+    @example(flags={"--s1": "1", "--nu": "inf"}, s2=["1", "inf"])
+    @example(flags={"--s1": "1/2", "--nu": "1e400", "--p": "inf"}, s2=["1"])
+    @settings(_FUZZ, max_examples=150)
+    def test_rates_flags_never_raise(self, capsys, flags, s2):
+        assert_ends_cleanly(["rates", *_flags(flags), "--s2", *s2], capsys, json_out=True)
+
+    @given(flags=st.dictionaries(st.sampled_from(["--s1", "--s2", "--nu", "--M", "--N"]),
+                                 _words()))
+    @example(flags={"--s1": "inf", "--s2": "1", "--nu": "1", "--M": "4", "--N": "64"})
+    @example(flags={"--s1": "1", "--s2": "inf", "--nu": "1", "--M": "4", "--N": "64"})
+    @example(flags={"--s1": "1", "--s2": "1", "--nu": "inf", "--M": "4", "--N": "64"})
+    @example(flags={"--s1": "1e400", "--s2": "1", "--nu": "1", "--M": "4", "--N": "64"})
+    @settings(_FUZZ, max_examples=150)
+    def test_compare_flags_never_raise(self, capsys, flags):
+        assert_ends_cleanly(["compare", *_flags(flags)], capsys, json_out=True)
+
+    @given(flags=st.dictionaries(st.sampled_from(["--mlo", "--mhi"]), _words()))
+    @settings(_FUZZ, max_examples=60)
+    def test_nu_estimate_flags_never_raise(self, small_grids, capsys, flags):
+        assert_ends_cleanly(["nu-estimate", "--kernel", str(small_grids["kernel"]),
+                             *_flags(flags)], capsys, json_out=True)
+
+    @given(seed=_words(), n=st.sampled_from(["64"] * 4 + ["-1", "0", "2", "16", "2/3", "inf"]),
+           threads=st.sampled_from(["1", "2", "0", "-1", "inf"]))
+    @example(seed="-1", n="64", threads="1")
+    @example(seed="0", n="64", threads="2")
+    @settings(_FUZZ, max_examples=12)
+    def test_table1_flags_never_raise(self, tmp_path, capsys, seed, n, threads):
+        """One replicate per cell and N <= 64 keep a call near 0.2 s; N = 64
+        is the smallest N whose default nu-fit window has 8 frequencies."""
+        assert_ends_cleanly(["table1", "--runs", "1", "--n", n, "--seed", seed,
+                             "--threads", threads, "--out", str(tmp_path / "t.csv")],
+                            capsys)
 
 
 class TestTableCommand:

@@ -103,8 +103,30 @@ class TestConfigFor:
 
     def test_default_constant_follows_kernel_fit(self, kernel_for):
         _, ks = kernel_for(64, 512)
-        expected = 4.0 * (2 * np.pi / 3) ** ks.nu / math.sqrt(ks.c1)
+        nu = fd.estimate_nu(ks)
+        expected = 4.0 * (2 * np.pi / 3) ** nu / math.sqrt(fd.kernel_bounds(ks, nu)[0])
         assert fd.default_c_beta(ks) == pytest.approx(expected, rel=1e-12)
+
+    def test_nu_zero_takes_the_constant_at_nu_zero(self, kernel_for):
+        """A given nu = 0 is used for C_beta too, not replaced by the fitted nu."""
+        grid, _ = kernel_for(64, 256)
+        obs = observe(np.zeros((64, 256)), sigma=0.5)
+        ks = fd.kernel_spectrum(grid)
+        cfg = fd.config_for(obs, ks, nu=0.0)
+        assert cfg.nu == 0.0
+        assert cfg.c_beta == 4.0 / math.sqrt(fd.kernel_bounds(ks, 0.0)[0])
+
+    def test_an_earlier_fit_changes_no_later_config(self, kernel_for):
+        """The defaults come from the kernel alone: a fit over another window
+        run before on the same spectrum does not leak into them."""
+        grid, _ = kernel_for(64, 256)
+        obs = observe(np.zeros((64, 256)), sigma=0.5)
+        expected = [fd.config_for(obs, fd.kernel_spectrum(grid), nu=nu)
+                    for nu in (None, 0.0)]
+        ks = fd.kernel_spectrum(grid)
+        fd.estimate_nu(ks, (8, 100))
+        assert [fd.config_for(obs, ks, nu=nu) for nu in (None, 0.0)] == expected
+        assert expected[0].nu == fd.estimate_nu(ks)
 
     def test_resolved_levels_functional(self, kernel_for):
         _, ks = kernel_for(256, 512)
@@ -200,14 +222,14 @@ class TestEstimateCoeffs:
         for j in range(3, big_j):
             atoms += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
         timec = ratio @ np.array(atoms).conj().T               # (M, 2^J)
+        assert np.abs(timec.imag).max() < 1e-12 * np.abs(timec).max()
+        timec = timec.real                       # the spatial DWT takes real rows
         if mode == "functional":
             want = (spatial.dwt_forward(timec.T) / math.sqrt(m))[:, :2**big_jp].T
         else:
             want = timec
         scale = np.abs(want).max()               # noise amplified to ~400
-        assert np.abs(want.imag).max() < 1e-12 * scale
-        np.testing.assert_allclose(coeffs.entries, want.real, rtol=0,
-                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(coeffs.entries, want, rtol=0, atol=1e-12 * scale)
 
     def test_mismatched_kernel_shape_rejected(self, kernel_for):
         _, ks = kernel_for(64, 256)
@@ -377,7 +399,7 @@ class TestReconstruct:
         grid, ks = kernel_for(m, n)
         outs = {}
         for mode in ("functional", "separate"):
-            rec = fd.deconvolve(obs, grid, mode=mode, nu=ks.nu, c_beta=0.0,
+            rec = fd.deconvolve(obs, grid, mode=mode, nu=fd.estimate_nu(ks), c_beta=0.0,
                                 j=6, j_prime=6)
             err = np.linalg.norm(rec.values - truth) / np.linalg.norm(truth)
             assert err < 1e-6, mode
@@ -408,13 +430,14 @@ class TestDeconvolve:
         ~4 when sigma halves (kept-set changes add slack)."""
         grid, ks = kernel_for(64, 512)
         truth = simlab.product_truth("Quadratic", "Blip", 64, 512)
-        base = fd.deconvolve(observe(truth), grid, nu=ks.nu, j=4, j_prime=6).values
+        nu = fd.estimate_nu(ks)
+        base = fd.deconvolve(observe(truth), grid, nu=nu, j=4, j_prime=6).values
         errs = {}
         for sigma in (0.25, 0.5):
             acc = 0.0
             for rep in range(8):
                 obs = observe(truth, sigma=sigma, rep=rep)
-                rec = fd.deconvolve(obs, grid, nu=ks.nu, j=4, j_prime=6)
+                rec = fd.deconvolve(obs, grid, nu=nu, j=4, j_prime=6)
                 acc += ((rec.values - base) ** 2).mean()
             errs[sigma] = acc / 8
         assert errs[0.5] / errs[0.25] == pytest.approx(4.0, rel=0.2)

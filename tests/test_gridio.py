@@ -80,11 +80,12 @@ def test_oversized_header_rejected_before_reading(tmp_path):
 
 
 def test_wrong_magic_rejected(tmp_path, grid):
+    """A .fdg path is read as binary: a corrupt magic is named, not read as CSV."""
     path = tmp_path / "grid.fdg"
     gridio.save_grid_binary(path, grid)
     raw = path.read_bytes()
-    path.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ConfigError):
+    path.write_bytes(b"XX\xe0X" + raw[4:])
+    with pytest.raises(ConfigError, match=r"magic b'XX\\xe0X'"):
         gridio.load_grid(path)
 
 

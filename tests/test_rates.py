@@ -114,6 +114,31 @@ class TestCaseSelection:
         with pytest.raises(ConfigError):
             fd.exponent_2d(ball(2, 1), nu=-1)
 
+    @pytest.mark.parametrize("s1,s2", [(math.inf, (1,)), (1, (math.inf,)),
+                                       (1, (1, math.inf))],
+                             ids=["s1", "s2", "second_s2"])
+    def test_infinite_smoothness_rejected(self, s1, s2):
+        with pytest.raises(ConfigError, match="finite"):
+            fd.BesovBall(s1=s1, s2_vec=s2)
+
+    def test_infinite_nu_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            fd.exponent_multi(ball(2, 1), math.inf)
+
+    def test_p_above_two_keeps_the_arithmetic_exact(self):
+        """p' = min(p, 2) stays a Fraction for p = inf, so a nu beyond the
+        float range is no float overflow."""
+        b = ball(Fraction(1, 2), 1, p=math.inf)
+        assert isinstance(b.s1_prime, Fraction)
+        rep = fd.exponent_multi(b, Fraction(10**400))
+        assert rep.regime == "DenseTime" and rep.d == Fraction(1, 2 + 2 * 10**400)
+
+    def test_exponent_beyond_the_float_range_rejected(self):
+        """Far outside the regime (s1' < 0), d = s1' / (s1' + nu) can be huge."""
+        with pytest.raises(ConfigError, match="float range"):
+            fd.exponent_multi(ball(Fraction(1, 4), 1, p=1),
+                              Fraction(1, 4) + Fraction(1, 10**400))
+
     def test_ball_validation(self):
         with pytest.raises(ConfigError):
             fd.BesovBall(s1=1, s2_vec=())
@@ -212,6 +237,18 @@ class TestCompareStrategies:
         high = fd.compare_strategies(10, 0.6, 0, m=2**18, n=65536)
         assert low.verdict == "SeparateBetter"
         assert high.verdict == "FunctionalBetter"
+
+    @pytest.mark.parametrize("s1,s2,nu", [(math.inf, 1, 1), (1, math.inf, 1),
+                                          (1, 1, math.inf), (Fraction(10**400), 1, 1)],
+                             ids=["s1", "s2", "nu", "s1_beyond_float"])
+    def test_infinite_parameters_rejected(self, s1, s2, nu):
+        with pytest.raises(ConfigError, match="finite"):
+            fd.compare_strategies(s1, s2, nu, m=4, n=64)
+
+    def test_non_finite_exponent_rejected(self):
+        """s2 (2 nu + 1) overflows to inf and the exponent to NaN."""
+        with pytest.raises(ConfigError, match="finite exponent"):
+            fd.compare_strategies(1e300, 1e300, 1e300, m=4, n=64)
 
     def test_report_serializes(self):
         rep = fd.compare_strategies(10, 0.6, 0, m=4, n=65536)

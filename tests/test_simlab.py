@@ -168,7 +168,6 @@ class TestRunMise:
                                seed=7)
         kernel = simlab.kernel_grid(sim.m, sim.n)
         ks = fd.kernel_spectrum(kernel)
-        fd.estimate_nu(ks)
         truth = simlab.product_truth(sim.f1, sim.f2, sim.m, sim.n)
         loop = [simlab.mise(fd.deconvolve(
                     simlab.synthesize_data(truth, sigma, seed=sim.seed, rep=r,
@@ -189,6 +188,12 @@ class TestRunMise:
                                                mode="separate"))
         assert res.mode == "separate"
         assert np.all(res.per_run > 0)
+
+    def test_result_takes_its_mode_from_its_config(self):
+        sim = simlab.SimConfig(mode="separate")
+        res = simlab.MiseResult(np.array([1.0, 3.0]), sim)
+        assert res.config is sim and res.mode == "separate"
+        assert res.mean_mise == 2.0
 
     def test_doubling_runs_shrinks_standard_error_like_root_two(self):
         """Mean over seeds of SE(20 runs)/SE(10 runs) tracks 1/sqrt(2)

@@ -63,22 +63,25 @@ class TestTransform:
         c = spatial.dwt_forward(x)
         assert (c**2).sum() == pytest.approx((x**2).sum(), rel=1e-13)
 
-    def test_complex_input_transforms_real_and_imaginary_parts(self, spatial):
-        """The estimator's input: complex (2^J, M) rows, transposed in memory,
+    def test_transposed_rows_and_strided_views(self, spatial):
+        """The estimator's input: real (2^J, M) rows, transposed in memory,
         inverted from a strided view."""
-        rng = np.random.default_rng(8)
-        re, im = rng.standard_normal((2, 64, 4))
-        z = (re + 1j * im).T
-        c = spatial.dwt_forward(z)
-        np.testing.assert_allclose(
-            c, spatial.dwt_forward(re.T) + 1j * spatial.dwt_forward(im.T),
-            atol=1e-13)
-        assert (abs(c) ** 2).sum() == pytest.approx((abs(z) ** 2).sum(),
-                                                    rel=1e-13)
-        strided = np.zeros((4, 128), dtype=complex)
+        x = np.random.default_rng(8).standard_normal((64, 4)).T
+        c = spatial.dwt_forward(x)
+        assert np.array_equal(c, spatial.dwt_forward(np.ascontiguousarray(x)))
+        assert (c**2).sum() == pytest.approx((x**2).sum(), rel=1e-13)
+        strided = np.zeros((4, 128))
         strided[:, ::2] = c
-        np.testing.assert_allclose(spatial.dwt_inverse(strided[:, ::2]), z,
+        np.testing.assert_allclose(spatial.dwt_inverse(strided[:, ::2]), x,
                                    atol=1e-13)
+
+    def test_complex_input_rejected(self, spatial):
+        """The estimator's rows are real: a complex array, even with a zero
+        imaginary part, raises both ways."""
+        z = np.zeros((4, 64), dtype=complex)
+        for transform in (spatial.dwt_forward, spatial.dwt_inverse):
+            with pytest.raises(ConfigError, match="real"):
+                transform(z)
 
     def test_stacked_input_matches_row_by_row(self, spatial):
         x = np.random.default_rng(9).standard_normal((2, 3, 32))

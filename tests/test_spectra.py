@@ -213,21 +213,25 @@ class TestEstimateNu:
 
     def test_reference_kernel_default_window(self, kernel_for):
         _, ks = kernel_for(64, 512)
-        assert 1.85 <= ks.nu <= 2.15
+        assert 1.85 <= fd.estimate_nu(ks) <= 2.15
 
     def test_reference_kernel_wide_window(self, kernel_for):
         grid, _ = kernel_for(64, 512)
         ks = fd.kernel_spectrum(grid)
         assert 1.85 <= fd.estimate_nu(ks, m_range=(8, 128)) <= 2.15
 
-    def test_updates_bounds_in_place(self, kernel_for):
+    def test_leaves_the_spectrum_unchanged(self, kernel_for):
+        """The fit is a value: the spectrum keeps its coefficients and fields,
+        and the bounds at the fitted exponent satisfy 0 < c1 <= c2."""
         grid, _ = kernel_for(64, 512)
         ks = fd.kernel_spectrum(grid)
-        assert ks.c1 is None and ks.c2 is None
-        fd.estimate_nu(ks)
-        assert 0 < ks.c1 <= ks.c2
-        lo, hi = fd.kernel_bounds(ks, ks.nu)
-        assert (lo, hi) == pytest.approx((ks.c1, ks.c2))
+        before = ks.g_coeffs.copy()
+        nu = fd.estimate_nu(ks, (8, 100))
+        assert np.array_equal(ks.g_coeffs, before)
+        assert vars(ks).keys() <= {"g_coeffs", "zero_floor"}
+        assert fd.estimate_nu(ks, (8, 100)) == nu
+        c1, c2 = fd.kernel_bounds(ks, fd.estimate_nu(ks))
+        assert 0 < c1 <= c2
 
     def test_window_too_small(self):
         with pytest.raises(InsufficientRange):
