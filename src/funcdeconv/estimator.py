@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, LevelTooFine
+from .exceptions import ConfigError, InsufficientRange, LevelTooFine
 from .meyer import MeyerBasis, j_capacity, level_slices
 from .spatial import SpatialBasis
 from .spectra import (KernelSpectrum, ObservationGrid, estimate_nu,
@@ -118,6 +118,9 @@ def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
     if nu is None:
         nu = estimate_nu(ks)
     c1, _ = kernel_bounds(ks, nu)
+    if not c1 > 0:      # |g_m|^2 m^(2 nu) underflows, e.g. for a negative nu
+        raise ConfigError(f"default C_beta needs c1 > 0, got c1={c1} at nu={nu}; "
+                          "give C_beta (--cbeta)")
     return 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
 
 
@@ -125,11 +128,20 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
                c_beta: float | None = None, nu: float | None = None,
                m0: int = 3, m0p: int = 3,
                j: int | None = None, j_prime: int | None = None) -> EstimatorConfig:
-    """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma."""
-    if nu is None:
-        nu = estimate_nu(ks)
-    if c_beta is None:
-        c_beta = default_c_beta(ks, nu)
+    """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma.
+
+    A kernel spectrum too short or too sparse for the fit raises
+    :class:`InsufficientRange`, which names the way round it: giving both
+    ``nu`` and ``c_beta`` skips the fit.
+    """
+    try:
+        if nu is None:
+            nu = estimate_nu(ks)
+        if c_beta is None:
+            c_beta = default_c_beta(ks, nu)
+    except InsufficientRange as exc:
+        raise InsufficientRange(f"{exc}; give both nu and C_beta (--nu and --cbeta) "
+                                "to skip the fit") from None
     if mode == SEPARATE:
         epsilon = grid.sigma / math.sqrt(grid.n)
     else:
@@ -232,16 +244,24 @@ def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
     """
     if spec.shape != ks.g_coeffs.shape:
         raise ConfigError("data and kernel spectra have mismatched shapes")
-    m, n = ks.m, ks.n
-    cfg = cfg.resolved(m, n)
+    cfg = cfg.resolved(ks.m, ks.n)
     basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
     validate_invertible(ks, basis.union_band(cfg.j))
-    k = basis.band_size(cfg.j, n)
-    ratio = spec[:, :k] / ks.g_coeffs[:, :k]          # (M, K)
+    return _band_coeffs(spec[:, :basis.band_size(cfg.j, ks.n)], ks, cfg, basis, sbasis)
+
+
+def _band_coeffs(band: np.ndarray, ks: KernelSpectrum, cfg: EstimatorConfig,
+                 basis: MeyerBasis, sbasis: SpatialBasis) -> HyperCoeffs:
+    """beta-tilde from the K band columns (M, K) of a data spectrum.
+
+    The checks are the caller's: ``cfg`` is resolved, the bases match it
+    and the kernel is invertible on the band (:func:`estimate_coeffs`).
+    """
+    ratio = band / ks.g_coeffs[:, :band.shape[1]]     # (M, K)
     timec = basis.analyze_t(ratio, cfg.j)             # (M, 2^J) real
     if cfg.mode == SEPARATE:
         return HyperCoeffs(timec, cfg)
-    packed = sbasis.dwt_forward(timec.T) / math.sqrt(m)  # (2^J, M)
+    packed = sbasis.dwt_forward(timec.T) / math.sqrt(ks.m)  # (2^J, M)
     return HyperCoeffs(packed[:, :2**cfg.j_prime].T.copy(), cfg)  # (2^J', 2^J)
 
 

@@ -10,23 +10,29 @@ L2 norm. Data generation follows the observation model
 so that row-wise Fourier coefficients multiply exactly: h_m = g_m f_m.
 Replicate ``rep`` of a run seeded with ``seed`` draws its noise from
 ``numpy.random.default_rng([seed, rep])``, which makes every cell of the
-benchmark table bitwise reproducible.
+benchmark table bitwise reproducible. The Monte-Carlo harness
+(:func:`run_mise`) draws that same stream as :func:`synthesize_data` but
+scores each replicate in coefficient space, from the band columns of its
+spectrum only; the basis is orthonormal on the grid, so the score equals the
+grid MISE to rounding.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import FUNCTIONAL, SEPARATE, config_for, deconvolve, finite_arithmetic
+from .estimator import (FUNCTIONAL, SEPARATE, _band_coeffs, config_for, deconvolve,
+                        finite_arithmetic, hard_threshold)
 from .exceptions import ConfigError
 from .gridio import rewrite
 from .meyer import MeyerBasis
 from .spatial import SpatialBasis
-from .spectra import KernelSpectrum, ObservationGrid, kernel_spectrum
+from .spectra import (KernelSpectrum, ObservationGrid, band_dft, fourier_coeffs,
+                      kernel_spectrum)
 
 PAIR_ORDER = (
     ("Quadratic", "Blip"),
@@ -137,16 +143,15 @@ def synthesize_data(truth: np.ndarray, sigma: float, *, seed: int = 0,
     m, n = truth.shape
     if kernel is None:
         kernel = kernel_grid(m, n)
-    return _observe(convolve_rows(kernel, truth), sigma, seed, rep)
-
-
-def _observe(clean: np.ndarray, sigma: float, seed: int, rep: int
-             ) -> ObservationGrid:
-    """``clean`` plus replicate ``rep``'s noise: the seed contract in one place."""
+    clean = convolve_rows(kernel, truth)
     if sigma > 0:
-        rng = np.random.default_rng([seed, rep])
-        clean = clean + sigma * rng.standard_normal(clean.shape)
+        clean = clean + sigma * _noise(clean.shape, seed, rep)
     return ObservationGrid(clean, sigma=sigma)
+
+
+def _noise(shape: tuple, seed: int, rep: int) -> np.ndarray:
+    """Standard normal grid noise of replicate ``rep``: the seed contract in one place."""
+    return np.random.default_rng([seed, rep]).standard_normal(shape)
 
 
 # --- MISE benchmark -------------------------------------------------------
@@ -208,30 +213,47 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
              ) -> MiseResult:
     """Monte-Carlo MISE of the thresholding estimator for one cell.
 
-    The clean convolved signal, kernel diagnostics (nu hat, C_beta) and both
-    bases are computed once and shared across replicates, which only draw
-    their noise; replicate seeds are ``[sim.seed, rep]``, so every replicate
-    grid equals ``synthesize_data(truth, sigma, seed=sim.seed, rep=rep)``.
+    Replicate ``rep`` observes the grid ``synthesize_data(truth, sigma,
+    seed=sim.seed, rep=rep)``, the same noise stream, but its MISE is scored
+    in coefficient space. The Meyer (x) db6 basis is orthonormal on the grid,
+    so ``MISE = bias + w sum (beta_hat - beta)^2`` with the projection bias
+    and the coefficients beta of the noiseless cell, and w = 1 (functional)
+    or 1/M (separate, per-profile coefficients). That equals the grid MISE
+    to rounding. Once per cell, one ``deconvolve`` of the clean signal at the
+    cell's levels with eps = 0 (no threshold) gives beta and the bias and
+    checks the kernel; each replicate then forms only the K band columns of
+    its spectrum, ``clean + sigma * (noise @ F)`` with F the band DFT matrix,
+    and estimates and thresholds its coefficients.
     """
     truth = product_truth(sim.f1, sim.f2, sim.m, sim.n)
     kernel = kernel_grid(sim.m, sim.n)
     clean = convolve_rows(kernel, truth)
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel)
-    template = ObservationGrid(np.zeros((sim.m, sim.n)), sigma=sim.sigma)
-    cfg = config_for(template, kernel_spec, mode=sim.mode,
-                     c_beta=sim.c_beta, nu=sim.nu)
+    cfg = config_for(ObservationGrid(clean, sigma=sim.sigma), kernel_spec,
+                     mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu)
     cfg = cfg.resolved(sim.m, sim.n)
     meyer = MeyerBasis(m0=cfg.m0)
     spatial = SpatialBasis(m0p=cfg.m0p)
+    noiseless = deconvolve(ObservationGrid(clean), kernel_spec,
+                           cfg=replace(cfg, epsilon=0.0), meyer_basis=meyer,
+                           spatial_basis=spatial)
+    bias = mise(noiseless.values, truth)
+    beta = noiseless.coeffs.entries
+    weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
+    k = meyer.band_size(cfg.j, sim.n)
+    clean_band = fourier_coeffs(clean)[:, :k].copy()
+    dft = band_dft(sim.n, k)
 
     def one(rep: int) -> float:
         # worker threads do not inherit the caller's numpy error state
         with finite_arithmetic():
-            grid = _observe(clean, sim.sigma, sim.seed, rep)
-            rec = deconvolve(grid, kernel_spec, cfg=cfg, meyer_basis=meyer,
-                             spatial_basis=spatial)
-            return mise(rec.values, truth)
+            band = clean_band
+            if sim.sigma > 0:
+                noise = _noise((sim.m, sim.n), sim.seed, rep) @ dft
+                band = band + sim.sigma * noise.view(complex)
+            est = hard_threshold(_band_coeffs(band, kernel_spec, cfg, meyer, spatial))
+            return bias + weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)
     if sim.threads > 1:

@@ -106,6 +106,17 @@ def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> np.ndarray:
     return np.fft.rfft(samples, axis=1, norm="forward")
 
 
+def band_dft(n: int, k: int) -> np.ndarray:
+    """(N, 2K) real matrix F with ``(rows @ F).view(complex)`` the first K
+    columns of :func:`fourier_coeffs` of real N-sample rows, to rounding.
+
+    Column pair (2m, 2m + 1) holds ``cos`` and ``-sin`` of ``2 pi m i / N``,
+    over N. The phase ``m i`` is reduced mod N in integers, so it is exact.
+    """
+    phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(k)) % n)
+    return np.stack([np.cos(phase), -np.sin(phase)], axis=-1).reshape(n, 2 * k) / n
+
+
 def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
     """Real inverse of :func:`fourier_coeffs`: ``irfft`` to N samples per row.
 
@@ -170,13 +181,16 @@ def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | Non
     """
     n = ks.n
     lo, hi = m_range if m_range is not None else (None, None)
+    window = "the default window [N/16, N/4] = " if lo is None and hi is None else "the window "
     lo = n // 16 if lo is None else int(lo)
     hi = n // 4 if hi is None else int(hi)
+    window += f"[{lo}, {hi}]"
     if lo < 1 or hi >= n // 2 + 1 or hi < lo:
-        raise InsufficientRange(f"frequency window [{lo}, {hi}] not representable at N={n}")
+        raise InsufficientRange(f"{window} of frequencies is not representable at N={n}")
     freqs = np.arange(lo, hi + 1)
     if freqs.size < 8:
-        raise InsufficientRange(f"need at least 8 frequencies, window [{lo}, {hi}] has {freqs.size}")
+        raise InsufficientRange(f"need at least 8 frequencies, {window} at N={n} "
+                                f"has {freqs.size}")
     # indexed, not sliced: the column-major copy fixes the summation order of
     # the mean over profiles in estimate_nu
     amps = np.abs(ks.g_coeffs[:, freqs])

@@ -287,6 +287,15 @@ class TestMalformedInput:
                      str(kern_path), "--out", str(tmp_path / "z.fdg")])
         self.assert_one_line_usage_failure(code, capsys)
 
+    def test_short_rows_name_the_default_fit_window(self, capsys):
+        """At N = 32 the default nu-fit window [N/16, N/4] holds 7 frequencies;
+        the error names that window and the way round it, which works."""
+        argv = ["simulate", "--m", "16", "--n", "32", "--runs", "1", "--nu", "2"]
+        err = self.assert_one_line_usage_failure(main(argv), capsys)
+        assert "the default window [N/16, N/4] = [2, 8] at N=32 has 7" in err
+        assert "give both nu and C_beta (--nu and --cbeta)" in err
+        assert main(argv + ["--cbeta", "1"]) == 0
+
     def test_values_near_the_float_limit(self, workspace, tmp_path, capsys):
         """Finite samples whose spectrum overflows stop with one line, no
         RuntimeWarning and no output, instead of writing NaNs."""
@@ -511,6 +520,7 @@ class TestFuzzGridInput:
     @given(flags=st.dictionaries(st.sampled_from(["--nu", "--cbeta", "--m0", "--m0p",
                                                   "--j", "--jprime"]), _numbers()),
            mode=st.sampled_from(["functional", "separate"]))
+    @example(flags={"--nu": "-131.0"}, mode="functional")
     @settings(_FUZZ, max_examples=100)
     def test_deconvolve_flags_never_raise(self, small_grids, tmp_path, capsys, flags,
                                           mode):

@@ -159,23 +159,50 @@ class TestRunMise:
                                                  threads=2))
         assert np.array_equal(base.per_run, multi.per_run)
 
-    @pytest.mark.parametrize("mode,sigma", [("functional", 0.5),
-                                            ("separate", 1.0),
-                                            ("functional", 0.0)])
-    def test_matches_a_loop_over_synthesize_data_bitwise(self, mode, sigma):
-        """Convolving once per cell leaves every replicate's MISE unchanged."""
-        sim = simlab.SimConfig(m=64, n=256, sigma=sigma, mode=mode, runs=3,
-                               seed=7)
+    @staticmethod
+    def grid_loop(sim, ks):
+        """Per-run MISEs of the grid path: ``deconvolve`` of each replicate's
+        ``synthesize_data`` grid, scored by ``mise`` on the grid."""
         kernel = simlab.kernel_grid(sim.m, sim.n)
-        ks = fd.kernel_spectrum(kernel)
         truth = simlab.product_truth(sim.f1, sim.f2, sim.m, sim.n)
-        loop = [simlab.mise(fd.deconvolve(
-                    simlab.synthesize_data(truth, sigma, seed=sim.seed, rep=r,
-                                           kernel=kernel),
-                    ks, mode=mode).values, truth)
-                for r in range(sim.runs)]
-        assert simlab.run_mise(sim, kernel_spec=ks).per_run.tobytes() \
-            == np.array(loop).tobytes()
+        return np.array([simlab.mise(fd.deconvolve(
+            simlab.synthesize_data(truth, sim.sigma, seed=sim.seed, rep=r, kernel=kernel),
+            ks, mode=sim.mode).values, truth) for r in range(sim.runs)])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_matches_the_grid_loop_to_rounding(self, mode, sigma):
+        """Coefficient-space scoring of the band spectrum equals the grid
+        path's MISE to rounding, replicate by replicate."""
+        sim = simlab.SimConfig(m=64, n=256, sigma=sigma, mode=mode, runs=3, seed=7)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        np.testing.assert_allclose(simlab.run_mise(sim, kernel_spec=ks).per_run,
+                                   self.grid_loop(sim, ks), rtol=1e-12, atol=0)
+
+    def test_truncated_spatial_rows_land_in_the_bias(self):
+        """At sigma = 20 the functional cell keeps J' = 5 < log2 M = 6 spatial
+        levels; the dropped rows are scored through the noiseless bias."""
+        sim = simlab.SimConfig(m=64, n=256, sigma=20.0, runs=3, seed=7)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        cfg = fd.config_for(fd.ObservationGrid(np.zeros((64, 256)), sigma=20.0), ks)
+        assert cfg.resolved(64, 256).j_prime == 5
+        np.testing.assert_allclose(simlab.run_mise(sim, kernel_spec=ks).per_run,
+                                   self.grid_loop(sim, ks), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kernel_vanishing_on_the_band_is_rejected(self, threads):
+        ks = fd.kernel_spectrum(simlab.kernel_grid(64, 256))
+        g = ks.g_coeffs.copy()
+        g[:, 5] = 0.0                       # in the band, outside the nu fit window
+        sim = simlab.SimConfig(m=64, n=256, runs=3, threads=threads)
+        with pytest.raises(fd.IllPosedKernel):
+            simlab.run_mise(sim, kernel_spec=fd.KernelSpectrum(g))
+
+    def test_separate_mode_at_unit_epsilon_is_a_config_error(self):
+        """sigma = 20 at N = 256 gives per-profile eps = 1.25; no threshold exists."""
+        sim = simlab.SimConfig(m=64, n=256, sigma=20.0, mode="separate", runs=2)
+        with pytest.raises(ConfigError, match=r"epsilon=1\.25 outside \(0, 1\)"):
+            simlab.run_mise(sim)
 
     def test_statistics(self):
         res = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=5, seed=0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcdeconv as fd
-from funcdeconv import simlab
+from funcdeconv import simlab, spectra
 from funcdeconv.exceptions import ConfigError, IllPosedKernel, InsufficientRange
 from funcdeconv.spectra import _ZERO_REL
 
@@ -50,6 +50,13 @@ class TestFourierCoeffs:
         p = np.abs(fd.fourier_coeffs(x)) ** 2
         energy = p[:, 0] + 2 * p[:, 1:64].sum(axis=1) + p[:, 64]
         np.testing.assert_allclose(energy, (x ** 2).mean(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(32, 17), (512, 21)])
+    def test_band_dft_matrix_is_the_band_of_the_rfft(self, n, k):
+        """Up to the Nyquist column (k = N/2 + 1 at N = 32)."""
+        x = np.random.default_rng(5).standard_normal((6, n))
+        band = (x @ spectra.band_dft(n, k)).view(complex)
+        np.testing.assert_allclose(band, fd.fourier_coeffs(x)[:, :k], rtol=0, atol=1e-15)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
