@@ -1,4 +1,4 @@
-"""Closed-form minimax-rate calculators and Besov-ball sequence norms.
+"""Closed-form minimax-rate calculators.
 
 The convergence exponent for the 2-D problem is
 
@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
-
-from .estimator import FUNCTIONAL
 from .exceptions import ConfigError, RegimeWarning
 
 DENSE_SPATIAL = "DenseSpatial"
@@ -81,7 +78,6 @@ class BesovBall:
     s2_vec: tuple
     p: object = 2
     q: object = 2
-    a_radius: float = 1.0
 
     def __post_init__(self):
         self.s1 = _exactify(self.s1)
@@ -96,12 +92,6 @@ class BesovBall:
             raise ConfigError("smoothness s1 and s2 must be positive and finite")
         if not (self.p == math.inf or self.p >= 1) or not (self.q == math.inf or self.q >= 1):
             raise ConfigError("p and q must lie in [1, inf]")
-        if self.a_radius <= 0:
-            raise ConfigError("radius A must be positive")
-
-    @property
-    def r(self) -> int:
-        return len(self.s2_vec)
 
     @property
     def s1_prime(self):
@@ -127,8 +117,6 @@ class RateReport:
     d1: int
     regime: str
     regime_warning: bool = False
-    on_dense_boundary: bool = False
-    on_sparse_boundary: bool = False
 
     def as_dict(self) -> dict:
         out = {"d": float(self.d), "d1": self.d1, "regime": self.regime}
@@ -171,10 +159,8 @@ def exponent_multi(ball: BesovBall, nu) -> RateReport:
     if not math.isfinite(_as_float(d)):
         raise ConfigError("the rate exponent is beyond the float range "
                           "(parameters far outside the theorem regime)")
-    on_dense = _eq(ball.s1, b_dense)
-    on_sparse = _eq(ball.s1, b_sparse)
     ties = sum(_eq(s, ball.s2_min) for s in ball.s2_vec) - 1
-    d1 = int(on_dense) + int(on_sparse) + ties
+    d1 = int(_eq(ball.s1, b_dense)) + int(_eq(ball.s1, b_sparse)) + ties
     warn = not ball.in_regime()
     if warn:
         warnings.warn(
@@ -182,44 +168,7 @@ def exponent_multi(ball: BesovBall, nu) -> RateReport:
             "min(s1, s2) >= max(1/p, 1/2); exponent still computed",
             RegimeWarning, stacklevel=2,
         )
-    return RateReport(d=d, d1=d1, regime=regime, regime_warning=warn,
-                      on_dense_boundary=on_dense, on_sparse_boundary=on_sparse)
-
-
-def exponent_2d(ball: BesovBall, nu) -> RateReport:
-    """2-D (single spatial axis) rate exponent d and log power d1."""
-    if ball.r != 1:
-        raise ConfigError("exponent_2d expects exactly one spatial smoothness")
-    return exponent_multi(ball, nu)
-
-
-def besov_norm(coeffs, s1, s2, p=2, q=2) -> float:
-    """Mixed-smoothness sequence norm of a hyperbolic coefficient array.
-
-    norm = ( sum_{j,j'} 2^{(j s1* + j' s2*) q} ( sum_{k,k'} |beta|^p )^{q/p} )^{1/q}
-
-    with s* = s + 1/2 - 1/p and p, q = inf handled as suprema. ``coeffs`` is
-    a functional-mode :class:`~funcdeconv.estimator.HyperCoeffs`.
-    """
-    if coeffs.config.mode != FUNCTIONAL:
-        raise ConfigError("besov_norm needs functional-mode hyperbolic coefficients")
-    inv_p = 0.0 if p == math.inf else 1.0 / p
-    s1s = float(s1) + 0.5 - inv_p
-    s2s = float(s2) + 0.5 - inv_p
-    tslices = coeffs.time_slices()
-    sslices = coeffs.spatial_slices()
-    terms = []
-    for j, ts in tslices.items():
-        for jp, ss in sslices.items():
-            block = np.abs(coeffs.entries[ss, ts])
-            if p == math.inf:
-                inner = block.max() if block.size else 0.0
-            else:
-                inner = float((block**p).sum()) ** (1.0 / p)
-            terms.append(2.0 ** (j * s1s + jp * s2s) * inner)
-    if q == math.inf:
-        return max(terms)
-    return float(sum(t**q for t in terms)) ** (1.0 / q)
+    return RateReport(d=d, d1=d1, regime=regime, regime_warning=warn)
 
 
 @dataclass
@@ -229,11 +178,9 @@ class ComparisonReport:
     verdict: str
     surrogate: float
     exponent: float
-    note: str = "asymptotic surrogate: limit dropped, finite M, N plugged in"
 
     def as_dict(self) -> dict:
-        return {"verdict": self.verdict, "surrogate": self.surrogate,
-                "exponent": self.exponent}
+        return asdict(self)
 
 
 def compare_strategies(s1, s2, nu, m: int, n: int) -> ComparisonReport:

@@ -219,7 +219,7 @@ class TestCriterion6SingleAtomRecovery:
 
 class TestCriterion7RateCalculatorExactness:
     def test_case_form_matches_min_form_on_10k_admissible_draws(self):
-        """exponent_2d's case selection equals the three-way min form on
+        """exponent_multi's case selection equals the three-way min form on
         10,000 seeded admissible draws, with zero discrepancies, and the
         worked examples are exact as rationals."""
         rng = np.random.default_rng(20260814)
@@ -235,7 +235,7 @@ class TestCriterion7RateCalculatorExactness:
             if not ball.in_regime():
                 continue
             accepted += 1
-            rep = fd.exponent_2d(ball, nu)
+            rep = fd.exponent_multi(ball, nu)
             if rep.d != fd.exponent_min_form(ball, nu):
                 discrepancies += 1
         examples = (
@@ -244,7 +244,7 @@ class TestCriterion7RateCalculatorExactness:
             (fd.BesovBall(s1=Fraction(6, 5), s2_vec=(1,), p=1), 2,
              Fraction(7, 27)),
         )
-        exact = all(fd.exponent_2d(b, nu).d == want for b, nu, want in examples)
+        exact = all(fd.exponent_multi(b, nu).d == want for b, nu, want in examples)
         ok = discrepancies == 0 and exact
         line = _report(7, ok, f"{discrepancies} discrepancies in "
                               f"{accepted} draws; worked examples "
