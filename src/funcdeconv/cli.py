@@ -158,7 +158,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = table1(runs=args.runs, seed=args.seed, n=args.n, threads=args.threads)
+    rows = table1(runs=args.runs, seed=args.seed, n=args.n, threads=args.threads,
+                  c_beta=args.cbeta, nu=args.nu)
     write_table_csv(rows, args.out)
     if args.xy:
         for path in slope_files(rows, args.xy, n=args.n):
@@ -269,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=25, help="replicates per cell")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--n", type=int, default=512, help="samples per profile N")
+    p.add_argument("--cbeta", type=_auto_float, default="auto",
+                   help="threshold constant of every cell")
+    p.add_argument("--nu", type=_auto_float, default="auto",
+                   help="kernel decay exponent of every cell")
     p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--xy", default=None,
@@ -288,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_rational, default=Fraction(2),
                    help="Besov p (inf allowed)")
     p.add_argument("--q", type=_rational, default=Fraction(2),
-                   help="Besov q (inf allowed)")
+                   help="Besov q (inf allowed); recorded only, the exponent "
+                        "does not depend on q")
     p.add_argument("--manifest", default=None, help="optional manifest path")
     p.set_defaults(func=cmd_rates)
 

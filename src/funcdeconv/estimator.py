@@ -238,16 +238,21 @@ def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
                     spatial_basis: SpatialBasis | None = None) -> HyperCoeffs:
     """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
 
-    ``spec`` is the (M, N/2 + 1) half spectrum of :func:`fourier_coeffs`,
-    shaped as ``ks.g_coeffs``. Only the union-band columns are divided by
-    the kernel; the Meyer analysis reads nothing else.
+    ``spec`` is an (M, C) prefix of the half spectrum of
+    :func:`fourier_coeffs`, from its K band columns (``fourier_coeffs(grid,
+    K)`` with K = ``MeyerBasis.band_size(J, N)``) up to all N/2 + 1 of them;
+    other widths raise :class:`ConfigError`. Only the K band columns are
+    divided by the kernel; the Meyer analysis reads nothing else.
     """
-    if spec.shape != ks.g_coeffs.shape:
-        raise ConfigError("data and kernel spectra have mismatched shapes")
     cfg = cfg.resolved(ks.m, ks.n)
     basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
+    k = basis.band_size(cfg.j, ks.n)
+    half = ks.g_coeffs.shape[1]
+    if spec.ndim != 2 or spec.shape[0] != ks.m or not k <= spec.shape[1] <= half:
+        raise ConfigError(f"data spectrum of shape {spec.shape} does not fit the kernel's "
+                          f"{ks.m} profiles: it needs from K={k} to N/2 + 1 = {half} columns")
     validate_invertible(ks, basis.union_band(cfg.j))
-    return _band_coeffs(spec[:, :basis.band_size(cfg.j, ks.n)], ks, cfg, basis, sbasis)
+    return _band_coeffs(spec[:, :k], ks, cfg, basis, sbasis)
 
 
 def _band_coeffs(band: np.ndarray, ks: KernelSpectrum, cfg: EstimatorConfig,
@@ -342,7 +347,11 @@ def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None
         ks = kernel if isinstance(kernel, KernelSpectrum) else kernel_spectrum(kernel)
         if cfg is None:
             cfg = config_for(grid, ks, mode=mode, **config_kwargs)
+        if (grid.m, grid.n) != (ks.m, ks.n):
+            raise ConfigError(f"data grid {grid.m} x {grid.n} and kernel grid "
+                              f"{ks.m} x {ks.n} differ in shape")
         cfg = cfg.resolved(grid.m, grid.n)
         meyer_basis, spatial_basis = _bases(cfg, meyer_basis, spatial_basis)
-        tilde = estimate_coeffs(fourier_coeffs(grid), ks, cfg, meyer_basis, spatial_basis)
+        spec = fourier_coeffs(grid, meyer_basis.band_size(cfg.j, grid.n))
+        tilde = estimate_coeffs(spec, ks, cfg, meyer_basis, spatial_basis)
         return reconstruct(hard_threshold(tilde), grid.m, grid.n, meyer_basis, spatial_basis)

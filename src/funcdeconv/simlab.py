@@ -31,8 +31,7 @@ from .exceptions import ConfigError
 from .gridio import rewrite
 from .meyer import MeyerBasis
 from .spatial import SpatialBasis
-from .spectra import (KernelSpectrum, ObservationGrid, band_dft, fourier_coeffs,
-                      kernel_spectrum)
+from .spectra import KernelSpectrum, ObservationGrid, fourier_coeffs, kernel_spectrum
 
 PAIR_ORDER = (
     ("Quadratic", "Blip"),
@@ -199,10 +198,6 @@ class MiseResult:
             return 0.0
         return float(np.std(self.per_run, ddof=1))
 
-    @property
-    def stderr(self) -> float:
-        return self.sd_mise / np.sqrt(len(self.per_run))
-
 
 def mise(estimate: np.ndarray, truth: np.ndarray) -> float:
     """(1/(MN)) sum (fhat - f)^2 over the grid."""
@@ -222,8 +217,8 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     to rounding. Once per cell, one ``deconvolve`` of the clean signal at the
     cell's levels with eps = 0 (no threshold) gives beta and the bias and
     checks the kernel; each replicate then forms only the K band columns of
-    its spectrum, ``clean + sigma * (noise @ F)`` with F the band DFT matrix,
-    and estimates and thresholds its coefficients.
+    its spectrum, ``clean + sigma * fourier_coeffs(noise, K)``, and estimates
+    and thresholds its coefficients.
     """
     truth = product_truth(sim.f1, sim.f2, sim.m, sim.n)
     kernel = kernel_grid(sim.m, sim.n)
@@ -242,16 +237,15 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     beta = noiseless.coeffs.entries
     weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
     k = meyer.band_size(cfg.j, sim.n)
-    clean_band = fourier_coeffs(clean)[:, :k].copy()
-    dft = band_dft(sim.n, k)
+    clean_band = fourier_coeffs(clean, k)
 
     def one(rep: int) -> float:
         # worker threads do not inherit the caller's numpy error state
         with finite_arithmetic():
             band = clean_band
             if sim.sigma > 0:
-                noise = _noise((sim.m, sim.n), sim.seed, rep) @ dft
-                band = band + sim.sigma * noise.view(complex)
+                noise = fourier_coeffs(_noise((sim.m, sim.n), sim.seed, rep), k)
+                band = band + sim.sigma * noise
             est = hard_threshold(_band_coeffs(band, kernel_spec, cfg, meyer, spatial))
             return bias + weight * float(np.sum((est.thresholded() - beta) ** 2))
 
@@ -267,11 +261,13 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
 
 def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
-           sigmas=(0.5, 1.0), n: int = 512, threads: int = 1) -> list:
+           sigmas=(0.5, 1.0), n: int = 512, threads: int = 1,
+           c_beta: float | None = None, nu: float | None = None) -> list:
     """Full benchmark table: six signal pairs x grid sizes x noise x modes.
 
     Returns one dict per cell, ordered pair-major then M, sigma, mode —
-    48 rows under the defaults.
+    48 rows under the defaults. ``c_beta`` and ``nu`` go to every cell's
+    :class:`SimConfig`; ``None`` resolves them from the kernel.
     """
     rows = []
     spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in m_values}
@@ -280,7 +276,8 @@ def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
             for sigma in sigmas:
                 for mode in (FUNCTIONAL, SEPARATE):
                     sim = SimConfig(f1=f1, f2=f2, m=m, n=n, sigma=sigma,
-                                    mode=mode, runs=runs, seed=seed, threads=threads)
+                                    mode=mode, runs=runs, seed=seed, threads=threads,
+                                    c_beta=c_beta, nu=nu)
                     res = run_mise(sim, kernel_spec=spectra_cache[m])
                     rows.append({
                         "f1": f1, "f2": f2, "M": m, "sigma": sigma,

@@ -11,13 +11,16 @@ computed by a real FFT of each row. Rows are real, so ``coeffs(-m)`` is the
 conjugate of ``coeffs(m)`` and only the non-negative half is stored: the
 spectrum of an N-sample row has N/2 + 1 columns, column ``m`` holding
 frequency ``m`` for ``0 <= m <= N/2`` (the ``rfft`` layout). The row length
-is recovered from the width as ``N = 2 * (columns - 1)``.
+is recovered from the width as ``N = 2 * (columns - 1)``. A band, the first k
+columns, is a prefix of that layout; a narrow one is computed, and taken
+back to the grid, by a real matmul instead of an FFT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,11 +92,26 @@ class KernelSpectrum:
         return _ZERO_REL * np.abs(self.g_coeffs).max(axis=1, keepdims=True)
 
 
-def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> np.ndarray:
+def _matmul_band(k: int, n: int) -> bool:
+    """Whether the first k columns of N-sample rows go by :func:`band_dft` matmul.
+
+    A real matmul costs about k N per row and an FFT about N log2 N, so the
+    matmul wins for a band of a few log2 N columns; the rule keeps it within
+    2 log2 N, where it took about half the FFT's time for N = 128 .. 8192
+    (``scripts/band_crossover.py``). A band reaching N/2 keeps the FFT, which
+    alone gives the Nyquist column its one-sided meaning.
+    """
+    return k < n // 2 and k <= 2 * math.log2(n)
+
+
+def fourier_coeffs(grid: ObservationGrid | np.ndarray, k: int | None = None) -> np.ndarray:
     """Fourier coefficients (M, N/2 + 1) of every (real) profile row, ``m = 0 .. N/2``.
 
     One ``rfft`` with forward normalisation: column ``m`` equals
-    ``fft(rows)[:, m] / N`` to rounding.
+    ``fft(rows)[:, m] / N`` to rounding. With ``k`` only the first k columns,
+    ``m = 0 .. k-1``, are returned (1 <= k <= N/2 + 1). A band with k < N/2
+    and k <= 2 log2 N is the real matmul ``rows @ band_dft(N, k)``, a wider
+    one the ``rfft``'s first k columns; the two agree to rounding.
     """
     samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
     if samples.ndim != 2:
@@ -103,18 +121,29 @@ def fourier_coeffs(grid: ObservationGrid | np.ndarray) -> np.ndarray:
     m, n = samples.shape
     if not _is_pow2(n) or n < 2:
         raise ConfigError(f"time length N={n} must be a power of two >= 2")
-    return np.fft.rfft(samples, axis=1, norm="forward")
+    if k is None:
+        return np.fft.rfft(samples, axis=1, norm="forward")
+    if not 1 <= k <= n // 2 + 1:
+        raise ConfigError(f"a band of k={k} columns does not fit N={n} samples "
+                          f"(1 <= k <= {n // 2 + 1})")
+    if _matmul_band(k, n):
+        return (samples @ band_dft(n, k)).view(complex)
+    return np.fft.rfft(samples, axis=1, norm="forward")[:, :k]
 
 
+@lru_cache(maxsize=8)
 def band_dft(n: int, k: int) -> np.ndarray:
     """(N, 2K) real matrix F with ``(rows @ F).view(complex)`` the first K
     columns of :func:`fourier_coeffs` of real N-sample rows, to rounding.
 
     Column pair (2m, 2m + 1) holds ``cos`` and ``-sin`` of ``2 pi m i / N``,
     over N. The phase ``m i`` is reduced mod N in integers, so it is exact.
+    Memoised: every call with the same (N, K) returns one read-only array.
     """
     phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(k)) % n)
-    return np.stack([np.cos(phase), -np.sin(phase)], axis=-1).reshape(n, 2 * k) / n
+    dft = np.stack([np.cos(phase), -np.sin(phase)], axis=-1).reshape(n, 2 * k) / n
+    dft.flags.writeable = False
+    return dft
 
 
 def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -125,14 +154,21 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
     defaults to ``2 * (cols - 1)``, the full half spectrum. The half stands
     for the conjugate-symmetric two-sided spectrum, so the result is real;
     the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is not
-    read.
+    read. A band that :func:`fourier_coeffs` computes by matmul returns to
+    the grid by the transposed matmul, with each column ``m > 0`` counted
+    twice for its conjugate at ``-m``.
     """
     coeffs = np.asarray(coeffs)
-    full = _half_width_to_n(coeffs.shape[-1])
+    cols = coeffs.shape[-1]
+    full = _half_width_to_n(cols)
     if n is None:
         n = full
     elif n < full:
-        raise ConfigError(f"{coeffs.shape[-1]} spectrum columns do not fit N={n} samples")
+        raise ConfigError(f"{cols} spectrum columns do not fit N={n} samples")
+    if _matmul_band(cols, n):
+        band = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+        weight = np.repeat(np.where(np.arange(cols) == 0, float(n), 2.0 * n), 2)
+        return (band * weight) @ band_dft(n, cols).T
     return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcdeconv as fd
-from funcdeconv import simlab
+from funcdeconv import estimator, simlab
 from funcdeconv.estimator import HyperCoeffs
 from funcdeconv.exceptions import ConfigError, LevelTooFine
 
@@ -238,6 +238,25 @@ class TestEstimateCoeffs:
         with pytest.raises(ConfigError):
             fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
 
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_a_band_prefix_and_the_full_half_give_the_same_coefficients(
+            self, kernel_for, mode):
+        """Any width from K to N/2 + 1 columns reads the same K band columns;
+        fewer than K, or more than N/2 + 1, is rejected."""
+        _, ks = kernel_for(64, 256)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
+        cfg = fd.config_for(obs, ks, mode=mode).resolved(64, 256)
+        k = fd.MeyerBasis().band_size(cfg.j, 256)
+        full = fd.fourier_coeffs(obs.samples)
+        want = fd.estimate_coeffs(full, ks, cfg).entries
+        for width in (k, k + 1, 129):
+            got = fd.estimate_coeffs(full[:, :width].copy(), ks, cfg).entries
+            assert got.tobytes() == want.tobytes(), width
+        padded = np.concatenate([full, full[:, :1]], axis=1)
+        for spec in (full[:, :k - 1], padded, full[:32]):
+            with pytest.raises(ConfigError, match=f"K={k}"):
+                fd.estimate_coeffs(spec, ks, cfg)
+
     def test_separate_mode_keeps_profiles(self, kernel_for):
         _, ks = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256))
@@ -448,6 +467,31 @@ class TestDeconvolve:
         a = fd.deconvolve(observe(truth, 0.5, rep=3), grid).values
         b = fd.deconvolve(observe(truth, 0.5, rep=3), grid).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["capacity", "noisy"])
+    def test_the_data_band_agrees_with_the_full_fft_path(self, kernel_for,
+                                                        monkeypatch, sigma):
+        """``deconvolve`` transforms only the K band columns. At sigma = 0 the
+        levels sit at capacity, K = 22 > 2 log2 N = 14, so both transforms
+        stay FFTs and the output is byte for byte the full-width rfft/irfft
+        pipeline's; at sigma = 0.5 (K = 6) the matmuls agree with it to
+        rounding."""
+        _, ks = kernel_for(64, 128)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 128), sigma)
+        rec = fd.deconvolve(obs, ks)
+        cfg = rec.config
+        full = np.fft.rfft(obs.samples, axis=1, norm="forward")
+        monkeypatch.setattr(estimator, "spectrum_to_samples",
+                            lambda c, n: np.fft.irfft(c, n, axis=-1, norm="forward"))
+        ref = fd.reconstruct(fd.hard_threshold(fd.estimate_coeffs(full, ks, cfg)), 64, 128)
+        k = fd.MeyerBasis().band_size(cfg.j, 128)
+        if sigma == 0:
+            assert k > 2 * 7
+            assert rec.values.tobytes() == ref.values.tobytes()
+        else:
+            assert k <= 2 * 7
+            np.testing.assert_allclose(rec.values, ref.values, rtol=0,
+                                       atol=1e-12 * np.abs(ref.values).max())
 
     def test_config_and_kwargs_conflict(self, kernel_for):
         grid, ks = kernel_for(64, 256)

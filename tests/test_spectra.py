@@ -16,6 +16,16 @@ def tone(n, m, amp=1.0, phase=0.0):
     return amp * np.cos(2 * np.pi * m * t + phase)
 
 
+def row_scale(band):
+    """Largest sample a half-spectrum row can give back, |c_0| + 2 sum |c_m|."""
+    return float((np.abs(band[:, 0]) + 2 * np.abs(band[:, 1:]).sum(axis=1)).max())
+
+
+def band_edge(n):
+    """Widest band the rule sends by matmul: k < N/2 and k <= 2 log2 N."""
+    return min(n // 2 - 1, 2 * int(np.log2(n)))
+
+
 class TestFourierCoeffs:
     def test_constant_row_concentrates_at_dc(self):
         spec = fd.fourier_coeffs(np.full((1, 8), 3.5))
@@ -100,12 +110,15 @@ class TestFourierCoeffs:
                                    rtol=0, atol=1e-12)
 
     def test_a_band_prefix_inverts_as_its_zero_padded_half(self):
+        """The band goes back to the grid by matmul, the padded half by
+        ``irfft``: equal to rounding of the row scale."""
         rng = np.random.default_rng(7)
         band = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
         half = np.zeros((2, 33), dtype=complex)
         half[:, :5] = band
-        assert np.array_equal(fd.spectrum_to_samples(band, 64),
-                              fd.spectrum_to_samples(half))
+        np.testing.assert_allclose(fd.spectrum_to_samples(band, 64),
+                                   fd.spectrum_to_samples(half),
+                                   rtol=0, atol=1e-15 * row_scale(band))
         with pytest.raises(ConfigError):
             fd.spectrum_to_samples(half, 32)
 
@@ -123,6 +136,67 @@ class TestFourierCoeffs:
         bad[0, 0] = np.nan
         with pytest.raises(ConfigError):
             fd.ObservationGrid(bad)
+
+
+class TestBandRoutes:
+    """A band of k columns goes by a real matmul with ``band_dft`` when
+    k < N/2 and k <= 2 log2 N, by ``rfft``/``irfft`` otherwise."""
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 2048])
+    def test_forward_routes_agree(self, n):
+        x = np.random.default_rng(n).standard_normal((6, n))
+        edge = band_edge(n)
+        for k in (1, edge, edge + 1):
+            matmul = (x @ spectra.band_dft(n, k)).view(complex)
+            fft = np.fft.rfft(x, axis=1, norm="forward")[:, :k]
+            np.testing.assert_allclose(matmul, fft, rtol=0,
+                                       atol=1e-15 * np.abs(x).max())
+            assert np.array_equal(fd.fourier_coeffs(x, k), matmul if k <= edge else fft)
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 2048])
+    def test_inverse_routes_agree(self, n):
+        rng = np.random.default_rng(n)
+        edge = band_edge(n)
+        for k in (1, edge, edge + 1):
+            band = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+            weight = np.repeat(np.where(np.arange(k) == 0, n, 2.0 * n), 2)
+            matmul = (band.view(float) * weight) @ spectra.band_dft(n, k).T
+            fft = np.fft.irfft(band, n, axis=-1, norm="forward")
+            np.testing.assert_allclose(matmul, fft, rtol=0, atol=1e-15 * row_scale(band))
+            assert np.array_equal(fd.spectrum_to_samples(band, n),
+                                  matmul if k <= edge else fft)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_a_band_reaching_n_over_2_keeps_the_fft(self, n):
+        """k = N/2 and N/2 + 1 are within 2 log2 N here, but the Nyquist
+        column (k = N/2 + 1) is one-sided: irfft ignores its imaginary part."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n))
+        for k in (n // 2, n // 2 + 1):
+            assert np.array_equal(fd.fourier_coeffs(x, k),
+                                  np.fft.rfft(x, axis=1, norm="forward")[:, :k])
+            band = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+            assert np.array_equal(fd.spectrum_to_samples(band, n),
+                                  np.fft.irfft(band, n, axis=-1, norm="forward"))
+
+    @pytest.mark.parametrize("n,k", [(64, 5), (64, 33)], ids=["matmul", "irfft"])
+    def test_imaginary_part_at_zero_is_not_read(self, n, k):
+        band = np.random.default_rng(8).standard_normal((3, k)) + 0j
+        band[:, 1:] += 1j
+        tilted = band.copy()
+        tilted[:, 0] += 5j
+        assert np.array_equal(fd.spectrum_to_samples(tilted, n),
+                              fd.spectrum_to_samples(band, n))
+
+    @pytest.mark.parametrize("k", [0, -1, 34])
+    def test_band_outside_the_half_spectrum_rejected(self, k):
+        with pytest.raises(ConfigError, match="1 <= k <= 33"):
+            fd.fourier_coeffs(np.zeros((2, 64)), k)
+
+    def test_band_dft_is_memoised_and_read_only(self):
+        dft = spectra.band_dft(512, 11)
+        assert spectra.band_dft(512, 11) is dft
+        assert not dft.flags.writeable
 
 
 class TestKernelSpectrum:
