@@ -50,13 +50,11 @@ def median_ms(fn, repeats: int) -> float:
 def routes(x: np.ndarray, k: int):
     """(forward FFT, forward matmul, inverse FFT, inverse matmul) callables."""
     n = x.shape[1]
-    dft = spectra.band_dft(n, k)
     band = np.fft.rfft(x, axis=1, norm="forward")[:, :k].copy()
-    weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
     return (lambda: np.fft.rfft(x, axis=1, norm="forward")[:, :k],
-            lambda: (x @ dft).view(complex),
+            lambda: spectra._band_forward(x, k),
             lambda: np.fft.irfft(band, n, axis=-1, norm="forward"),
-            lambda: (band.view(float) * weight) @ dft.T)
+            lambda: spectra._band_inverse(band, n))
 
 
 def main() -> None:

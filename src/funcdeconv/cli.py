@@ -158,8 +158,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = table1(runs=args.runs, seed=args.seed, n=args.n, threads=args.threads,
-                  c_beta=args.cbeta, nu=args.nu)
+    rows = table1(runs=args.runs, seed=args.seed, n=args.n, threads=args.threads)
     write_table_csv(rows, args.out)
     if args.xy:
         for path in slope_files(rows, args.xy, n=args.n):
@@ -270,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=25, help="replicates per cell")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--n", type=int, default=512, help="samples per profile N")
-    p.add_argument("--cbeta", type=_auto_float, default="auto",
-                   help="threshold constant of every cell")
-    p.add_argument("--nu", type=_auto_float, default="auto",
-                   help="kernel decay exponent of every cell")
     p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--xy", default=None,

@@ -238,19 +238,21 @@ def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
                     spatial_basis: SpatialBasis | None = None) -> HyperCoeffs:
     """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
 
-    ``spec`` is an (M, C) prefix of the half spectrum of
-    :func:`fourier_coeffs`, from its K band columns (``fourier_coeffs(grid,
-    K)`` with K = ``MeyerBasis.band_size(J, N)``) up to all N/2 + 1 of them;
-    other widths raise :class:`ConfigError`. Only the K band columns are
+    ``spec`` is the (M, N/2 + 1) half spectrum of :func:`fourier_coeffs`,
+    shaped as ``ks.g_coeffs``, or just its K band columns
+    (``fourier_coeffs(grid, K)`` with K = ``MeyerBasis.band_size(J, N)``).
+    Other widths raise :class:`ConfigError`: a width between the two could be
+    the whole half spectrum of a shorter grid. Only the K band columns are
     divided by the kernel; the Meyer analysis reads nothing else.
     """
     cfg = cfg.resolved(ks.m, ks.n)
     basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
     k = basis.band_size(cfg.j, ks.n)
     half = ks.g_coeffs.shape[1]
-    if spec.ndim != 2 or spec.shape[0] != ks.m or not k <= spec.shape[1] <= half:
+    if spec.ndim != 2 or spec.shape[0] != ks.m or spec.shape[1] not in (k, half):
         raise ConfigError(f"data spectrum of shape {spec.shape} does not fit the kernel's "
-                          f"{ks.m} profiles: it needs from K={k} to N/2 + 1 = {half} columns")
+                          f"{ks.m} profiles: it needs the K={k} band columns or all "
+                          f"N/2 + 1 = {half}")
     validate_invertible(ks, basis.union_band(cfg.j))
     return _band_coeffs(spec[:, :k], ks, cfg, basis, sbasis)
 

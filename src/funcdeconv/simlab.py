@@ -45,6 +45,9 @@ PAIR_ORDER = (
 TABLE1_COLUMNS = ("f1", "f2", "M", "sigma", "mode", "mean_mise", "sd_mise",
                   "runs", "seed")
 
+# smallest N whose default nu-fit window [N/16, N/4] holds 8 frequencies
+TABLE1_MIN_N = 64
+
 
 def paper_kernel(u, t):
     """Pointwise reference kernel, periodic in t with period 1."""
@@ -261,14 +264,17 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
 
 def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
-           sigmas=(0.5, 1.0), n: int = 512, threads: int = 1,
-           c_beta: float | None = None, nu: float | None = None) -> list:
+           sigmas=(0.5, 1.0), n: int = 512, threads: int = 1) -> list:
     """Full benchmark table: six signal pairs x grid sizes x noise x modes.
 
     Returns one dict per cell, ordered pair-major then M, sigma, mode —
-    48 rows under the defaults. ``c_beta`` and ``nu`` go to every cell's
-    :class:`SimConfig`; ``None`` resolves them from the kernel.
+    48 rows under the defaults. Every cell fits nu and C_beta from the
+    kernel, so N must be at least :data:`TABLE1_MIN_N`.
     """
+    if n < TABLE1_MIN_N:
+        raise ConfigError(f"table1 needs N >= {TABLE1_MIN_N}, got N={n}: every cell fits "
+                          f"the kernel's nu over the default window [N/16, N/4], which "
+                          f"holds the 8 frequencies the fit needs only from N = {TABLE1_MIN_N}")
     rows = []
     spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in m_values}
     for f1, f2 in PAIR_ORDER:
@@ -276,8 +282,7 @@ def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
             for sigma in sigmas:
                 for mode in (FUNCTIONAL, SEPARATE):
                     sim = SimConfig(f1=f1, f2=f2, m=m, n=n, sigma=sigma,
-                                    mode=mode, runs=runs, seed=seed, threads=threads,
-                                    c_beta=c_beta, nu=nu)
+                                    mode=mode, runs=runs, seed=seed, threads=threads)
                     res = run_mise(sim, kernel_spec=spectra_cache[m])
                     rows.append({
                         "f1": f1, "f2": f2, "M": m, "sigma": sigma,

@@ -127,8 +127,22 @@ def fourier_coeffs(grid: ObservationGrid | np.ndarray, k: int | None = None) -> 
         raise ConfigError(f"a band of k={k} columns does not fit N={n} samples "
                           f"(1 <= k <= {n // 2 + 1})")
     if _matmul_band(k, n):
-        return (samples @ band_dft(n, k)).view(complex)
+        return _band_forward(samples, k)
     return np.fft.rfft(samples, axis=1, norm="forward")[:, :k]
+
+
+def _band_forward(samples: np.ndarray, k: int) -> np.ndarray:
+    """Matmul route of :func:`fourier_coeffs`: the first k columns of real rows."""
+    return (samples @ band_dft(samples.shape[1], k)).view(complex)
+
+
+def _band_inverse(band: np.ndarray, n: int) -> np.ndarray:
+    """Matmul route of :func:`spectrum_to_samples`: N samples per row from a
+    k-column band, each column ``m > 0`` counted twice for its conjugate at ``-m``."""
+    k = band.shape[-1]
+    flat = np.ascontiguousarray(band, dtype=complex).view(float)
+    weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
+    return (flat * weight) @ band_dft(n, k).T
 
 
 @lru_cache(maxsize=8)
@@ -166,9 +180,7 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
     elif n < full:
         raise ConfigError(f"{cols} spectrum columns do not fit N={n} samples")
     if _matmul_band(cols, n):
-        band = np.ascontiguousarray(coeffs, dtype=complex).view(float)
-        weight = np.repeat(np.where(np.arange(cols) == 0, float(n), 2.0 * n), 2)
-        return (band * weight) @ band_dft(n, cols).T
+        return _band_inverse(coeffs, n)
     return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 

@@ -238,22 +238,30 @@ class TestEstimateCoeffs:
         with pytest.raises(ConfigError):
             fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
 
+    def test_whole_spectrum_of_a_shorter_grid_rejected(self, kernel_for):
+        """65 columns are N = 128 data, not a band prefix of N = 256 data."""
+        _, ks = kernel_for(64, 256)
+        obs = observe(np.zeros((64, 128)))
+        cfg = fd.EstimatorConfig(c_beta=1.0, nu=2.0, epsilon=0.0, j=4)
+        assert fd.MeyerBasis().band_size(4, 256) < 65
+        with pytest.raises(ConfigError, match="K=11 band columns"):
+            fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
+
     @pytest.mark.parametrize("mode", ["functional", "separate"])
     def test_a_band_prefix_and_the_full_half_give_the_same_coefficients(
             self, kernel_for, mode):
-        """Any width from K to N/2 + 1 columns reads the same K band columns;
-        fewer than K, or more than N/2 + 1, is rejected."""
+        """The K band columns and the whole N/2 + 1 read the same band; any
+        other width, or another M, is rejected."""
         _, ks = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
         cfg = fd.config_for(obs, ks, mode=mode).resolved(64, 256)
         k = fd.MeyerBasis().band_size(cfg.j, 256)
         full = fd.fourier_coeffs(obs.samples)
         want = fd.estimate_coeffs(full, ks, cfg).entries
-        for width in (k, k + 1, 129):
-            got = fd.estimate_coeffs(full[:, :width].copy(), ks, cfg).entries
-            assert got.tobytes() == want.tobytes(), width
+        got = fd.estimate_coeffs(full[:, :k].copy(), ks, cfg).entries
+        assert got.tobytes() == want.tobytes()
         padded = np.concatenate([full, full[:, :1]], axis=1)
-        for spec in (full[:, :k - 1], padded, full[:32]):
+        for spec in (full[:, :k - 1], full[:, :k + 1], padded, full[:32]):
             with pytest.raises(ConfigError, match=f"K={k}"):
                 fd.estimate_coeffs(spec, ks, cfg)
 

@@ -147,7 +147,7 @@ class TestBandRoutes:
         x = np.random.default_rng(n).standard_normal((6, n))
         edge = band_edge(n)
         for k in (1, edge, edge + 1):
-            matmul = (x @ spectra.band_dft(n, k)).view(complex)
+            matmul = spectra._band_forward(x, k)
             fft = np.fft.rfft(x, axis=1, norm="forward")[:, :k]
             np.testing.assert_allclose(matmul, fft, rtol=0,
                                        atol=1e-15 * np.abs(x).max())
@@ -159,8 +159,7 @@ class TestBandRoutes:
         edge = band_edge(n)
         for k in (1, edge, edge + 1):
             band = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
-            weight = np.repeat(np.where(np.arange(k) == 0, n, 2.0 * n), 2)
-            matmul = (band.view(float) * weight) @ spectra.band_dft(n, k).T
+            matmul = spectra._band_inverse(band, n)
             fft = np.fft.irfft(band, n, axis=-1, norm="forward")
             np.testing.assert_allclose(matmul, fft, rtol=0, atol=1e-15 * row_scale(band))
             assert np.array_equal(fd.spectrum_to_samples(band, n),
@@ -192,6 +191,11 @@ class TestBandRoutes:
     def test_band_outside_the_half_spectrum_rejected(self, k):
         with pytest.raises(ConfigError, match="1 <= k <= 33"):
             fd.fourier_coeffs(np.zeros((2, 64)), k)
+
+    @pytest.mark.parametrize("k", [3, 8], ids=["matmul", "rfft"])
+    def test_complex_rows_rejected_on_either_route(self, k):
+        with pytest.raises(ConfigError, match="must be real"):
+            fd.fourier_coeffs(np.zeros((2, 16), dtype=complex), k)
 
     def test_band_dft_is_memoised_and_read_only(self):
         dft = spectra.band_dft(512, 11)
