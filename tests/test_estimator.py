@@ -232,20 +232,15 @@ class TestEstimateCoeffs:
         np.testing.assert_allclose(coeffs.entries, want, rtol=0, atol=1e-12 * scale)
 
     def test_mismatched_kernel_shape_rejected(self, kernel_for):
+        """The half spectrum of a longer grid, and of a shorter one: the 65
+        columns of N = 128 data are not a K-column band of N = 256 data."""
         _, ks = kernel_for(64, 256)
-        obs = observe(np.zeros((64, 512)))
-        cfg = fd.EstimatorConfig(c_beta=1.0, nu=2.0, epsilon=0.0)
-        with pytest.raises(ConfigError):
-            fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
-
-    def test_whole_spectrum_of_a_shorter_grid_rejected(self, kernel_for):
-        """65 columns are N = 128 data, not a band prefix of N = 256 data."""
-        _, ks = kernel_for(64, 256)
-        obs = observe(np.zeros((64, 128)))
         cfg = fd.EstimatorConfig(c_beta=1.0, nu=2.0, epsilon=0.0, j=4)
-        assert fd.MeyerBasis().band_size(4, 256) < 65
-        with pytest.raises(ConfigError, match="K=11 band columns"):
-            fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
+        assert fd.MeyerBasis().band_size(4, 256) == 11
+        for n in (512, 128):
+            obs = observe(np.zeros((64, n)))
+            with pytest.raises(ConfigError, match="K=11 band columns"):
+                fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
     def test_a_band_prefix_and_the_full_half_give_the_same_coefficients(

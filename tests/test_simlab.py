@@ -248,11 +248,6 @@ class TestTable:
         assert rows[2]["sigma"] == 1.0
         assert rows[4]["M"] == 256
 
-    @pytest.mark.parametrize("n", [2, 32])
-    def test_grid_too_short_for_the_nu_fit_rejected(self, n):
-        with pytest.raises(ConfigError, match=r"N >= 64, got N=%d" % n):
-            simlab.table1(runs=1, n=n)
-
     def test_table_roundtrips_through_csv(self, tmp_path, read_table):
         rows = simlab.table1(runs=1, seed=3, n=256)[:6]
         path = tmp_path / "cells.csv"

@@ -96,8 +96,11 @@ class TestFourierCoeffs:
         assert not c[:, [0, 32]].imag.any()
 
     def test_complex_rows_rejected(self):
-        with pytest.raises(ConfigError):
-            fd.fourier_coeffs(np.zeros((2, 16), dtype=complex))
+        """The whole half, and a band on either route (k = 3 by matmul,
+        k = 8 = N/2 by ``rfft``)."""
+        for k in (None, 3, 8):
+            with pytest.raises(ConfigError, match="must be real"):
+                fd.fourier_coeffs(np.zeros((2, 16), dtype=complex), k)
 
     def test_inverse_of_a_hermitian_spectrum_matches_ifft(self):
         rng = np.random.default_rng(6)
@@ -191,11 +194,6 @@ class TestBandRoutes:
     def test_band_outside_the_half_spectrum_rejected(self, k):
         with pytest.raises(ConfigError, match="1 <= k <= 33"):
             fd.fourier_coeffs(np.zeros((2, 64)), k)
-
-    @pytest.mark.parametrize("k", [3, 8], ids=["matmul", "rfft"])
-    def test_complex_rows_rejected_on_either_route(self, k):
-        with pytest.raises(ConfigError, match="must be real"):
-            fd.fourier_coeffs(np.zeros((2, 16), dtype=complex), k)
 
     def test_band_dft_is_memoised_and_read_only(self):
         dft = spectra.band_dft(512, 11)
