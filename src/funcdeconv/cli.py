@@ -19,8 +19,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .estimator import FUNCTIONAL, SEPARATE, deconvolve, finite_arithmetic
 from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
@@ -97,28 +95,35 @@ def _argv_from_manifest(path) -> list:
 
 # --- subcommand implementations -------------------------------------------
 
-def _coeff_columns(coeffs):
-    """(j, k, jprime, kprime, re, kept) columns of the coefficient CSV.
-
-    Rows run over the (j', j) blocks in ascending level order and through
-    each block row-major; separate mode has one block row, jprime = -1, with
-    kprime the profile index.
-    """
-    blocks = []
-    for jp, ss in coeffs.spatial_slices().items():
-        for j, ts in coeffs.time_slices().items():
-            kprime, k = np.indices(coeffs.entries[ss, ts].shape)
-            blocks.append((np.full(k.size, j), k.ravel(), np.full(k.size, jp),
-                           kprime.ravel(), coeffs.entries[ss, ts].ravel(),
-                           coeffs.kept[ss, ts].ravel().astype(int)))
-    return [np.concatenate(col) for col in zip(*blocks)]
+# About this many coefficients, in whole rows of a block, per write of the
+# coefficient CSV: the file is written as it is formatted.
+_CSV_CHUNK = 512
 
 
 def _write_coeffs_csv(path, coeffs) -> None:
-    columns = (col.tolist() for col in _coeff_columns(coeffs))
-    lines = [f"{j},{k},{jp},{kp},{re!r},{kept}\n" for j, k, jp, kp, re, kept in zip(*columns)]
+    """Coefficient CSV: one ``j,k,jprime,kprime,re,kept`` row per coefficient.
+
+    Rows run over the (j', j) blocks in ascending level order and through
+    each block row-major; separate mode has one block row, jprime = -1, with
+    kprime the profile index. The floats of a chunk are formatted by one
+    ``repr`` of its list, the shortest round-trip digits of ``repr`` of each.
+    """
+    tails = (",0\n", ",1\n")
     with rewrite(path) as fh:
-        fh.write("j,k,jprime,kprime,re,kept\n" + "".join(lines))
+        fh.write("j,k,jprime,kprime,re,kept\n")
+        for jp, ss in coeffs.spatial_slices().items():
+            for j, ts in coeffs.time_slices().items():
+                block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
+                rows, width = block.shape
+                heads = [f"{j},{k},{jp}," for k in range(width)]
+                step = max(1, _CSV_CHUNK // width)
+                for top in range(0, rows, step):
+                    bottom = min(top + step, rows)
+                    starts = [head + f"{kp}," for kp in range(top, bottom) for head in heads]
+                    res = repr(block[top:bottom].ravel().tolist())[1:-1].split(", ")
+                    flags = kept[top:bottom].ravel().tolist()
+                    fh.write("".join([start + re + tails[flag]
+                                      for start, re, flag in zip(starts, res, flags)]))
 
 
 def cmd_deconvolve(args) -> int:

@@ -102,7 +102,10 @@ class EstimatorConfig:
         if self.mode == FUNCTIONAL and m & (m - 1):
             raise ConfigError(f"functional mode transforms across profiles and needs "
                               f"a power-of-two M, got M={m}")
-        limits = resolution_limits(self.epsilon, self.nu, n=n, m=m,
+        # separate mode never transforms across profiles, so it takes fewer
+        # than 2^m0' of them; its unused J' then resolves to m0'
+        spatial_m = m if self.mode == FUNCTIONAL else max(m, 2**self.m0p)
+        limits = resolution_limits(self.epsilon, self.nu, n=n, m=spatial_m,
                                    m0=self.m0, m0p=self.m0p)
         j = self.j if self.j is not None else limits.j
         jp = self.j_prime if self.j_prime is not None else limits.j_prime
@@ -129,6 +132,9 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
                m0: int = 3, m0p: int = 3,
                j: int | None = None, j_prime: int | None = None) -> EstimatorConfig:
     """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma.
+
+    Only ``m``, ``n`` and ``sigma`` of ``grid`` are read, so a Monte-Carlo
+    cell (:class:`funcdeconv.simlab.SimConfig`) serves as well.
 
     A kernel spectrum too short or too sparse for the fit raises
     :class:`InsufficientRange`, which names the way round it: giving both
@@ -321,15 +327,26 @@ def reconstruct(coeffs: HyperCoeffs, m: int, n: int,
         raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
                           f"(J={cfg.j}) do not fit an (M, N) = ({m}, {n}) grid")
     basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
+    values = spectrum_to_samples(_estimate_band(coeffs, m, basis, sbasis), n)
+    return Reconstruction(values, coeffs)
+
+
+def _estimate_band(coeffs: HyperCoeffs, m: int, basis: MeyerBasis,
+                   sbasis: SpatialBasis) -> np.ndarray:
+    """The K band columns (M, K) of the estimate from thresholded coefficients.
+
+    The spatial rows beyond 2^J' count as zero. The checks are the caller's
+    (:func:`reconstruct`): the coefficients fit M profiles and the bases
+    match their config.
+    """
     arr = coeffs.thresholded()
-    if cfg.mode == FUNCTIONAL:
+    if coeffs.config.mode == FUNCTIONAL:
         full = np.zeros((arr.shape[1], m))                 # (2^J, M)
         full[:, :arr.shape[0]] = arr.T
         timec = sbasis.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
     else:
         timec = arr
-    values = spectrum_to_samples(basis.synthesize_t(timec), n)
-    return Reconstruction(values, coeffs)
+    return basis.synthesize_t(timec)
 
 
 def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None,

@@ -332,8 +332,12 @@ class TestMalformedInput:
         ["simulate", "--n", "0"],
         ["simulate", "--threads", "0"],
         ["simulate", "--threads", "-1"],
+        ["simulate", "--sigma", "nan"],
+        ["simulate", "--sigma", "-1"],
+        ["simulate", "--sigma", "inf"],
     ], ids=["simulate_negative_seed", "table1_negative_seed", "simulate_m_zero",
-            "simulate_n_zero", "simulate_threads_zero", "simulate_negative_threads"])
+            "simulate_n_zero", "simulate_threads_zero", "simulate_negative_threads",
+            "simulate_nan_sigma", "simulate_negative_sigma", "simulate_infinite_sigma"])
     def test_bad_simulation_parameter(self, tmp_path, capsys, argv):
         code, caught = main_recording_warnings(
             argv[:1] + ["--runs", "1", "--n", "64", "--out", str(tmp_path / "x.csv")]

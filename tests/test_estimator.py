@@ -496,6 +496,27 @@ class TestDeconvolve:
             np.testing.assert_allclose(rec.values, ref.values, rtol=0,
                                        atol=1e-12 * np.abs(ref.values).max())
 
+    @pytest.mark.parametrize("m", [1, 4, 6])
+    def test_separate_mode_takes_fewer_profiles_than_the_coarsest_spatial_block(
+            self, kernel_for, m):
+        """Separate mode never transforms across profiles, so it runs on
+        M < 2^m0' = 8: each profile's estimate is that of the same row of an
+        8-profile grid, and the unused J' resolves to m0'. Functional mode
+        still needs a power-of-two M of at least 2^m0'."""
+        grid, _ = kernel_for(8, 256)
+        obs = observe(simlab.product_truth("Blip", "Bumps", 8, 256), 0.5, rep=1)
+        fixed = dict(nu=1.85, c_beta=3.0)
+        whole = fd.deconvolve(obs, grid, mode="separate", **fixed)
+        part_obs = fd.ObservationGrid(obs.samples[:m], sigma=0.5)
+        part = fd.deconvolve(part_obs, grid[:m], mode="separate", **fixed)
+        assert (part.config.j, part.config.j_prime) == (whole.config.j, 3)
+        np.testing.assert_allclose(part.coeffs.entries, whole.coeffs.entries[:m], rtol=0,
+                                   atol=1e-12 * np.abs(whole.coeffs.entries).max())
+        np.testing.assert_allclose(part.values, whole.values[:m], rtol=0,
+                                   atol=1e-12 * np.abs(whole.values).max())
+        with pytest.raises(ConfigError, match="M=" + str(m)):
+            fd.deconvolve(part_obs, grid[:m], mode="functional", **fixed)
+
     def test_config_and_kwargs_conflict(self, kernel_for):
         grid, ks = kernel_for(64, 256)
         obs = observe(np.zeros((64, 256)), 0.1)

@@ -1,5 +1,9 @@
 """Simulation harness: kernel, target functions, data synthesis, MISE tables."""
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +141,23 @@ class TestSynthesize:
         assert obs.sigma == 0.75
 
 
+class TestNoiseBlocks:
+    @pytest.mark.parametrize("m", [64, 48, 8],
+                             ids=["whole_blocks", "partial_last_block", "under_one_block"])
+    def test_blocks_concatenate_to_the_grid_noise_bitwise(self, m):
+        """At N = 512 a block holds 32 rows; the blocks, in order, are the
+        replicate's grid noise bit for bit."""
+        blocks = [(start, rows.copy()) for start, rows in simlab._noise_blocks(m, 512, 3, 5)]
+        assert [start for start, _ in blocks] == list(range(0, m, 32))
+        got = np.concatenate([rows for _, rows in blocks])
+        assert got.tobytes() == simlab._noise((m, 512), 3, 5).tobytes()
+
+    def test_the_noise_band_is_the_band_of_the_grid_noise(self):
+        want = fd.fourier_coeffs(simlab._noise((48, 512), 3, 5), 9)
+        np.testing.assert_allclose(simlab._noise_band(48, 512, 9, 3, 5), want,
+                                   rtol=0, atol=1e-15)
+
+
 class TestRunMise:
     def test_noiseless_mise_is_projection_error(self):
         res = simlab.run_mise(simlab.SimConfig(m=64, sigma=0.0, runs=1))
@@ -188,6 +209,38 @@ class TestRunMise:
         assert cfg.resolved(64, 256).j_prime == 5
         np.testing.assert_allclose(simlab.run_mise(sim, kernel_spec=ks).per_run,
                                    self.grid_loop(sim, ks), rtol=1e-12, atol=0)
+
+    def test_a_partial_last_noise_block_matches_the_grid_loop(self):
+        """Separate mode at M = 48, N = 512 draws a 32-row and a 16-row block."""
+        sim = simlab.SimConfig(m=48, n=512, sigma=0.5, mode="separate", runs=2, seed=7)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        np.testing.assert_allclose(simlab.run_mise(sim, kernel_spec=ks).per_run,
+                                   self.grid_loop(sim, ks), rtol=1e-12, atol=0)
+
+    def test_a_cell_forms_no_grid(self):
+        """After a warm-up call (memoised kernel band), a 256 x 512 functional
+        cell peaks below one 256 x 512 float grid under tracemalloc."""
+        sim = simlab.SimConfig(m=256, n=512, runs=3)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        simlab.run_mise(sim, kernel_spec=ks)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            simlab.run_mise(sim, kernel_spec=ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sim.m * sim.n * 8
+
+    def test_a_kernel_of_another_grid_is_rejected(self):
+        ks = fd.kernel_spectrum(simlab.kernel_grid(64, 512))
+        with pytest.raises(ConfigError, match="kernel grid 64 x 512"):
+            simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=1), kernel_spec=ks)
+
+    @pytest.mark.parametrize("sigma", [math.nan, -1.0, math.inf])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
+            simlab.SimConfig(sigma=sigma)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kernel_vanishing_on_the_band_is_rejected(self, threads):
