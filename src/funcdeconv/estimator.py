@@ -103,12 +103,12 @@ class EstimatorConfig:
             raise ConfigError(f"functional mode transforms across profiles and needs "
                               f"a power-of-two M, got M={m}")
         # separate mode never transforms across profiles, so it takes fewer
-        # than 2^m0' of them; its unused J' then resolves to m0'
-        spatial_m = m if self.mode == FUNCTIONAL else max(m, 2**self.m0p)
-        limits = resolution_limits(self.epsilon, self.nu, n=n, m=spatial_m,
-                                   m0=self.m0, m0p=self.m0p)
+        # than 2^m0' of them; its unused J' then resolves to m0'. 2^m0' itself
+        # is never formed: m0' is a user's integer of any size.
+        m0p = self.m0p if self.mode == FUNCTIONAL else min(self.m0p, jprime_capacity(m))
+        limits = resolution_limits(self.epsilon, self.nu, n=n, m=m, m0=self.m0, m0p=m0p)
         j = self.j if self.j is not None else limits.j
-        jp = self.j_prime if self.j_prime is not None else limits.j_prime
+        jp = self.j_prime if self.j_prime is not None else max(limits.j_prime, self.m0p)
         if j > j_capacity(n):
             raise LevelTooFine(f"J={j} exceeds grid capacity {j_capacity(n)} at N={n}")
         if self.mode == FUNCTIONAL and jp > jprime_capacity(m):

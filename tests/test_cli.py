@@ -525,6 +525,7 @@ class TestFuzzGridInput:
                                                   "--j", "--jprime"]), _numbers()),
            mode=st.sampled_from(["functional", "separate"]))
     @example(flags={"--nu": "-131.0"}, mode="functional")
+    @example(flags={"--m0p": str(10**400)}, mode="separate")
     @settings(_FUZZ, max_examples=100)
     def test_deconvolve_flags_never_raise(self, small_grids, tmp_path, capsys, flags,
                                           mode):

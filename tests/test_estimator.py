@@ -517,6 +517,17 @@ class TestDeconvolve:
         with pytest.raises(ConfigError, match="M=" + str(m)):
             fd.deconvolve(part_obs, grid[:m], mode="functional", **fixed)
 
+    @pytest.mark.parametrize("m0p", [2**31, 10**400])
+    def test_separate_mode_resolves_a_huge_m0p_without_forming_two_to_it(self, m0p):
+        """Separate mode resolves J' = m0' for any m0' beyond log2 M at once;
+        forming 2^m0' took 18 s at m0' = 2^31 and all memory at 10^400.
+        Functional mode rejects it."""
+        def config(mode):
+            return fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.1, m0p=m0p, mode=mode)
+        assert config("separate").resolved(16, 64).j_prime == m0p
+        with pytest.raises(ConfigError, match="m0'"):
+            config("functional").resolved(16, 64)
+
     def test_config_and_kwargs_conflict(self, kernel_for):
         grid, ks = kernel_for(64, 256)
         obs = observe(np.zeros((64, 256)), 0.1)
