@@ -327,26 +327,16 @@ def reconstruct(coeffs: HyperCoeffs, m: int, n: int,
         raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
                           f"(J={cfg.j}) do not fit an (M, N) = ({m}, {n}) grid")
     basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
-    values = spectrum_to_samples(_estimate_band(coeffs, m, basis, sbasis), n)
-    return Reconstruction(values, coeffs)
-
-
-def _estimate_band(coeffs: HyperCoeffs, m: int, basis: MeyerBasis,
-                   sbasis: SpatialBasis) -> np.ndarray:
-    """The K band columns (M, K) of the estimate from thresholded coefficients.
-
-    The spatial rows beyond 2^J' count as zero. The checks are the caller's
-    (:func:`reconstruct`): the coefficients fit M profiles and the bases
-    match their config.
-    """
-    arr = coeffs.thresholded()
-    if coeffs.config.mode == FUNCTIONAL:
-        full = np.zeros((arr.shape[1], m))                 # (2^J, M)
-        full[:, :arr.shape[0]] = arr.T
-        timec = sbasis.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
-    else:
-        timec = arr
-    return basis.synthesize_t(timec)
+    # the temporaries are deleted before the M x N grid is allocated
+    timec = coeffs.thresholded()
+    if cfg.mode == FUNCTIONAL:
+        full = np.zeros((timec.shape[1], m))                # (2^J, M)
+        full[:, :rows] = timec.T                            # rows beyond 2^J' stay zero
+        timec = sbasis.dwt_inverse(full).T * math.sqrt(m)   # (M, 2^J)
+        del full
+    band = basis.synthesize_t(timec)
+    del timec
+    return Reconstruction(spectrum_to_samples(band, n), coeffs)
 
 
 def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None,

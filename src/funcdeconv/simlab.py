@@ -11,11 +11,11 @@ so that row-wise Fourier coefficients multiply exactly: h_m = g_m f_m.
 Replicate ``rep`` of a run seeded with ``seed`` draws its noise from
 ``numpy.random.default_rng([seed, rep])``, which makes every cell of the
 benchmark table bitwise reproducible. The Monte-Carlo harness
-(:func:`run_mise`) draws that same stream as :func:`synthesize_data`, in row
-blocks of about 128 KB, but forms no M x N grid: the truth is separable, so
-the clean data are known on the K band columns the estimator reads, each
-noise block is reduced to its band as it is drawn, and every replicate is
-scored in coefficient space. The basis is orthonormal on the grid, so the
+(:func:`run_mise`) draws that same stream, in the same row blocks of about
+128 KB as :func:`synthesize_data`, but forms no M x N grid: the truth is
+separable, so the clean data are known on the K band columns the estimator
+reads, each noise block is reduced to its band as it is drawn, and every
+replicate is scored in coefficient space. The basis is orthonormal on the grid, so the
 score equals the grid MISE to rounding.
 """
 
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (FUNCTIONAL, SEPARATE, _band_coeffs, _estimate_band, config_for,
-                        estimate_coeffs, finite_arithmetic, hard_threshold)
+from .estimator import (FUNCTIONAL, SEPARATE, _band_coeffs, config_for, estimate_coeffs,
+                        finite_arithmetic, hard_threshold)
 from .estimator import deconvolve  # noqa: F401  (perfbench/tracer.py patches simlab.deconvolve)
 from .exceptions import ConfigError
 from .gridio import rewrite
@@ -140,46 +140,36 @@ def convolve_rows(kernel_rows: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def synthesize_data(truth: np.ndarray, sigma: float, *, seed: int = 0,
-                    rep: int = 0, kernel: np.ndarray | None = None
-                    ) -> ObservationGrid:
+                    rep: int = 0) -> ObservationGrid:
     """Noisy convolved observations of ``truth`` under the reference kernel.
 
-    A custom ``kernel`` (same shape as ``truth``) replaces the reference one.
+    The noise is ``sigma`` times replicate ``rep``'s stream, added row block
+    by row block from :func:`_noise_blocks`.
     """
     truth = np.asarray(truth, dtype=float)
     m, n = truth.shape
-    if kernel is None:
-        kernel = kernel_grid(m, n)
-    clean = convolve_rows(kernel, truth)
+    samples = convolve_rows(kernel_grid(m, n), truth)
     if sigma > 0:
-        clean = clean + sigma * _noise(clean.shape, seed, rep)
-    return ObservationGrid(clean, sigma=sigma)
+        for start, rows in _noise_blocks(m, n, seed, rep):
+            samples[start:start + len(rows)] += sigma * rows
+    return ObservationGrid(samples, sigma=sigma)
 
 
 # Bytes of one row block of replicate noise (32 rows at N = 512).
 _NOISE_BLOCK_BYTES = 1 << 17
 
 
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """The seed contract in one place: replicate ``rep`` of a run seeded
-    ``seed`` draws its noise from this stream."""
-    return np.random.default_rng([seed, rep])
-
-
-def _noise(shape: tuple, seed: int, rep: int) -> np.ndarray:
-    """Standard normal grid noise of replicate ``rep``."""
-    return _replicate_rng(seed, rep).standard_normal(shape)
-
-
 def _noise_blocks(m: int, n: int, seed: int, rep: int):
-    """``_noise((m, n), seed, rep)`` as consecutive row blocks of about 128 KB.
+    """Replicate ``rep``'s standard normal (M, N) noise, in row blocks of about 128 KB.
 
+    The seed contract in one place: replicate ``rep`` of a run seeded
+    ``seed`` draws ``default_rng([seed, rep]).standard_normal((m, n))``.
     Yields ``(start, rows)``, the rows from profile ``start`` on. The
     generator fills a C-ordered array in stream order, so the blocks,
     concatenated, are that grid bit for bit. One buffer serves every block:
     a block is valid until the next is drawn.
     """
-    rng = _replicate_rng(seed, rep)
+    rng = np.random.default_rng([seed, rep])
     block = np.empty((max(1, _NOISE_BLOCK_BYTES // (8 * n)), n))
     for start in range(0, m, len(block)):
         rows = block[:m - start]
@@ -188,23 +178,11 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
 
 
 def _noise_band(m: int, n: int, k: int, seed: int, rep: int) -> np.ndarray:
-    """The first k Fourier columns (M, k) of ``_noise((m, n), seed, rep)``,
+    """The first k Fourier columns (M, k) of replicate ``rep``'s noise,
     taken block by block from :func:`_noise_blocks`."""
     band = np.empty((m, k), dtype=complex)
     for start, rows in _noise_blocks(m, n, seed, rep):
         band[start:start + len(rows)] = fourier_coeffs(rows, k)
-    return band
-
-
-@lru_cache(maxsize=8)
-def _reference_band(m: int, n: int, k: int) -> np.ndarray:
-    """First k Fourier columns (M, k) of the reference kernel grid.
-
-    Memoised and read-only. The eight kinds of table1 cell (two M, two
-    sigma, two modes) need at most eight (M, k) pairs.
-    """
-    band = fourier_coeffs(kernel_grid(m, n), k)
-    band.flags.writeable = False
     return band
 
 
@@ -265,30 +243,31 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
              ) -> MiseResult:
     """Monte-Carlo MISE of the thresholding estimator for one cell.
 
-    Replicate ``rep`` observes the grid ``synthesize_data(truth, sigma,
-    seed=sim.seed, rep=rep)``, the same noise stream, but its MISE is scored
+    Replicate ``rep`` observes the grid of ``synthesize_data(truth, sigma,
+    seed=sim.seed, rep=rep)``, the same noise stream, except that the data
+    are made from the cell's kernel ``kernel_spec`` (default: the reference
+    kernel's spectrum), the one the estimator divides by. Its MISE is scored
     in coefficient space and no M x N array is formed, apart from the
-    default ``kernel_spec`` (the reference kernel's spectrum) and the
-    kernel grid behind the first use of a memoised kernel band. The data
-    come from the reference kernel; the estimator divides by ``kernel_spec``.
+    default ``kernel_spec``.
 
     Once per cell: the truth f1 (x) f2 is separable and h_m = g_m f_m, so the
-    clean data's K band columns are the reference kernel's (memoised) times
-    ``outer(f1, F2[:K])``, with F2 the forward-normalised ``rfft`` of f2.
-    ``estimate_coeffs`` of that band at the cell's levels with eps = 0 gives
-    the coefficients beta and checks the kernel. The bias is scored by
-    Parseval against the truth's half spectrum: the estimate's band R holds
-    every frequency the estimate has, so, with c_m = 1 at m = 0 and N/2 and
-    2 otherwise,
+    clean data's K band columns are ``g[:, :K] * outer(f1, F2[:K])``, with F2
+    the forward-normalised ``rfft`` of f2. ``estimate_coeffs`` of that band
+    gives the coefficients beta and checks the kernel. With every coefficient
+    kept the estimate is the orthogonal projection of the truth onto the
+    Meyer (x) db6 atoms, which are orthonormal on the grid, so Pythagoras
+    gives the bias
 
-        bias = (1/M) sum_l sum_{m<K} c_m |R - T|^2 + mean(f1^2) sum_{m>=K} c_m |F2_m|^2.
+        bias = mean(f1^2) mean(f2^2) - w sum beta^2,
+
+    with w = 1 (functional) or 1/M (separate, per-profile coefficients).
 
     Each replicate draws its noise in row blocks of about 128 KB and keeps
     only their K band columns, ``clean + sigma * noise band``; it estimates
     and thresholds its coefficients and scores ``bias + w sum (beta_hat -
-    beta)^2``, with w = 1 (functional) or 1/M (separate, per-profile
-    coefficients). The Meyer (x) db6 basis is orthonormal on the grid, so
-    that equals the grid MISE to rounding.
+    beta)^2``, which equals the grid MISE to rounding. ``sim.threads > 1``
+    runs the replicates on a pool of at most ``runs`` threads and no more
+    than the process's CPUs; the results do not depend on it.
     """
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel_grid(sim.m, sim.n))
@@ -301,20 +280,14 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     meyer = MeyerBasis(m0=cfg.m0)
     spatial = SpatialBasis(m0p=cfg.m0p)
     k = meyer.band_size(cfg.j, sim.n)
+    weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
     with finite_arithmetic():
         f1 = test_function(sim.f1, sim.m)
-        f2_half = np.fft.rfft(test_function(sim.f2, sim.n), norm="forward")
-        truth_band = np.outer(f1, f2_half[:k])
-        clean_band = _reference_band(sim.m, sim.n, k) * truth_band
-        noiseless = estimate_coeffs(clean_band, kernel_spec, replace(cfg, epsilon=0.0),
-                                    meyer, spatial)
-        c = np.full(f2_half.shape, 2.0)
-        c[[0, -1]] = 1.0            # m = 0 and N/2 have no conjugate partner
-        resid = np.abs(_estimate_band(noiseless, sim.m, meyer, spatial) - truth_band) ** 2
-        bias = float(np.mean(resid @ c[:k])
-                     + np.mean(f1**2) * (np.abs(f2_half[k:]) ** 2 @ c[k:]))
-    beta = noiseless.entries
-    weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
+        f2 = test_function(sim.f2, sim.n)
+        f2_band = np.fft.rfft(f2, norm="forward")[:k]
+        clean_band = kernel_spec.g_coeffs[:, :k] * np.outer(f1, f2_band)
+        beta = estimate_coeffs(clean_band, kernel_spec, cfg, meyer, spatial).entries
+        bias = float(np.mean(f1**2) * np.mean(f2**2) - weight * np.sum(beta**2))
 
     def one(rep: int) -> float:
         # worker threads do not inherit the caller's numpy error state
@@ -327,7 +300,9 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
     per_run = np.empty(sim.runs)
     if sim.threads > 1:
-        with ThreadPoolExecutor(max_workers=sim.threads) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(sim.threads, sim.runs, cpus or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for rep, val in enumerate(pool.map(one, range(sim.runs))):
                 per_run[rep] = val
     else:

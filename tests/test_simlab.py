@@ -114,6 +114,8 @@ class TestSynthesize:
     def test_noise_level_and_reproducibility(self):
         zero = np.zeros((64, 512))
         obs = simlab.synthesize_data(zero, 0.5, seed=1, rep=2)
+        want = 0.5 * np.random.default_rng([1, 2]).standard_normal(zero.shape)
+        assert obs.samples.tobytes() == want.tobytes()
         var = obs.samples.var()
         rel = np.sqrt(2.0 / zero.size)
         assert abs(var - 0.25) < 3 * 0.25 * rel
@@ -129,13 +131,6 @@ class TestSynthesize:
         got = simlab.convolve_rows(kernel, truth)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
-    def test_custom_kernel_passthrough(self):
-        m, n = 4, 16
-        truth = np.ones((m, n))
-        flat = np.ones((m, n))
-        obs = simlab.synthesize_data(truth, 0.0, kernel=flat)
-        np.testing.assert_allclose(obs.samples, 1.0, atol=1e-12)
-
     def test_sigma_recorded(self):
         obs = simlab.synthesize_data(np.zeros((4, 16)), 0.75)
         assert obs.sigma == 0.75
@@ -150,19 +145,26 @@ class TestNoiseBlocks:
         blocks = [(start, rows.copy()) for start, rows in simlab._noise_blocks(m, 512, 3, 5)]
         assert [start for start, _ in blocks] == list(range(0, m, 32))
         got = np.concatenate([rows for _, rows in blocks])
-        assert got.tobytes() == simlab._noise((m, 512), 3, 5).tobytes()
+        want = np.random.default_rng([3, 5]).standard_normal((m, 512))
+        assert got.tobytes() == want.tobytes()
 
     def test_the_noise_band_is_the_band_of_the_grid_noise(self):
-        want = fd.fourier_coeffs(simlab._noise((48, 512), 3, 5), 9)
+        want = fd.fourier_coeffs(np.random.default_rng([3, 5]).standard_normal((48, 512)), 9)
         np.testing.assert_allclose(simlab._noise_band(48, 512, 9, 3, 5), want,
                                    rtol=0, atol=1e-15)
 
 
 class TestRunMise:
     def test_noiseless_mise_is_projection_error(self):
-        res = simlab.run_mise(simlab.SimConfig(m=64, sigma=0.0, runs=1))
-        assert res.mean_mise < 1e-3
+        """At sigma = 0 the MISE is the projection bias, the same under a
+        doubled kernel: the cell makes its data from the kernel it divides by."""
+        sim = simlab.SimConfig(m=64, sigma=0.0, runs=1)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        res = simlab.run_mise(sim, kernel_spec=ks)
+        assert 0 < res.mean_mise < 1e-3
         assert res.sd_mise == 0.0
+        doubled = simlab.run_mise(sim, kernel_spec=fd.KernelSpectrum(2 * ks.g_coeffs))
+        np.testing.assert_allclose(doubled.per_run, res.per_run, rtol=1e-12, atol=0)
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,14 +182,28 @@ class TestRunMise:
                                                  threads=2))
         assert np.array_equal(base.per_run, multi.per_run)
 
+    def test_the_pool_holds_no_more_threads_than_runs(self, monkeypatch):
+        """threads=10**6 starts at most ``runs`` worker threads."""
+        sizes = []
+
+        class Recording(simlab.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", Recording)
+        sim = simlab.SimConfig(m=64, n=256, runs=3, seed=2)
+        many = simlab.run_mise(simlab.SimConfig(**{**vars(sim), "threads": 10**6}))
+        assert len(sizes) == 1 and 1 <= sizes[0] <= 3
+        assert np.array_equal(many.per_run, simlab.run_mise(sim).per_run)
+
     @staticmethod
     def grid_loop(sim, ks):
         """Per-run MISEs of the grid path: ``deconvolve`` of each replicate's
         ``synthesize_data`` grid, scored by ``mise`` on the grid."""
-        kernel = simlab.kernel_grid(sim.m, sim.n)
         truth = simlab.product_truth(sim.f1, sim.f2, sim.m, sim.n)
         return np.array([simlab.mise(fd.deconvolve(
-            simlab.synthesize_data(truth, sim.sigma, seed=sim.seed, rep=r, kernel=kernel),
+            simlab.synthesize_data(truth, sim.sigma, seed=sim.seed, rep=r),
             ks, mode=sim.mode).values, truth) for r in range(sim.runs)])
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
@@ -218,8 +234,9 @@ class TestRunMise:
                                    self.grid_loop(sim, ks), rtol=1e-12, atol=0)
 
     def test_a_cell_forms_no_grid(self):
-        """After a warm-up call (memoised kernel band), a 256 x 512 functional
-        cell peaks below one 256 x 512 float grid under tracemalloc."""
+        """After a warm-up call (numpy's lazy imports, the memoised band DFT
+        matrix), a 256 x 512 functional cell peaks below one 256 x 512 float
+        grid under tracemalloc."""
         sim = simlab.SimConfig(m=256, n=512, runs=3)
         ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
         simlab.run_mise(sim, kernel_spec=ks)
