@@ -140,6 +140,8 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
     :class:`InsufficientRange`, which names the way round it: giving both
     ``nu`` and ``c_beta`` skips the fit.
     """
+    if nu is not None and not (math.isfinite(nu) and nu >= 0):
+        raise ConfigError(f"nu must be finite and >= 0, got {nu}")
     try:
         if nu is None:
             nu = estimate_nu(ks)
@@ -187,27 +189,68 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
     return lam
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The estimator an M x N grid and a config fix (:func:`plan`): the resolved
+    config, its bases, the K band columns the Meyer analysis reads and, read-only,
+    lambda_j at each of the 2^J packed time positions."""
+
+    config: EstimatorConfig
+    shape: tuple[int, int]      # (M, N)
+    meyer: MeyerBasis
+    spatial: SpatialBasis
+    k: int
+    lam: np.ndarray
+
+    def band_coeffs(self, band: np.ndarray, ks: KernelSpectrum) -> HyperCoeffs:
+        """beta-tilde from the K band columns (M, K) of a data spectrum; unchecked,
+        as :func:`estimate_coeffs` checks ``ks`` against the plan and the band."""
+        ratio = band / ks.g_coeffs[:, :self.k]                  # (M, K)
+        timec = self.meyer.analyze_t(ratio, self.config.j)      # (M, 2^J) real
+        if self.config.mode == SEPARATE:
+            return HyperCoeffs(timec, self)
+        packed = self.spatial.dwt_forward(timec.T) / math.sqrt(self.shape[0])  # (2^J, M)
+        return HyperCoeffs(packed[:, :2**self.config.j_prime].T.copy(), self)  # (2^J', 2^J)
+
+
+def plan(cfg: EstimatorConfig, m: int, n: int, meyer_basis: MeyerBasis | None = None,
+         spatial_basis: SpatialBasis | None = None) -> Plan:
+    """Resolve ``cfg`` once on an M x N grid: levels, bases, K and thresholds.
+    A given basis at other coarsest levels than the config's is a ConfigError."""
+    cfg = cfg.resolved(m, n)
+    basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
+    sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
+    if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
+        raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
+                          f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
+    lam = np.empty(2**cfg.j)
+    for j, ts in level_slices(cfg.m0, cfg.j).items():
+        lam[ts] = threshold_value(j, cfg)
+    lam.flags.writeable = False
+    return Plan(cfg, (m, n), basis, sbasis, basis.band_size(cfg.j, n), lam)
+
+
 @dataclass
 class HyperCoeffs:
-    """Dense real hyperbolic coefficients, their config and kept/killed flags.
+    """Dense real hyperbolic coefficients, the plan that made them, kept/killed flags.
 
     ``entries[s, tau]`` is indexed by packed time position tau (levels j in
     [m0-1, J)) and, in functional mode, packed spatial position s (levels j'
     in [m0'-1, J')); in separate mode s is the profile, in one block j' = -1.
-    The levels, the mode and the thresholds come from ``config``, whose J and
-    J' must be resolved.
+    The levels, the mode, the thresholds and the bases come from ``plan``.
     """
 
     entries: np.ndarray
-    config: EstimatorConfig
+    plan: Plan
     kept: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.config.j is None or self.config.j_prime is None:
-            raise ConfigError("coefficients need a config with resolved J and J' "
-                              "(EstimatorConfig.resolved)")
         if self.kept is None:
             self.kept = np.ones(self.entries.shape, dtype=bool)
+
+    @property
+    def config(self) -> EstimatorConfig:
+        return self.plan.config
 
     def time_slices(self) -> dict[int, slice]:
         return level_slices(self.config.m0, self.config.j)
@@ -223,59 +266,23 @@ class HyperCoeffs:
         return np.where(self.kept, self.entries, 0.0)
 
 
-def _bases(cfg: EstimatorConfig, meyer_basis: MeyerBasis | None,
-           spatial_basis: SpatialBasis | None) -> tuple[MeyerBasis, SpatialBasis]:
-    """The given bases, or new ones at the config's coarsest levels.
-
-    :class:`ConfigError` is raised for a basis whose coarsest level is not
-    the config's: its coefficients would be laid out at other levels.
-    """
-    basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
-    sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
-    if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
-        raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
-                          f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
-    return basis, sbasis
-
-
-def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum,
-                    cfg: EstimatorConfig,
-                    meyer_basis: MeyerBasis | None = None,
-                    spatial_basis: SpatialBasis | None = None) -> HyperCoeffs:
+def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum, plan: Plan) -> HyperCoeffs:
     """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
 
-    ``spec`` is the (M, N/2 + 1) half spectrum of :func:`fourier_coeffs`,
-    shaped as ``ks.g_coeffs``, or just its K band columns
-    (``fourier_coeffs(grid, K)`` with K = ``MeyerBasis.band_size(J, N)``).
-    Other widths raise :class:`ConfigError`: a width between the two could be
-    the whole half spectrum of a shorter grid. Only the K band columns are
-    divided by the kernel; the Meyer analysis reads nothing else.
+    ``ks`` is the kernel of the plan's M x N grid. ``spec`` is the
+    (M, N/2 + 1) half spectrum of :func:`fourier_coeffs` or just its
+    ``plan.k`` band columns (``fourier_coeffs(grid, plan.k)``). Other widths
+    raise :class:`ConfigError`: a width between the two could be the whole
+    half spectrum of a shorter grid. Only the K band columns are divided by
+    the kernel; the Meyer analysis reads nothing else.
     """
-    cfg = cfg.resolved(ks.m, ks.n)
-    basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
-    k = basis.band_size(cfg.j, ks.n)
-    half = ks.g_coeffs.shape[1]
-    if spec.ndim != 2 or spec.shape[0] != ks.m or spec.shape[1] not in (k, half):
-        raise ConfigError(f"data spectrum of shape {spec.shape} does not fit the kernel's "
-                          f"{ks.m} profiles: it needs the K={k} band columns or all "
-                          f"N/2 + 1 = {half}")
-    validate_invertible(ks, basis.union_band(cfg.j))
-    return _band_coeffs(spec[:, :k], ks, cfg, basis, sbasis)
-
-
-def _band_coeffs(band: np.ndarray, ks: KernelSpectrum, cfg: EstimatorConfig,
-                 basis: MeyerBasis, sbasis: SpatialBasis) -> HyperCoeffs:
-    """beta-tilde from the K band columns (M, K) of a data spectrum.
-
-    The checks are the caller's: ``cfg`` is resolved, the bases match it
-    and the kernel is invertible on the band (:func:`estimate_coeffs`).
-    """
-    ratio = band / ks.g_coeffs[:, :band.shape[1]]     # (M, K)
-    timec = basis.analyze_t(ratio, cfg.j)             # (M, 2^J) real
-    if cfg.mode == SEPARATE:
-        return HyperCoeffs(timec, cfg)
-    packed = sbasis.dwt_forward(timec.T) / math.sqrt(ks.m)  # (2^J, M)
-    return HyperCoeffs(packed[:, :2**cfg.j_prime].T.copy(), cfg)  # (2^J', 2^J)
+    (m, n), k = plan.shape, plan.k
+    if (ks.m, ks.n) != (m, n) or spec.shape not in ((m, k), (m, n // 2 + 1)):
+        raise ConfigError(f"data spectrum of shape {spec.shape} and kernel grid {ks.m} x "
+                          f"{ks.n} do not fit the plan's {m} x {n} grid: the data need "
+                          f"the K={k} band columns or all N/2 + 1 = {n // 2 + 1}")
+    validate_invertible(ks, plan.meyer.union_band(plan.config.j))
+    return plan.band_coeffs(spec[:, :k], ks)
 
 
 def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
@@ -284,15 +291,11 @@ def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
     Only the first spatial block times the time scaling block is exempt: the
     scaling (x) scaling block (j' = m0'-1, j = m0-1) in functional mode, the
     per-profile scaling block in separate mode. Mixed detail/scaling blocks
-    carry the literal level-j threshold.
+    carry the literal level-j threshold, the plan's ``lam``.
     """
-    tslices = coeffs.time_slices()
-    lam = np.empty(coeffs.entries.shape[1])
-    for j, ts in tslices.items():
-        lam[ts] = threshold_value(j, coeffs.config)
-    kept = np.abs(coeffs.entries) > lam
+    kept = np.abs(coeffs.entries) > coeffs.plan.lam
     kept[next(iter(coeffs.spatial_slices().values())),
-         next(iter(tslices.values()))] = True
+         next(iter(coeffs.time_slices().values()))] = True
     return replace(coeffs, kept=kept)
 
 
@@ -308,16 +311,13 @@ class Reconstruction:
         return self.coeffs.config
 
 
-def reconstruct(coeffs: HyperCoeffs, m: int, n: int,
-                meyer_basis: MeyerBasis | None = None,
-                spatial_basis: SpatialBasis | None = None) -> Reconstruction:
-    """Invert thresholded coefficients back to grid samples.
+def reconstruct(coeffs: HyperCoeffs, m: int, n: int) -> Reconstruction:
+    """Invert thresholded coefficients back to grid samples, by the plan's bases.
 
     :class:`ConfigError` is raised for complex entries (a real field has
-    real coefficients), for a basis at other levels than ``coeffs.config``,
-    and when the coefficients do not fit the M x N grid: more than M spatial
-    rows (functional), other than M profile rows (separate), or time levels
-    beyond ``j_capacity(n)``.
+    real coefficients) and when the coefficients do not fit the M x N grid:
+    more than M spatial rows (functional), other than M profile rows
+    (separate), or time levels beyond ``j_capacity(n)``.
     """
     cfg = coeffs.config
     if np.iscomplexobj(coeffs.entries):
@@ -326,15 +326,14 @@ def reconstruct(coeffs: HyperCoeffs, m: int, n: int,
     if rows > m or (cfg.mode == SEPARATE and rows < m) or cfg.j > j_capacity(n):
         raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
                           f"(J={cfg.j}) do not fit an (M, N) = ({m}, {n}) grid")
-    basis, sbasis = _bases(cfg, meyer_basis, spatial_basis)
     # the temporaries are deleted before the M x N grid is allocated
     timec = coeffs.thresholded()
     if cfg.mode == FUNCTIONAL:
         full = np.zeros((timec.shape[1], m))                # (2^J, M)
         full[:, :rows] = timec.T                            # rows beyond 2^J' stay zero
-        timec = sbasis.dwt_inverse(full).T * math.sqrt(m)   # (M, 2^J)
+        timec = coeffs.plan.spatial.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
         del full
-    band = basis.synthesize_t(timec)
+    band = coeffs.plan.meyer.synthesize_t(timec)
     del timec
     return Reconstruction(spectrum_to_samples(band, n), coeffs)
 
@@ -347,7 +346,8 @@ def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None
 
     ``kernel`` is a :class:`KernelSpectrum` or a sampled M x N kernel grid.
     With ``cfg=None`` the configuration is resolved from the grid and kernel
-    (estimated nu, default C_beta, eps from sigma and the mode). It runs
+    (estimated nu, default C_beta, eps from sigma and the mode); one
+    :func:`plan`, given the bases if any, serves every stage. It runs
     under :func:`finite_arithmetic`, so it never returns non-finite values.
     """
     if cfg is not None and config_kwargs:
@@ -359,8 +359,6 @@ def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None
         if (grid.m, grid.n) != (ks.m, ks.n):
             raise ConfigError(f"data grid {grid.m} x {grid.n} and kernel grid "
                               f"{ks.m} x {ks.n} differ in shape")
-        cfg = cfg.resolved(grid.m, grid.n)
-        meyer_basis, spatial_basis = _bases(cfg, meyer_basis, spatial_basis)
-        spec = fourier_coeffs(grid, meyer_basis.band_size(cfg.j, grid.n))
-        tilde = estimate_coeffs(spec, ks, cfg, meyer_basis, spatial_basis)
-        return reconstruct(hard_threshold(tilde), grid.m, grid.n, meyer_basis, spatial_basis)
+        pl = plan(cfg, grid.m, grid.n, meyer_basis, spatial_basis)
+        tilde = estimate_coeffs(fourier_coeffs(grid, pl.k), ks, pl)
+        return reconstruct(hard_threshold(tilde), grid.m, grid.n)

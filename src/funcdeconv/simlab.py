@@ -29,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (FUNCTIONAL, SEPARATE, _band_coeffs, config_for, estimate_coeffs,
-                        finite_arithmetic, hard_threshold)
+from .estimator import (FUNCTIONAL, SEPARATE, config_for, estimate_coeffs, finite_arithmetic,
+                        hard_threshold, plan)
 from .estimator import deconvolve  # noqa: F401  (perfbench/tracer.py patches simlab.deconvolve)
 from .exceptions import ConfigError
 from .gridio import rewrite
-from .meyer import MeyerBasis
-from .spatial import SpatialBasis
 from .spectra import KernelSpectrum, ObservationGrid, fourier_coeffs, kernel_spectrum
 
 PAIR_ORDER = (
@@ -250,13 +248,13 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     in coefficient space and no M x N array is formed, apart from the
     default ``kernel_spec``.
 
-    Once per cell: the truth f1 (x) f2 is separable and h_m = g_m f_m, so the
-    clean data's K band columns are ``g[:, :K] * outer(f1, F2[:K])``, with F2
-    the forward-normalised ``rfft`` of f2. ``estimate_coeffs`` of that band
-    gives the coefficients beta and checks the kernel. With every coefficient
-    kept the estimate is the orthogonal projection of the truth onto the
-    Meyer (x) db6 atoms, which are orthonormal on the grid, so Pythagoras
-    gives the bias
+    Once per cell, :func:`plan` fixes the estimator. The truth f1 (x) f2 is
+    separable and h_m = g_m f_m, so the clean data's K band columns are
+    ``g[:, :K] * outer(f1, F2[:K])``, with F2 the forward-normalised ``rfft``
+    of f2. ``estimate_coeffs`` of that band gives the coefficients beta and
+    checks the kernel. With every coefficient kept the estimate is the
+    orthogonal projection of the truth onto the Meyer (x) db6 atoms, which
+    are orthonormal on the grid, so Pythagoras gives the bias
 
         bias = mean(f1^2) mean(f2^2) - w sum beta^2,
 
@@ -264,10 +262,11 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
     Each replicate draws its noise in row blocks of about 128 KB and keeps
     only their K band columns, ``clean + sigma * noise band``; it estimates
-    and thresholds its coefficients and scores ``bias + w sum (beta_hat -
-    beta)^2``, which equals the grid MISE to rounding. ``sim.threads > 1``
-    runs the replicates on a pool of at most ``runs`` threads and no more
-    than the process's CPUs; the results do not depend on it.
+    its coefficients by the plan's band step, thresholds them and scores
+    ``bias + w sum (beta_hat - beta)^2``, which equals the grid MISE to
+    rounding. ``sim.threads > 1`` runs the replicates on a pool of at most
+    ``runs`` threads and no more than the process's CPUs; the results do not
+    depend on it.
     """
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel_grid(sim.m, sim.n))
@@ -275,18 +274,15 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
         raise ConfigError(f"kernel grid {kernel_spec.m} x {kernel_spec.n} does not fit "
                           f"the cell's {sim.m} x {sim.n} grid")
     # config_for reads only m, n and sigma of its grid, and the cell has them
-    cfg = config_for(sim, kernel_spec, mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu)
-    cfg = cfg.resolved(sim.m, sim.n)
-    meyer = MeyerBasis(m0=cfg.m0)
-    spatial = SpatialBasis(m0p=cfg.m0p)
-    k = meyer.band_size(cfg.j, sim.n)
+    pl = plan(config_for(sim, kernel_spec, mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu),
+              sim.m, sim.n)
     weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
     with finite_arithmetic():
         f1 = test_function(sim.f1, sim.m)
         f2 = test_function(sim.f2, sim.n)
-        f2_band = np.fft.rfft(f2, norm="forward")[:k]
-        clean_band = kernel_spec.g_coeffs[:, :k] * np.outer(f1, f2_band)
-        beta = estimate_coeffs(clean_band, kernel_spec, cfg, meyer, spatial).entries
+        f2_band = np.fft.rfft(f2, norm="forward")[:pl.k]
+        clean_band = kernel_spec.g_coeffs[:, :pl.k] * np.outer(f1, f2_band)
+        beta = estimate_coeffs(clean_band, kernel_spec, pl).entries
         bias = float(np.mean(f1**2) * np.mean(f2**2) - weight * np.sum(beta**2))
 
     def one(rep: int) -> float:
@@ -294,8 +290,8 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
         with finite_arithmetic():
             band = clean_band
             if sim.sigma > 0:
-                band = band + sim.sigma * _noise_band(sim.m, sim.n, k, sim.seed, rep)
-            est = hard_threshold(_band_coeffs(band, kernel_spec, cfg, meyer, spatial))
+                band = band + sim.sigma * _noise_band(sim.m, sim.n, pl.k, sim.seed, rep)
+            est = hard_threshold(pl.band_coeffs(band, kernel_spec))
             return bias + weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)

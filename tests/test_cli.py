@@ -296,6 +296,19 @@ class TestMalformedInput:
         assert "give both nu and C_beta (--nu and --cbeta)" in err
         assert main(argv + ["--cbeta", "1"]) == 0
 
+    @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
+    @pytest.mark.parametrize("cbeta", [[], ["--cbeta", "1"]], ids=["auto_cbeta", "cbeta"])
+    def test_a_nan_nu_is_named(self, workspace, tmp_path, capsys, command, cbeta):
+        """The line names nu, not the default C_beta that a NaN nu cannot give."""
+        _, obs_path, kern_path = workspace
+        args = {"deconvolve": ["--input", str(obs_path), "--kernel", str(kern_path)],
+                "simulate": ["--m", "64", "--n", "256", "--runs", "1"]}[command]
+        out = tmp_path / "z.out"
+        code = main([command, *args, "--nu", "nan", *cbeta, "--out", str(out)])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert "nu must be finite and >= 0, got nan" in err and "C_beta" not in err
+        assert not out.exists()
+
     def test_values_near_the_float_limit(self, workspace, tmp_path, capsys):
         """Finite samples whose spectrum overflows stop with one line, no
         RuntimeWarning and no output, instead of writing NaNs."""

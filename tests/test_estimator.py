@@ -21,7 +21,7 @@ def observe(truth, sigma=0.0, seed=0, rep=0):
 
 def pipeline(obs, ks, **cfg_kwargs):
     cfg = fd.config_for(obs, ks, **cfg_kwargs)
-    return fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg), cfg
+    return fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, fd.plan(cfg, ks.m, ks.n)), cfg
 
 
 class TestResolutionLimits:
@@ -156,6 +156,51 @@ class TestConfigFor:
         with pytest.raises(ConfigError):
             fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.1, j=2)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -0.5])
+    def test_a_given_nu_out_of_range_is_named_before_the_fit(self, kernel_for, nu):
+        """Such a nu is rejected as itself, with or without C_beta, and not as
+        a default C_beta that failed (whose advice, give C_beta, cannot help)."""
+        _, ks = kernel_for(64, 256)
+        obs = observe(np.zeros((64, 256)), sigma=0.5)
+        for c_beta in (None, 1.0):
+            with pytest.raises(ConfigError, match=f"nu must be finite and >= 0, got {nu}"):
+                fd.config_for(obs, ks, nu=nu, c_beta=c_beta)
+
+
+class TestPlan:
+    def test_a_deconvolve_and_a_monte_carlo_cell_resolve_their_config_once(
+            self, kernel_for, monkeypatch):
+        """One plan per call and per cell: estimate_coeffs, hard_threshold,
+        reconstruct and a cell's replicates read it instead of resolving the
+        config again."""
+        calls = []
+        resolved = fd.EstimatorConfig.resolved
+
+        def counting(cfg, m, n):
+            calls.append((m, n))
+            return resolved(cfg, m, n)
+
+        monkeypatch.setattr(fd.EstimatorConfig, "resolved", counting)
+        grid, _ = kernel_for(64, 256)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
+        for mode in ("functional", "separate"):
+            calls.clear()
+            fd.deconvolve(obs, grid, mode=mode)
+            assert calls == [(64, 256)], mode
+            calls.clear()
+            simlab.run_mise(simlab.SimConfig(m=64, n=256, mode=mode, runs=3))
+            assert calls == [(64, 256)], mode
+
+    def test_hard_threshold_reads_the_plans_read_only_lambda_row(self, monkeypatch):
+        """lambda_j is formed once per plan, at each packed time position."""
+        coeffs = make_coeffs(np.zeros((16, 32)), c_beta=2.0, nu=0.7, eps=0.03)
+        lam = coeffs.plan.lam
+        assert not lam.flags.writeable
+        for j, ts in coeffs.time_slices().items():
+            assert (lam[ts] == fd.threshold_value(j, coeffs.config)).all()
+        monkeypatch.setattr(estimator, "threshold_value", None)
+        assert fd.hard_threshold(coeffs).kept[:8, :8].all()
+
 
 class TestEstimateCoeffs:
     def test_zero_data_gives_zero_coefficients(self, kernel_for):
@@ -240,7 +285,7 @@ class TestEstimateCoeffs:
         for n in (512, 128):
             obs = observe(np.zeros((64, n)))
             with pytest.raises(ConfigError, match="K=11 band columns"):
-                fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, cfg)
+                fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, fd.plan(cfg, ks.m, ks.n))
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
     def test_a_band_prefix_and_the_full_half_give_the_same_coefficients(
@@ -252,20 +297,20 @@ class TestEstimateCoeffs:
         cfg = fd.config_for(obs, ks, mode=mode).resolved(64, 256)
         k = fd.MeyerBasis().band_size(cfg.j, 256)
         full = fd.fourier_coeffs(obs.samples)
-        want = fd.estimate_coeffs(full, ks, cfg).entries
-        got = fd.estimate_coeffs(full[:, :k].copy(), ks, cfg).entries
+        want = fd.estimate_coeffs(full, ks, fd.plan(cfg, ks.m, ks.n)).entries
+        got = fd.estimate_coeffs(full[:, :k].copy(), ks, fd.plan(cfg, ks.m, ks.n)).entries
         assert got.tobytes() == want.tobytes()
         padded = np.concatenate([full, full[:, :1]], axis=1)
         for spec in (full[:, :k - 1], full[:, :k + 1], padded, full[:32]):
             with pytest.raises(ConfigError, match=f"K={k}"):
-                fd.estimate_coeffs(spec, ks, cfg)
+                fd.estimate_coeffs(spec, ks, fd.plan(cfg, ks.m, ks.n))
 
     def test_separate_mode_keeps_profiles(self, kernel_for):
         _, ks = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256))
         cfg = fd.config_for(obs, ks, mode="separate", j=5)
         coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks,
-                                    cfg.resolved(64, 256))
+                                    fd.plan(cfg, ks.m, ks.n))
         assert coeffs.entries.shape == (64, 32)
         assert coeffs.config.mode == "separate"
         assert coeffs.spatial_slices() == {-1: slice(0, 64)}
@@ -281,7 +326,7 @@ def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
     jp = int(np.log2(rows)) if mode == "functional" else 3
     cfg = fd.EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=eps, mode=mode,
                              j=int(np.log2(cols)), j_prime=jp)
-    return HyperCoeffs(entries, cfg)
+    return HyperCoeffs(entries, fd.plan(cfg, rows, 2 ** (cfg.j + 2)))
 
 
 class TestHardThreshold:
@@ -486,7 +531,8 @@ class TestDeconvolve:
         full = np.fft.rfft(obs.samples, axis=1, norm="forward")
         monkeypatch.setattr(estimator, "spectrum_to_samples",
                             lambda c, n: np.fft.irfft(c, n, axis=-1, norm="forward"))
-        ref = fd.reconstruct(fd.hard_threshold(fd.estimate_coeffs(full, ks, cfg)), 64, 128)
+        ref = fd.reconstruct(fd.hard_threshold(
+            fd.estimate_coeffs(full, ks, fd.plan(cfg, ks.m, ks.n))), 64, 128)
         k = fd.MeyerBasis().band_size(cfg.j, 128)
         if sigma == 0:
             assert k > 2 * 7
@@ -550,15 +596,15 @@ class TestDeconvolve:
     def test_a_basis_at_other_levels_than_the_config_is_rejected(self, kernel_for,
                                                                  basis, levels):
         """Coefficients are laid out at the config's coarsest levels, so a basis
-        at other levels would mislabel every block; both ends name both levels."""
+        at other levels would mislabel every block; the plan, and a
+        deconvolve that is given the basis, name both levels."""
         _, ks = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.1)
         cfg = fd.config_for(obs, ks).resolved(64, 256)
-        spec = fd.fourier_coeffs(obs.samples)
         with pytest.raises(ConfigError, match=levels):
-            fd.estimate_coeffs(spec, ks, cfg, **basis)
+            fd.plan(cfg, 64, 256, **basis)
         with pytest.raises(ConfigError, match=levels):
-            fd.reconstruct(fd.estimate_coeffs(spec, ks, cfg), 64, 256, **basis)
+            fd.deconvolve(obs, ks, cfg=cfg, **basis)
 
     def test_values_near_the_float_limit_raise_instead_of_returning_nan(self):
         """Finite samples whose spectrum overflows stop with a ConfigError and

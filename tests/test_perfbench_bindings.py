@@ -1,11 +1,13 @@
-"""The pipeline benchmark's span tracer still finds every function it times.
+"""The pipeline benchmark still finds, and calls, what it times.
 
 ``perfbench/tracer.py`` patches functions and methods by name and raises on
-install when one is missing, so a rename in the package fails here and not
-only in a traced benchmark run.
+install when one is missing, and ``perfbench/workloads.py`` calls the package
+in fixed forms (keyword arguments, warm bases, the CLI's manifest replay), so
+a rename or a signature change fails here and not only in a benchmark run.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 import funcdeconv as fd
@@ -61,3 +63,40 @@ def test_count_hooks_see_a_deconvolve_in_each_mode(monkeypatch):
         assert counts[mode]["spectra.fft_bytes"] == (real + half) + (real + band) + (band + real), mode
     assert counts[fd.FUNCTIONAL]["spatial.dwt_madds"] > 0
     assert counts[fd.SEPARATE].get("spatial.dwt_madds", 0) == 0
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def test_the_deconv_workload_runs_and_checks_at_64x256(monkeypatch):
+    """Its call form: ``cfg.resolved`` and bases at set-up, then
+    ``deconvolve(cfg=, meyer_basis=, spatial_basis=)`` per operation."""
+    workloads = _workloads(monkeypatch)
+
+    class Small(workloads.Deconv):
+        m, n = 64, 256
+
+    w = Small()
+    state = w.setup(w.make_inputs(0))
+    for op in w.ops(state):
+        (mise,), counts = w.check(state, op, w.run(state, op))
+        assert math.isfinite(mise) and counts == {}
+    assert w.once(state) == []
+
+
+def test_the_cli_workload_runs_checks_and_replays_at_64x256(monkeypatch, tmp_path):
+    """One cold ``cli.main deconvolve`` per mode, then ``--from-manifest``
+    replay, which must rewrite every output byte for byte."""
+    workloads = _workloads(monkeypatch)
+
+    class Small(workloads.CliDeconvolve):
+        m, n = 64, 256
+
+    w = Small(tmp_path)
+    state = w.setup(w.make_inputs(0))
+    mises, counts = w.check(state, 0, w.run(state, 0))
+    assert len(mises) == 2 and all(map(math.isfinite, mises))
+    assert counts["cli.coeff_rows"] > 0
+    assert len(w.once(state)) == len(w.modes)
