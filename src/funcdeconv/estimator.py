@@ -26,9 +26,9 @@ import numpy as np
 from .exceptions import ConfigError, InsufficientRange, LevelTooFine
 from .meyer import MeyerBasis, j_capacity, level_slices
 from .spatial import SpatialBasis
-from .spectra import (KernelSpectrum, ObservationGrid, estimate_nu,
-                      fourier_coeffs, kernel_bounds, kernel_spectrum,
-                      spectrum_to_samples, validate_invertible)
+from .spectra import (KernelSpectrum, ObservationGrid, _kernel_fit, fourier_coeffs,
+                      kernel_spectrum, spectrum_to_samples, validate_invertible)
+from .spectra import estimate_nu  # noqa: F401  (perfbench/tracer.py patches estimator.estimate_nu)
 
 FUNCTIONAL = "functional"
 SEPARATE = "separate"
@@ -116,15 +116,16 @@ class EstimatorConfig:
         return replace(self, j=j, j_prime=jp)
 
 
-def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
-    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical); nu = None fits nu."""
-    if nu is None:
-        nu = estimate_nu(ks)
-    c1, _ = kernel_bounds(ks, nu)
+def _c_beta(nu: float, c1: float) -> float:
     if not c1 > 0:      # |g_m|^2 m^(2 nu) underflows, e.g. for a negative nu
         raise ConfigError(f"default C_beta needs c1 > 0, got c1={c1} at nu={nu}; "
                           "give C_beta (--cbeta)")
     return 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
+
+
+def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
+    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical); nu = None fits nu."""
+    return _c_beta(*_kernel_fit(ks, nu))
 
 
 def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL,
@@ -134,26 +135,32 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
     """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma.
 
     Only ``m``, ``n`` and ``sigma`` of ``grid`` are read, so a Monte-Carlo
-    cell (:class:`funcdeconv.simlab.SimConfig`) serves as well.
+    cell (:class:`funcdeconv.simlab.SimConfig`) serves as well. A sigma that
+    makes eps >= 1 (sigma >= sqrt(MN) in functional mode, sqrt(N) in
+    separate mode) leaves no threshold and raises :class:`ConfigError`.
 
-    A kernel spectrum too short or too sparse for the fit raises
+    The kernel's fit window is read once, and only when nu or C_beta is
+    missing. A kernel spectrum too short or too sparse for the fit raises
     :class:`InsufficientRange`, which names the way round it: giving both
     ``nu`` and ``c_beta`` skips the fit.
     """
     if nu is not None and not (math.isfinite(nu) and nu >= 0):
         raise ConfigError(f"nu must be finite and >= 0, got {nu}")
-    try:
-        if nu is None:
-            nu = estimate_nu(ks)
+    points = grid.n if mode == SEPARATE else grid.m * grid.n
+    epsilon = grid.sigma / math.sqrt(points)
+    if epsilon >= 1.0:
+        bound = "sqrt(N)" if mode == SEPARATE else "sqrt(MN)"
+        raise ConfigError(f"sigma={grid.sigma} is too large for {mode} mode on a {grid.m} x "
+                          f"{grid.n} grid: it needs sigma < {bound} = {math.sqrt(points)!r} "
+                          f"(epsilon={epsilon} outside (0, 1))")
+    if nu is None or c_beta is None:
+        try:
+            nu, c1 = _kernel_fit(ks, nu, bounds=c_beta is None)
+        except InsufficientRange as exc:
+            raise InsufficientRange(f"{exc}; give both nu and C_beta (--nu and --cbeta) "
+                                    "to skip the fit") from None
         if c_beta is None:
-            c_beta = default_c_beta(ks, nu)
-    except InsufficientRange as exc:
-        raise InsufficientRange(f"{exc}; give both nu and C_beta (--nu and --cbeta) "
-                                "to skip the fit") from None
-    if mode == SEPARATE:
-        epsilon = grid.sigma / math.sqrt(grid.n)
-    else:
-        epsilon = grid.sigma / math.sqrt(grid.m * grid.n)
+            c_beta = _c_beta(nu, c1)
     return EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=epsilon, m0=m0,
                            m0p=m0p, j=j, j_prime=j_prime, mode=mode)
 

@@ -266,7 +266,8 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     ``bias + w sum (beta_hat - beta)^2``, which equals the grid MISE to
     rounding. ``sim.threads > 1`` runs the replicates on a pool of at most
     ``runs`` threads and no more than the process's CPUs; the results do not
-    depend on it.
+    depend on it. At sigma = 0 the replicates draw no noise, so one is scored
+    and its MISE repeated ``runs`` times, without a pool.
     """
     if kernel_spec is None:
         kernel_spec = kernel_spectrum(kernel_grid(sim.m, sim.n))
@@ -295,7 +296,9 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
             return bias + weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)
-    if sim.threads > 1:
+    if sim.sigma == 0:      # every replicate is the same noiseless computation
+        per_run[:] = one(0)
+    elif sim.threads > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = min(sim.threads, sim.runs, cpus or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -14,6 +14,12 @@ frequency ``m`` for ``0 <= m <= N/2`` (the ``rfft`` layout). The row length
 is recovered from the width as ``N = 2 * (columns - 1)``. A band, the first k
 columns, is a prefix of that layout; a narrow one is computed, and taken
 back to the grid, by a real matmul instead of an FFT.
+
+The kernel's decay exponent nu and its bounds c1, c2 are fitted over a window
+of frequencies, by default ``[N/16, N/4]``. The window's amplitudes are read
+into one real column-major buffer, never into a complex copy, and the bounds
+are formed in that buffer in place; a config that needs both nu and c1 reads
+the window once.
 """
 
 from __future__ import annotations
@@ -70,9 +76,9 @@ class KernelSpectrum:
     """Kernel Fourier coefficients g_m(u_l).
 
     The decay fit is not stored: :func:`estimate_nu` and
-    :func:`kernel_bounds` are functions of the coefficients. ``g_coeffs`` is
-    read-only once :attr:`zero_floor` has been used: the floor is computed
-    once and cached.
+    :func:`kernel_bounds` are functions of the coefficients, each reading the
+    fit window into a fresh real buffer. ``g_coeffs`` is read-only once
+    :attr:`zero_floor` has been used: the floor is computed once and cached.
     """
 
     g_coeffs: np.ndarray  # (M, N/2 + 1) complex
@@ -221,11 +227,21 @@ def validate_invertible(ks: KernelSpectrum, freqs) -> None:
         raise IllPosedKernel(profile=int(l), frequency=int(freqs[mi]))
 
 
+# Complex elements of the kernel window that ``np.abs`` reads per call in
+# :func:`_fit_window`: one call buffers at most this much (64 KB).
+_FILL_ELEMENTS = 4096
+
+
 def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | None):
-    """Frequencies ``lo..hi`` and their amplitudes (M, hi - lo + 1).
+    """Frequencies ``lo..hi`` and their amplitudes, a fresh column-major float
+    buffer of shape (M, F), F = hi - lo + 1.
 
     A missing ``m_range``, or a ``None`` end of it, defaults to ``N/16``
-    (``lo``) and ``N/4`` (``hi``).
+    (``lo``) and ``N/4`` (``hi``). The amplitudes are filled straight from
+    the complex coefficients, a few columns per ``np.abs`` call into the rows
+    of an (F, M) C-order array, whose transpose is returned; no complex copy
+    of the window is made. The layout is column-major because it fixes the
+    summation order of the mean over profiles in :func:`estimate_nu`.
     """
     n = ks.n
     lo, hi = m_range if m_range is not None else (None, None)
@@ -239,21 +255,54 @@ def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | Non
     if freqs.size < 8:
         raise InsufficientRange(f"need at least 8 frequencies, {window} at N={n} "
                                 f"has {freqs.size}")
-    # indexed, not sliced: the column-major copy fixes the summation order of
-    # the mean over profiles in estimate_nu
-    amps = np.abs(ks.g_coeffs[:, freqs])
-    if np.any(amps <= ks.zero_floor):
-        raise InsufficientRange("vanishing kernel coefficients inside the fit window")
-    return freqs, amps
+    cols = ks.g_coeffs[:, lo:hi + 1].T
+    buf = np.empty(cols.shape)                          # (F, M)
+    floor = ks.zero_floor.T                             # (1, M)
+    step = max(1, _FILL_ELEMENTS // ks.m)
+    for c in range(0, len(buf), step):
+        block = np.abs(cols[c:c + step], out=buf[c:c + step])
+        if np.any(block <= floor):
+            raise InsufficientRange("vanishing kernel coefficients inside the fit window")
+    return freqs, buf.T
+
+
+def _nu_hat(freqs: np.ndarray, amps: np.ndarray) -> float:
+    """Minus the least-squares slope of ``log mean_l amps`` against ``log m``."""
+    slope, _ = np.polyfit(np.log(freqs.astype(float)), np.log(amps.mean(axis=0)), 1)
+    return -float(slope)
+
+
+def _bounds(freqs: np.ndarray, amps: np.ndarray, nu: float) -> tuple[float, float]:
+    """min and max of ``amps^2 m^(2 nu)``, formed in place in ``amps``.
+
+    A product beyond the float range raises :class:`ConfigError` naming nu.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(amps, amps, out=amps)
+        amps *= freqs.astype(float) ** (2.0 * nu)
+    c1, c2 = float(amps.min()), float(amps.max())
+    if not math.isfinite(c2):
+        raise ConfigError(f"nu={nu} is too large: |g_m|^2 m^(2 nu) exceeds the float "
+                          f"range over the fit window [{freqs[0]}, {freqs[-1]}], so neither "
+                          "c1 nor the default C_beta can be formed; give C_beta (--cbeta)")
+    return c1, c2
+
+
+def _kernel_fit(ks: KernelSpectrum, nu: float | None = None,
+                bounds: bool = True) -> tuple[float, float | None]:
+    """nu (fitted when None) and, with ``bounds``, c1 over the default window,
+    from a single read of it; c1 is None without ``bounds``."""
+    freqs, amps = _fit_window(ks, None)
+    if nu is None:
+        nu = _nu_hat(freqs, amps)
+    return nu, (_bounds(freqs, amps, nu)[0] if bounds else None)
 
 
 def kernel_bounds(ks: KernelSpectrum, nu: float,
                   m_range: tuple[int | None, int | None] | None = None) -> tuple[float, float]:
     """Empirical (c1, c2) bounding |g_m(u_l)|^2 |m|^(2 nu) from below and above
     over the fit window of :func:`estimate_nu`."""
-    freqs, amps = _fit_window(ks, m_range)
-    scaled = amps**2 * freqs.astype(float) ** (2.0 * nu)
-    return float(scaled.min()), float(scaled.max())
+    return _bounds(*_fit_window(ks, m_range), nu)
 
 
 def estimate_nu(ks: KernelSpectrum,
@@ -264,7 +313,4 @@ def estimate_nu(ks: KernelSpectrum,
     ``m_range`` (default ``[N/16, N/4]``, also for a ``None`` end) and returns
     ``nu_hat = -slope``. ``ks`` is not changed.
     """
-    freqs, amps = _fit_window(ks, m_range)
-    mean_amp = amps.mean(axis=0)
-    slope, _ = np.polyfit(np.log(freqs.astype(float)), np.log(mean_amp), 1)
-    return -float(slope)
+    return _nu_hat(*_fit_window(ks, m_range))

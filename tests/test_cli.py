@@ -296,6 +296,27 @@ class TestMalformedInput:
         assert "give both nu and C_beta (--nu and --cbeta)" in err
         assert main(argv + ["--cbeta", "1"]) == 0
 
+    @pytest.mark.parametrize("nu", ["600", "1e300"])
+    def test_a_nu_whose_bounds_overflow_is_named(self, workspace, tmp_path, capsys, nu):
+        """Without --cbeta the default C_beta needs c1, whose m^(2 nu) overflows:
+        the line names nu and --cbeta, not a floating-point overflow."""
+        _, obs_path, kern_path = workspace
+        out = tmp_path / "z.fdg"
+        code = main(["deconvolve", "--input", str(obs_path), "--kernel", str(kern_path),
+                     "--out", str(out), "--nu", nu])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert f"nu={float(nu)!r} is too large" in err and "give C_beta (--cbeta)" in err
+        assert "floating-point" not in err and not out.exists()
+
+    @pytest.mark.parametrize("mode, bound", [("functional", "sqrt(MN) = 128.0"),
+                                             ("separate", "sqrt(N) = 16.0")])
+    def test_too_large_a_sigma_names_sigma_and_its_bound(self, capsys, mode, bound):
+        argv = ["simulate", "--m", "64", "--n", "256", "--runs", "1", "--sigma", "1e6",
+                "--mode", mode]
+        err = self.assert_one_line_usage_failure(main(argv), capsys)
+        assert f"sigma=1000000.0 is too large for {mode} mode" in err
+        assert f"it needs sigma < {bound}" in err
+
     @pytest.mark.parametrize("command", ["deconvolve", "simulate"])
     @pytest.mark.parametrize("cbeta", [[], ["--cbeta", "1"]], ids=["auto_cbeta", "cbeta"])
     def test_a_nan_nu_is_named(self, workspace, tmp_path, capsys, command, cbeta):

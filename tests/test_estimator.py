@@ -101,6 +101,20 @@ class TestConfigFor:
         assert cfg_f.epsilon == pytest.approx(0.5 / math.sqrt(64 * 512))
         assert cfg_s.epsilon == pytest.approx(0.5 / math.sqrt(512))
 
+    @pytest.mark.parametrize("mode, bound", [("functional", 128.0), ("separate", 16.0)])
+    def test_a_sigma_at_its_bound_is_named(self, kernel_for, mode, bound):
+        """eps = sigma / sqrt(MN) (functional) or sigma / sqrt(N) (separate)
+        must stay below 1; at 64 x 256 sigma = 128 or 16 reaches it."""
+        _, ks = kernel_for(64, 256)
+        just_below = fd.config_for(observe(np.zeros((64, 256)), sigma=0.99 * bound), ks,
+                                   mode=mode)
+        assert just_below.epsilon == pytest.approx(0.99)
+        name = "sqrt(MN)" if mode == "functional" else "sqrt(N)"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sigma={bound!r} is too large for {mode} mode on a 64 x 256 grid: "
+                f"it needs sigma < {name} = {bound!r} (epsilon=1.0 outside (0, 1))")):
+            fd.config_for(observe(np.zeros((64, 256)), sigma=bound), ks, mode=mode)
+
     def test_default_constant_follows_kernel_fit(self, kernel_for):
         _, ks = kernel_for(64, 512)
         nu = fd.estimate_nu(ks)

@@ -281,6 +281,33 @@ class TestRunMise:
         stderr = res.sd_mise / np.sqrt(len(res.per_run))
         assert stderr == pytest.approx(res.per_run.std(ddof=1) / np.sqrt(5))
 
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_a_noiseless_cell_scores_one_replicate(self, monkeypatch, mode):
+        """At sigma = 0 runs = 50 repeats runs = 1's MISE bitwise: the band
+        step runs for beta and for one replicate, and no pool is started."""
+        steps, pools = [], []
+        band_coeffs = fd.Plan.band_coeffs
+
+        def counting(self, *args):
+            steps.append(args)
+            return band_coeffs(self, *args)
+
+        class Recording(simlab.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fd.Plan, "band_coeffs", counting)
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", Recording)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(64, 256))
+        sim = simlab.SimConfig(m=64, n=256, sigma=0.0, mode=mode, runs=1)
+        one = simlab.run_mise(sim, kernel_spec=ks).per_run
+        del steps[:]
+        many = simlab.run_mise(simlab.SimConfig(**{**vars(sim), "runs": 50, "threads": 4}),
+                               kernel_spec=ks).per_run
+        assert len(steps) == 2 and not pools
+        assert many.tobytes() == np.repeat(one, 50).tobytes()
+
     def test_separate_mode_runs(self):
         res = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=2,
                                                mode="separate"))

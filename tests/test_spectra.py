@@ -1,5 +1,10 @@
 """Fourier front end: coefficient conventions, kernel diagnostics, decay fits."""
 
+import gc
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,3 +334,72 @@ class TestEstimateNu:
         ks = fd.kernel_spectrum(np.tile(np.cos(2 * np.pi * t), (2, 1)))
         with pytest.raises(InsufficientRange):
             fd.estimate_nu(ks)
+
+
+class TestFitWindow:
+    """One real read of the fit window gives nu-hat, c1, c2 and the default
+    C_beta, bitwise as the formulas over the complex window give them."""
+
+    @staticmethod
+    def textbook(ks):
+        """nu-hat, (c1, c2) and C_beta from ``np.abs`` of the indexed window [N/16, N/4]."""
+        freqs = np.arange(ks.n // 16, ks.n // 4 + 1)
+        amps = np.abs(ks.g_coeffs[:, freqs])
+        slope, _ = np.polyfit(np.log(freqs.astype(float)), np.log(amps.mean(axis=0)), 1)
+        nu = -float(slope)
+        scaled = amps**2 * freqs.astype(float) ** (2.0 * nu)
+        c1, c2 = float(scaled.min()), float(scaled.max())
+        return nu, (c1, c2), 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
+
+    @pytest.mark.parametrize("shape", [(64, 256), (256, 512), (3, 64)])
+    def test_values_equal_the_textbook_formulas(self, kernel_for, shape):
+        _, ks = kernel_for(*shape)
+        nu, bounds, c_beta = self.textbook(ks)
+        assert fd.estimate_nu(ks) == nu
+        assert fd.kernel_bounds(ks, nu) == bounds
+        assert fd.default_c_beta(ks) == c_beta
+        cfg = fd.config_for(fd.ObservationGrid(np.zeros(shape), sigma=0.5), ks)
+        assert (cfg.nu, cfg.c_beta) == (nu, c_beta)
+
+    @pytest.mark.parametrize("given, reads", [
+        ({}, 1), ({"nu": 1.5}, 1), ({"c_beta": 2.0}, 1), ({"nu": 1.5, "c_beta": 2.0}, 0),
+    ], ids=["both_fitted", "c_beta_fitted", "nu_fitted", "nothing_fitted"])
+    def test_config_for_reads_the_window_at_most_once(self, kernel_for, monkeypatch,
+                                                      given, reads):
+        _, ks = kernel_for(64, 256)
+        calls = []
+        reader = spectra._fit_window
+
+        def counting(*args):
+            calls.append(args)
+            return reader(*args)
+
+        monkeypatch.setattr(spectra, "_fit_window", counting)
+        fd.config_for(fd.ObservationGrid(np.zeros((64, 256)), sigma=0.5), ks, **given)
+        assert len(calls) == reads
+
+    def test_config_for_peaks_near_one_window_buffer(self, kernel_for):
+        """At 256 x 512 the float window (256 x 97) is 0.199 MB, and config_for
+        holds little else: no complex copy of it, no second buffer. The cached
+        zero floor and numpy's lazy imports are warmed first."""
+        _, ks = kernel_for(256, 512)
+        sim = simlab.SimConfig(m=256, n=512)
+        fd.config_for(sim, ks)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fd.config_for(sim, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35e6
+
+    @pytest.mark.parametrize("nu", [600.0, 1e300])
+    def test_overflowing_bounds_name_nu(self, kernel_for, nu):
+        _, ks = kernel_for(64, 256)
+        obs = fd.ObservationGrid(np.zeros((64, 256)), sigma=0.5)
+        named = re.escape(f"nu={nu!r} is too large")
+        with pytest.raises(ConfigError, match=named + ".*give C_beta \\(--cbeta\\)"):
+            fd.config_for(obs, ks, nu=nu)
+        with pytest.raises(ConfigError, match=named):
+            fd.kernel_bounds(ks, nu)
