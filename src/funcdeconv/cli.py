@@ -111,8 +111,8 @@ def _write_coeffs_csv(path, coeffs) -> None:
     tails = (",0\n", ",1\n")
     with rewrite(path) as fh:
         fh.write("j,k,jprime,kprime,re,kept\n")
-        for jp, ss in coeffs.spatial_slices().items():
-            for j, ts in coeffs.time_slices().items():
+        for jp, ss in coeffs.plan.spatial_slices.items():
+            for j, ts in coeffs.plan.time_slices.items():
                 block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
                 rows, width = block.shape
                 heads = [f"{j},{k},{jp}," for k in range(width)]
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     except IllPosedKernel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FuncDeconvError, OSError) as exc:
+    except (FuncDeconvError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

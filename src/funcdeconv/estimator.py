@@ -12,6 +12,7 @@ Coefficient arrays are packed: time axis of length 2^J laid out as
 axis of length 2^J' laid out the same way with labels j' (m0'-1 = scaling),
 both by :func:`funcdeconv.meyer.level_slices`. Separate-mode coefficients
 are the same array with one spatial block, labeled -1, of M profile rows.
+:func:`plan` resolves this layout once, with the thresholds and the weight.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -116,23 +118,14 @@ class EstimatorConfig:
         return replace(self, j=j, j_prime=jp)
 
 
-def _c_beta(nu: float, c1: float) -> float:
-    if not c1 > 0:      # |g_m|^2 m^(2 nu) underflows, e.g. for a negative nu
-        raise ConfigError(f"default C_beta needs c1 > 0, got c1={c1} at nu={nu}; "
-                          "give C_beta (--cbeta)")
-    return 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
-
-
-def default_c_beta(ks: KernelSpectrum, nu: float | None = None) -> float:
-    """Practical default C_beta = 4 (2 pi / 3)^nu / sqrt(c1-empirical); nu = None fits nu."""
-    return _c_beta(*_kernel_fit(ks, nu))
-
-
 def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL,
                c_beta: float | None = None, nu: float | None = None,
                m0: int = 3, m0p: int = 3,
                j: int | None = None, j_prime: int | None = None) -> EstimatorConfig:
     """Resolve defaults: nu estimated from the kernel, C_beta from c1, eps from sigma.
+
+    The default C_beta is the practical 4 (2 pi / 3)^nu / sqrt(c1), with c1
+    the empirical lower bound of :func:`funcdeconv.spectra.kernel_bounds`.
 
     Only ``m``, ``n`` and ``sigma`` of ``grid`` are read, so a Monte-Carlo
     cell (:class:`funcdeconv.simlab.SimConfig`) serves as well. A sigma that
@@ -140,9 +133,10 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
     separate mode) leaves no threshold and raises :class:`ConfigError`.
 
     The kernel's fit window is read once, and only when nu or C_beta is
-    missing. A kernel spectrum too short or too sparse for the fit raises
-    :class:`InsufficientRange`, which names the way round it: giving both
-    ``nu`` and ``c_beta`` skips the fit.
+    missing. A fitted nu below 0, the rounding of a kernel flat over the
+    window such as the identity, is taken as 0. A kernel spectrum too short
+    or too sparse for the fit raises :class:`InsufficientRange`, which names
+    the way round it: giving both ``nu`` and ``c_beta`` skips the fit.
     """
     if nu is not None and not (math.isfinite(nu) and nu >= 0):
         raise ConfigError(f"nu must be finite and >= 0, got {nu}")
@@ -155,12 +149,15 @@ def config_for(grid: ObservationGrid, ks: KernelSpectrum, mode: str = FUNCTIONAL
                           f"(epsilon={epsilon} outside (0, 1))")
     if nu is None or c_beta is None:
         try:
-            nu, c1 = _kernel_fit(ks, nu, bounds=c_beta is None)
+            nu, c1 = _kernel_fit(ks, nu, c_beta is None)
         except InsufficientRange as exc:
             raise InsufficientRange(f"{exc}; give both nu and C_beta (--nu and --cbeta) "
                                     "to skip the fit") from None
         if c_beta is None:
-            c_beta = _c_beta(nu, c1)
+            if not c1 > 0:      # |g_m|^2 underflows for amplitudes below about 1e-154
+                raise ConfigError(f"default C_beta needs c1 > 0, got c1={c1} at nu={nu}; "
+                                  "give C_beta (--cbeta)")
+            c_beta = 4.0 * (2.0 * np.pi / 3.0) ** nu / math.sqrt(c1)
     return EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=epsilon, m0=m0,
                            m0p=m0p, j=j, j_prime=j_prime, mode=mode)
 
@@ -200,7 +197,10 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
 class Plan:
     """The estimator an M x N grid and a config fix (:func:`plan`): the resolved
     config, its bases, the K band columns the Meyer analysis reads and, read-only,
-    lambda_j at each of the 2^J packed time positions."""
+    lambda_j at each of the 2^J packed time positions and the coefficient layout,
+    column blocks by level j and row blocks by level j' (in separate mode one
+    block, j' = -1, of M profiles). ``weight`` is the grid mean square of a unit
+    coefficient: 1 in functional mode, 1/M in separate mode."""
 
     config: EstimatorConfig
     shape: tuple[int, int]      # (M, N)
@@ -208,6 +208,9 @@ class Plan:
     spatial: SpatialBasis
     k: int
     lam: np.ndarray
+    time_slices: Mapping[int, slice]
+    spatial_slices: Mapping[int, slice]
+    weight: float
 
     def band_coeffs(self, band: np.ndarray, ks: KernelSpectrum) -> HyperCoeffs:
         """beta-tilde from the K band columns (M, K) of a data spectrum; unchecked,
@@ -222,19 +225,26 @@ class Plan:
 
 def plan(cfg: EstimatorConfig, m: int, n: int, meyer_basis: MeyerBasis | None = None,
          spatial_basis: SpatialBasis | None = None) -> Plan:
-    """Resolve ``cfg`` once on an M x N grid: levels, bases, K and thresholds.
-    A given basis at other coarsest levels than the config's is a ConfigError."""
+    """Resolve ``cfg`` once on an M x N grid: levels, bases, K, thresholds, layout
+    and weight. A given basis at other coarsest levels than the config's is a
+    ConfigError."""
     cfg = cfg.resolved(m, n)
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
     if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
         raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
                           f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
+    tslices = level_slices(cfg.m0, cfg.j)
     lam = np.empty(2**cfg.j)
-    for j, ts in level_slices(cfg.m0, cfg.j).items():
+    for j, ts in tslices.items():
         lam[ts] = threshold_value(j, cfg)
     lam.flags.writeable = False
-    return Plan(cfg, (m, n), basis, sbasis, basis.band_size(cfg.j, n), lam)
+    if cfg.mode == FUNCTIONAL:
+        sslices, weight = level_slices(cfg.m0p, cfg.j_prime), 1.0
+    else:
+        sslices, weight = {-1: slice(0, m)}, 1.0 / m
+    return Plan(cfg, (m, n), basis, sbasis, basis.band_size(cfg.j, n), lam,
+                MappingProxyType(tslices), MappingProxyType(sslices), weight)
 
 
 @dataclass
@@ -244,7 +254,7 @@ class HyperCoeffs:
     ``entries[s, tau]`` is indexed by packed time position tau (levels j in
     [m0-1, J)) and, in functional mode, packed spatial position s (levels j'
     in [m0'-1, J')); in separate mode s is the profile, in one block j' = -1.
-    The levels, the mode, the thresholds and the bases come from ``plan``.
+    The levels, mode, thresholds, layout and bases come from ``plan``.
     """
 
     entries: np.ndarray
@@ -258,15 +268,6 @@ class HyperCoeffs:
     @property
     def config(self) -> EstimatorConfig:
         return self.plan.config
-
-    def time_slices(self) -> dict[int, slice]:
-        return level_slices(self.config.m0, self.config.j)
-
-    def spatial_slices(self) -> dict[int, slice]:
-        """Row blocks by level j'; separate mode has one block, j' = -1."""
-        if self.config.mode == FUNCTIONAL:
-            return level_slices(self.config.m0p, self.config.j_prime)
-        return {-1: slice(0, self.entries.shape[0])}
 
     def thresholded(self) -> np.ndarray:
         """Entries with killed coefficients zeroed."""
@@ -298,11 +299,12 @@ def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
     Only the first spatial block times the time scaling block is exempt: the
     scaling (x) scaling block (j' = m0'-1, j = m0-1) in functional mode, the
     per-profile scaling block in separate mode. Mixed detail/scaling blocks
-    carry the literal level-j threshold, the plan's ``lam``.
+    carry the literal level-j threshold, the plan's ``lam``. The exempt block
+    is the first block of each of the plan's axes.
     """
-    kept = np.abs(coeffs.entries) > coeffs.plan.lam
-    kept[next(iter(coeffs.spatial_slices().values())),
-         next(iter(coeffs.time_slices().values()))] = True
+    pl = coeffs.plan
+    kept = np.abs(coeffs.entries) > pl.lam
+    kept[next(iter(pl.spatial_slices.values())), next(iter(pl.time_slices.values()))] = True
     return replace(coeffs, kept=kept)
 
 

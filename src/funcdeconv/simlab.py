@@ -218,10 +218,6 @@ class MiseResult:
     config: SimConfig
 
     @property
-    def mode(self) -> str:
-        return self.config.mode
-
-    @property
     def mean_mise(self) -> float:
         return float(np.mean(self.per_run))
 
@@ -258,7 +254,8 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
         bias = mean(f1^2) mean(f2^2) - w sum beta^2,
 
-    with w = 1 (functional) or 1/M (separate, per-profile coefficients).
+    with w the plan's ``weight``: 1 (functional) or 1/M (separate,
+    per-profile coefficients).
 
     Each replicate draws its noise in row blocks of about 128 KB and keeps
     only their K band columns, ``clean + sigma * noise band``; it estimates
@@ -277,14 +274,13 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     # config_for reads only m, n and sigma of its grid, and the cell has them
     pl = plan(config_for(sim, kernel_spec, mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu),
               sim.m, sim.n)
-    weight = 1.0 if sim.mode == FUNCTIONAL else 1.0 / sim.m
     with finite_arithmetic():
         f1 = test_function(sim.f1, sim.m)
         f2 = test_function(sim.f2, sim.n)
         f2_band = np.fft.rfft(f2, norm="forward")[:pl.k]
         clean_band = kernel_spec.g_coeffs[:, :pl.k] * np.outer(f1, f2_band)
         beta = estimate_coeffs(clean_band, kernel_spec, pl).entries
-        bias = float(np.mean(f1**2) * np.mean(f2**2) - weight * np.sum(beta**2))
+        bias = float(np.mean(f1**2) * np.mean(f2**2) - pl.weight * np.sum(beta**2))
 
     def one(rep: int) -> float:
         # worker threads do not inherit the caller's numpy error state
@@ -293,7 +289,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
             if sim.sigma > 0:
                 band = band + sim.sigma * _noise_band(sim.m, sim.n, pl.k, sim.seed, rep)
             est = hard_threshold(pl.band_coeffs(band, kernel_spec))
-            return bias + weight * float(np.sum((est.thresholded() - beta) ** 2))
+            return bias + pl.weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)
     if sim.sigma == 0:      # every replicate is the same noiseless computation

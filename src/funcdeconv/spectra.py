@@ -95,6 +95,7 @@ class KernelSpectrum:
     @cached_property
     def zero_floor(self) -> np.ndarray:
         """Per-profile amplitude (M, 1) at or below which a coefficient counts as zero."""
+        self.g_coeffs.flags.writeable = False
         return _ZERO_REL * np.abs(self.g_coeffs).max(axis=1, keepdims=True)
 
 
@@ -288,13 +289,12 @@ def _bounds(freqs: np.ndarray, amps: np.ndarray, nu: float) -> tuple[float, floa
     return c1, c2
 
 
-def _kernel_fit(ks: KernelSpectrum, nu: float | None = None,
-                bounds: bool = True) -> tuple[float, float | None]:
-    """nu (fitted when None) and, with ``bounds``, c1 over the default window,
-    from a single read of it; c1 is None without ``bounds``."""
+def _kernel_fit(ks: KernelSpectrum, nu: float | None, bounds: bool) -> tuple[float, float | None]:
+    """nu (fitted when None, and then at least 0) and, with ``bounds``, c1 over
+    the default window, from a single read of it; c1 is None without ``bounds``."""
     freqs, amps = _fit_window(ks, None)
-    if nu is None:
-        nu = _nu_hat(freqs, amps)
+    if nu is None:      # a flat kernel, as the identity, fits -1e-16 by rounding
+        nu = max(_nu_hat(freqs, amps), 0.0)
     return nu, (_bounds(freqs, amps, nu)[0] if bounds else None)
 
 

@@ -120,7 +120,7 @@ class TestCriterion4VarianceLaw:
             return np.array(ent), co
 
         ent, co = collect(sigma, seed=0)
-        slices = co.time_slices()
+        slices = co.plan.time_slices
         stat = {j: ent[:, :, slices[j]].var(axis=0).mean()
                 * m * n * 2.0 ** (-2 * j * nu) for j in (3, 4, 5)}
         spread = max(stat.values()) / min(stat.values())

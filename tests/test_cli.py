@@ -151,12 +151,12 @@ class TestDeconvolveCommand:
                             gridio.load_grid(kern_path).samples, mode=mode)
         coeffs = rec.coeffs
         if mode == "functional":
-            sslices = coeffs.spatial_slices()
+            sslices = coeffs.plan.spatial_slices
         else:
             sslices = {-1: slice(0, coeffs.entries.shape[0])}
         want = ["j,k,jprime,kprime,re,kept"]
         for jp, ss in sslices.items():
-            for j, ts in coeffs.time_slices().items():
+            for j, ts in coeffs.plan.time_slices.items():
                 block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
                 for kp in range(block.shape[0]):
                     for k in range(block.shape[1]):
@@ -286,6 +286,17 @@ class TestMalformedInput:
         code = main(["deconvolve", "--input", str(path), "--kernel",
                      str(kern_path), "--out", str(tmp_path / "z.fdg")])
         self.assert_one_line_usage_failure(code, capsys)
+
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        """simulate --m 10000000000 fails in kernel_grid; here the failure is
+        raised without allocating."""
+        def no_memory(m, n):
+            raise MemoryError(f"Unable to allocate an ({m}, {n}) array")
+
+        monkeypatch.setattr(simlab, "kernel_grid", no_memory)
+        code = main(["simulate", "--runs", "1", "--m", "10000000000"])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert "Unable to allocate" in err
 
     def test_short_rows_name_the_default_fit_window(self, capsys):
         """At N = 32 the default nu-fit window [N/16, N/4] holds 7 frequencies;

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,23 @@ class TestConfigFor:
         _, ks = kernel_for(64, 512)
         nu = fd.estimate_nu(ks)
         expected = 4.0 * (2 * np.pi / 3) ** nu / math.sqrt(fd.kernel_bounds(ks, nu)[0])
-        assert fd.default_c_beta(ks) == pytest.approx(expected, rel=1e-12)
+        cfg = fd.config_for(fd.ObservationGrid(np.zeros((64, 512)), sigma=0.5), ks)
+        assert cfg.c_beta == pytest.approx(expected, rel=1e-12)
+
+    def test_an_identity_kernel_fits_nu_zero(self):
+        """A kernel with 1 at t = 0 in every row is flat in m; its raw fit is
+        -1.1e-16 by rounding, which the config takes as 0, in both modes. The
+        raw fit is still reported, and a given negative nu is still rejected."""
+        kernel = np.zeros((16, 64))
+        kernel[:, 0] = 1.0
+        ks = fd.kernel_spectrum(kernel)
+        assert fd.estimate_nu(ks) < 0
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 16, 64), sigma=0.5)
+        for mode in ("functional", "separate"):
+            rec = fd.deconvolve(obs, kernel, mode=mode)
+            assert rec.config.nu == 0.0, mode
+        with pytest.raises(ConfigError, match="nu must be finite and >= 0"):
+            fd.config_for(obs, ks, nu=-1e-16)
 
     def test_nu_zero_takes_the_constant_at_nu_zero(self, kernel_for):
         """A given nu = 0 is used for C_beta too, not replaced by the fitted nu."""
@@ -210,10 +227,38 @@ class TestPlan:
         coeffs = make_coeffs(np.zeros((16, 32)), c_beta=2.0, nu=0.7, eps=0.03)
         lam = coeffs.plan.lam
         assert not lam.flags.writeable
-        for j, ts in coeffs.time_slices().items():
+        for j, ts in coeffs.plan.time_slices.items():
             assert (lam[ts] == fd.threshold_value(j, coeffs.config)).all()
         monkeypatch.setattr(estimator, "threshold_value", None)
         assert fd.hard_threshold(coeffs).kept[:8, :8].all()
+
+    def test_the_plan_holds_the_layout_and_the_weight(self):
+        """Functional slices are level_slices on both axes with weight 1;
+        separate mode has one block, j' = -1, of M rows, weight 1/M."""
+        cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.01, j=5, j_prime=4)
+        pl = fd.plan(cfg, 16, 128)
+        assert pl.time_slices == fd.level_slices(3, 5)
+        assert pl.spatial_slices == fd.level_slices(3, 4)
+        assert pl.weight == 1.0
+        sep = fd.plan(replace(cfg, mode="separate"), 5, 128)
+        assert sep.time_slices == fd.level_slices(3, 5)
+        assert sep.spatial_slices == {-1: slice(0, 5)}
+        assert sep.weight == 1.0 / 5
+        for mapping in (pl.time_slices, pl.spatial_slices, sep.spatial_slices):
+            with pytest.raises(TypeError):
+                mapping[0] = slice(0, 1)
+
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_hard_threshold_builds_no_slices(self, monkeypatch, mode):
+        """The exempt block is the first block of each of the plan's axes."""
+        coeffs = make_coeffs(np.full((16, 32), 1e-6), c_beta=100.0, mode=mode)
+        calls = []
+        monkeypatch.setattr(estimator, "level_slices",
+                            lambda *a: calls.append(a) or fd.level_slices(*a))
+        kept = fd.hard_threshold(coeffs).kept
+        assert calls == []
+        rows = 16 if mode == "separate" else 8
+        assert kept[:rows, :8].all() and kept.sum() == rows * 8
 
 
 class TestEstimateCoeffs:
@@ -327,7 +372,7 @@ class TestEstimateCoeffs:
                                     fd.plan(cfg, ks.m, ks.n))
         assert coeffs.entries.shape == (64, 32)
         assert coeffs.config.mode == "separate"
-        assert coeffs.spatial_slices() == {-1: slice(0, 64)}
+        assert coeffs.plan.spatial_slices == {-1: slice(0, 64)}
 
 
 def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
@@ -420,9 +465,9 @@ class TestHardThreshold:
         rng = np.random.default_rng(1)
         coeffs = make_coeffs(0.2 * rng.standard_normal((16, 16)), nu=0.7, eps=0.03)
         out = fd.hard_threshold(coeffs)
-        for j, ts in out.time_slices().items():
+        for j, ts in out.plan.time_slices.items():
             lam = fd.threshold_value(j, coeffs.config)   # scaling block prices at j = m0-1
-            for jp, ss in out.spatial_slices().items():
+            for jp, ss in out.plan.spatial_slices.items():
                 block = coeffs.entries[ss, ts]
                 kept = out.kept[ss, ts]
                 if j == 2 and jp == 2:

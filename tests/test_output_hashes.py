@@ -1,0 +1,39 @@
+"""``scripts/output_hashes.py``: the byte-identity check for refactors."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+LINE = re.compile(r"([0-9a-f]{64})  (\S+)")
+
+
+@pytest.fixture
+def output_hashes(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module("output_hashes").main
+
+
+def test_two_runs_print_the_same_well_formed_lines(output_hashes, capsys):
+    assert output_hashes([]) == 0
+    first = capsys.readouterr().out
+    assert output_hashes([]) == 0
+    assert capsys.readouterr().out == first
+    hashes = {}
+    for line in first.splitlines():
+        match = LINE.fullmatch(line)
+        assert match, line
+        assert match[2] not in hashes, match[2]
+        hashes[match[2]] = match[1]
+    # 3 inputs; 8 deconvolve runs of 4 lines; 2 simulate runs of 3; their
+    # replays alike; table1's stdout, CSV and manifest
+    assert len(hashes) == 3 + 2 * (8 * 4 + 2 * 3) + 3
+    replayed = [name for name in hashes
+                if name.startswith("replay/") and not name.endswith(".stdout")]
+    assert len(replayed) == 8 * 3 + 2 * 2
+    for name in replayed:
+        assert hashes[name] == hashes[name.removeprefix("replay/")], name
+    assert hashes["simulate_threads1.csv"] == hashes["simulate_threads2.csv"]

@@ -311,13 +311,13 @@ class TestRunMise:
     def test_separate_mode_runs(self):
         res = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=2,
                                                mode="separate"))
-        assert res.mode == "separate"
+        assert res.config.mode == "separate"
         assert np.all(res.per_run > 0)
 
     def test_result_takes_its_mode_from_its_config(self):
         sim = simlab.SimConfig(mode="separate")
         res = simlab.MiseResult(np.array([1.0, 3.0]), sim)
-        assert res.config is sim and res.mode == "separate"
+        assert res.config is sim and res.config.mode == "separate"
         assert res.mean_mise == 2.0
 
     def test_doubling_runs_shrinks_standard_error_like_root_two(self):

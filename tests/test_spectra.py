@@ -253,6 +253,16 @@ class TestKernelSpectrum:
             fd.validate_invertible(ks, np.arange(1, 11))
         assert ks.zero_floor is floor
 
+    def test_coefficients_are_read_only_once_the_floor_is_cached(self):
+        """A write after zero_floor would leave the cached floor stale: an
+        8 x 64 reference kernel scaled in place by 1e-20 would fail at l=0, m=0."""
+        ks = fd.kernel_spectrum(simlab.kernel_grid(8, 64))
+        ks.g_coeffs *= 1.0          # writable before the floor is used
+        ks.zero_floor
+        with pytest.raises(ValueError, match="read-only"):
+            ks.g_coeffs *= 1e-20
+        fd.validate_invertible(ks, range(11))
+
     def test_zero_floor_is_relative(self):
         """FFT residues of analytic zeros (~1e-17 absolute) count as zeros."""
         t = np.arange(64) / 64
@@ -357,7 +367,6 @@ class TestFitWindow:
         nu, bounds, c_beta = self.textbook(ks)
         assert fd.estimate_nu(ks) == nu
         assert fd.kernel_bounds(ks, nu) == bounds
-        assert fd.default_c_beta(ks) == c_beta
         cfg = fd.config_for(fd.ObservationGrid(np.zeros(shape), sigma=0.5), ks)
         assert (cfg.nu, cfg.c_beta) == (nu, c_beta)
 
