@@ -12,7 +12,7 @@ Coefficient arrays are packed: time axis of length 2^J laid out as
 axis of length 2^J' laid out the same way with labels j' (m0'-1 = scaling),
 both by :func:`funcdeconv.meyer.level_slices`. Separate-mode coefficients
 are the same array with one spatial block, labeled -1, of M profile rows.
-:func:`plan` resolves this layout once, with the thresholds and the weight.
+:func:`plan` resolves this layout once per kernel, with the thresholds and weight.
 """
 
 from __future__ import annotations
@@ -195,15 +195,15 @@ def threshold_value(j: int, cfg: EstimatorConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """The estimator an M x N grid and a config fix (:func:`plan`): the resolved
-    config, its bases, the K band columns the Meyer analysis reads and, read-only,
-    lambda_j at each of the 2^J packed time positions and the coefficient layout,
-    column blocks by level j and row blocks by level j' (in separate mode one
-    block, j' = -1, of M profiles). ``weight`` is the grid mean square of a unit
-    coefficient: 1 in functional mode, 1/M in separate mode."""
+    """The estimator a kernel and a config fix (:func:`plan`): the kernel, by reference,
+    the config resolved on its M x N grid, its bases, the K band columns the Meyer
+    analysis reads and, read-only, lambda_j at each of the 2^J packed time positions
+    and the coefficient layout, column blocks by level j and row blocks by level j'
+    (in separate mode one block, j' = -1, of M profiles). ``weight`` is the grid mean
+    square of a unit coefficient: 1 in functional mode, 1/M in separate mode."""
 
     config: EstimatorConfig
-    shape: tuple[int, int]      # (M, N)
+    kernel: KernelSpectrum
     meyer: MeyerBasis
     spatial: SpatialBasis
     k: int
@@ -212,28 +212,33 @@ class Plan:
     spatial_slices: Mapping[int, slice]
     weight: float
 
-    def band_coeffs(self, band: np.ndarray, ks: KernelSpectrum) -> HyperCoeffs:
+    @property
+    def shape(self) -> tuple[int, int]:     # (M, N)
+        return self.kernel.m, self.kernel.n
+
+    def band_coeffs(self, band: np.ndarray) -> HyperCoeffs:
         """beta-tilde from the K band columns (M, K) of a data spectrum; unchecked,
-        as :func:`estimate_coeffs` checks ``ks`` against the plan and the band."""
-        ratio = band / ks.g_coeffs[:, :self.k]                  # (M, K)
+        as :func:`estimate_coeffs` checks the band against the plan."""
+        ratio = band / self.kernel.g_coeffs[:, :self.k]        # (M, K)
         timec = self.meyer.analyze_t(ratio, self.config.j)      # (M, 2^J) real
         if self.config.mode == SEPARATE:
             return HyperCoeffs(timec, self)
-        packed = self.spatial.dwt_forward(timec.T) / math.sqrt(self.shape[0])  # (2^J, M)
+        packed = self.spatial.dwt_forward(timec.T) / math.sqrt(self.kernel.m)  # (2^J, M)
         return HyperCoeffs(packed[:, :2**self.config.j_prime].T.copy(), self)  # (2^J', 2^J)
 
 
-def plan(cfg: EstimatorConfig, m: int, n: int, meyer_basis: MeyerBasis | None = None,
+def plan(cfg: EstimatorConfig, ks: KernelSpectrum, meyer_basis: MeyerBasis | None = None,
          spatial_basis: SpatialBasis | None = None) -> Plan:
-    """Resolve ``cfg`` once on an M x N grid: levels, bases, K, thresholds, layout
-    and weight. A given basis at other coarsest levels than the config's is a
-    ConfigError."""
-    cfg = cfg.resolved(m, n)
+    """Resolve ``cfg`` once on the kernel's M x N grid: levels, bases, K, thresholds,
+    layout and weight. A given basis at other coarsest levels than the config's is a
+    ConfigError, a kernel that vanishes on the Meyer band an IllPosedKernel."""
+    cfg = cfg.resolved(ks.m, ks.n)
     basis = meyer_basis if meyer_basis is not None else MeyerBasis(cfg.m0)
     sbasis = spatial_basis if spatial_basis is not None else SpatialBasis(m0p=cfg.m0p)
     if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
         raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
                           f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
+    validate_invertible(ks, basis.union_band(cfg.j))
     tslices = level_slices(cfg.m0, cfg.j)
     lam = np.empty(2**cfg.j)
     for j, ts in tslices.items():
@@ -242,8 +247,8 @@ def plan(cfg: EstimatorConfig, m: int, n: int, meyer_basis: MeyerBasis | None = 
     if cfg.mode == FUNCTIONAL:
         sslices, weight = level_slices(cfg.m0p, cfg.j_prime), 1.0
     else:
-        sslices, weight = {-1: slice(0, m)}, 1.0 / m
-    return Plan(cfg, (m, n), basis, sbasis, basis.band_size(cfg.j, n), lam,
+        sslices, weight = {-1: slice(0, ks.m)}, 1.0 / ks.m
+    return Plan(cfg, ks, basis, sbasis, basis.band_size(cfg.j, ks.n), lam,
                 MappingProxyType(tslices), MappingProxyType(sslices), weight)
 
 
@@ -274,23 +279,21 @@ class HyperCoeffs:
         return np.where(self.kept, self.entries, 0.0)
 
 
-def estimate_coeffs(spec: np.ndarray, ks: KernelSpectrum, plan: Plan) -> HyperCoeffs:
+def estimate_coeffs(spec: np.ndarray, plan: Plan) -> HyperCoeffs:
     """Pre-threshold coefficient estimates beta-tilde (real) from the data spectrum.
 
-    ``ks`` is the kernel of the plan's M x N grid. ``spec`` is the
-    (M, N/2 + 1) half spectrum of :func:`fourier_coeffs` or just its
-    ``plan.k`` band columns (``fourier_coeffs(grid, plan.k)``). Other widths
-    raise :class:`ConfigError`: a width between the two could be the whole
-    half spectrum of a shorter grid. Only the K band columns are divided by
-    the kernel; the Meyer analysis reads nothing else.
+    ``spec`` is the (M, N/2 + 1) half spectrum of :func:`fourier_coeffs` on the
+    plan's grid or just its ``plan.k`` band columns (``fourier_coeffs(grid, plan.k)``).
+    Other widths raise :class:`ConfigError`: a width between the two could be the
+    whole half spectrum of a shorter grid. Only the K band columns are divided by
+    the plan's kernel; the Meyer analysis reads nothing else.
     """
     (m, n), k = plan.shape, plan.k
-    if (ks.m, ks.n) != (m, n) or spec.shape not in ((m, k), (m, n // 2 + 1)):
-        raise ConfigError(f"data spectrum of shape {spec.shape} and kernel grid {ks.m} x "
-                          f"{ks.n} do not fit the plan's {m} x {n} grid: the data need "
-                          f"the K={k} band columns or all N/2 + 1 = {n // 2 + 1}")
-    validate_invertible(ks, plan.meyer.union_band(plan.config.j))
-    return plan.band_coeffs(spec[:, :k], ks)
+    if spec.shape not in ((m, k), (m, n // 2 + 1)):
+        raise ConfigError(f"data spectrum of shape {spec.shape} does not fit the plan's "
+                          f"{m} x {n} grid: the data need the K={k} band columns or all "
+                          f"N/2 + 1 = {n // 2 + 1}")
+    return plan.band_coeffs(spec[:, :k])
 
 
 def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
@@ -320,54 +323,52 @@ class Reconstruction:
         return self.coeffs.config
 
 
-def reconstruct(coeffs: HyperCoeffs, m: int, n: int) -> Reconstruction:
-    """Invert thresholded coefficients back to grid samples, by the plan's bases.
+def reconstruct(coeffs: HyperCoeffs) -> Reconstruction:
+    """Invert thresholded coefficients back to samples on the plan's grid, by its bases.
 
     :class:`ConfigError` is raised for complex entries (a real field has
-    real coefficients) and when the coefficients do not fit the M x N grid:
-    more than M spatial rows (functional), other than M profile rows
-    (separate), or time levels beyond ``j_capacity(n)``.
+    real coefficients) and for rows that do not fit the plan's M: more than
+    M spatial rows (functional), other than M profile rows (separate).
     """
-    cfg = coeffs.config
+    pl, cfg, (m, n) = coeffs.plan, coeffs.config, coeffs.plan.shape
     if np.iscomplexobj(coeffs.entries):
         raise ConfigError("coefficients must be real, got complex entries")
     rows = coeffs.entries.shape[0]
-    if rows > m or (cfg.mode == SEPARATE and rows < m) or cfg.j > j_capacity(n):
+    if rows > m or (cfg.mode == SEPARATE and rows < m):
         raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
-                          f"(J={cfg.j}) do not fit an (M, N) = ({m}, {n}) grid")
+                          f"do not fit the plan's (M, N) = ({m}, {n}) grid")
     # the temporaries are deleted before the M x N grid is allocated
     timec = coeffs.thresholded()
     if cfg.mode == FUNCTIONAL:
         full = np.zeros((timec.shape[1], m))                # (2^J, M)
         full[:, :rows] = timec.T                            # rows beyond 2^J' stay zero
-        timec = coeffs.plan.spatial.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
+        timec = pl.spatial.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
         del full
-    band = coeffs.plan.meyer.synthesize_t(timec)
+    band = pl.meyer.synthesize_t(timec)
     del timec
     return Reconstruction(spectrum_to_samples(band, n), coeffs)
 
 
 def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None,
-               mode: str = FUNCTIONAL, meyer_basis: MeyerBasis | None = None,
-               spatial_basis: SpatialBasis | None = None,
+               meyer_basis: MeyerBasis | None = None, spatial_basis: SpatialBasis | None = None,
                **config_kwargs) -> Reconstruction:
     """Full pipeline: spectra -> coefficient estimates -> threshold -> inverse.
 
     ``kernel`` is a :class:`KernelSpectrum` or a sampled M x N kernel grid.
-    With ``cfg=None`` the configuration is resolved from the grid and kernel
-    (estimated nu, default C_beta, eps from sigma and the mode); one
-    :func:`plan`, given the bases if any, serves every stage. It runs
-    under :func:`finite_arithmetic`, so it never returns non-finite values.
+    With ``cfg=None`` the configuration is :func:`config_for` of the grid, the
+    kernel and ``config_kwargs`` (``mode``, ``nu``, ...); a ``cfg`` with any of
+    them is a :class:`ConfigError`. One :func:`plan` of the kernel, given the
+    bases if any, serves every stage. It runs under :func:`finite_arithmetic`,
+    so it never returns non-finite values.
     """
     if cfg is not None and config_kwargs:
         raise ConfigError("pass either cfg or config keyword overrides, not both")
     with finite_arithmetic():
         ks = kernel if isinstance(kernel, KernelSpectrum) else kernel_spectrum(kernel)
         if cfg is None:
-            cfg = config_for(grid, ks, mode=mode, **config_kwargs)
+            cfg = config_for(grid, ks, **config_kwargs)
         if (grid.m, grid.n) != (ks.m, ks.n):
             raise ConfigError(f"data grid {grid.m} x {grid.n} and kernel grid "
                               f"{ks.m} x {ks.n} differ in shape")
-        pl = plan(cfg, grid.m, grid.n, meyer_basis, spatial_basis)
-        tilde = estimate_coeffs(fourier_coeffs(grid, pl.k), ks, pl)
-        return reconstruct(hard_threshold(tilde), grid.m, grid.n)
+        pl = plan(cfg, ks, meyer_basis, spatial_basis)
+        return reconstruct(hard_threshold(estimate_coeffs(fourier_coeffs(grid, pl.k), pl)))

@@ -44,6 +44,8 @@ PAIR_ORDER = (
     ("Bumps", "Blip"),
     ("Bumps", "Bumps"),
 )
+TABLE1_M_VALUES = (128, 256)
+TABLE1_SIGMAS = (0.5, 1.0)
 
 TABLE1_COLUMNS = ("f1", "f2", "M", "sigma", "mode", "mean_mise", "sd_mise",
                   "runs", "seed")
@@ -244,13 +246,13 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     in coefficient space and no M x N array is formed, apart from the
     default ``kernel_spec``.
 
-    Once per cell, :func:`plan` fixes the estimator. The truth f1 (x) f2 is
-    separable and h_m = g_m f_m, so the clean data's K band columns are
-    ``g[:, :K] * outer(f1, F2[:K])``, with F2 the forward-normalised ``rfft``
-    of f2. ``estimate_coeffs`` of that band gives the coefficients beta and
-    checks the kernel. With every coefficient kept the estimate is the
-    orthogonal projection of the truth onto the Meyer (x) db6 atoms, which
-    are orthonormal on the grid, so Pythagoras gives the bias
+    Once per cell, :func:`plan` fixes the estimator and checks the kernel. The
+    truth f1 (x) f2 is separable and h_m = g_m f_m, so the clean data's K band
+    columns are ``g[:, :K] * outer(f1, F2[:K])``, g the plan's kernel and F2
+    the forward-normalised ``rfft`` of f2; ``estimate_coeffs`` of them gives
+    beta. With every coefficient kept the estimate is the orthogonal projection
+    of the truth onto the Meyer (x) db6 atoms, which are orthonormal on the
+    grid, so Pythagoras gives the bias
 
         bias = mean(f1^2) mean(f2^2) - w sum beta^2,
 
@@ -272,14 +274,14 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
         raise ConfigError(f"kernel grid {kernel_spec.m} x {kernel_spec.n} does not fit "
                           f"the cell's {sim.m} x {sim.n} grid")
     # config_for reads only m, n and sigma of its grid, and the cell has them
-    pl = plan(config_for(sim, kernel_spec, mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu),
-              sim.m, sim.n)
+    cfg = config_for(sim, kernel_spec, mode=sim.mode, c_beta=sim.c_beta, nu=sim.nu)
     with finite_arithmetic():
+        pl = plan(cfg, kernel_spec)
         f1 = test_function(sim.f1, sim.m)
         f2 = test_function(sim.f2, sim.n)
         f2_band = np.fft.rfft(f2, norm="forward")[:pl.k]
-        clean_band = kernel_spec.g_coeffs[:, :pl.k] * np.outer(f1, f2_band)
-        beta = estimate_coeffs(clean_band, kernel_spec, pl).entries
+        clean_band = pl.kernel.g_coeffs[:, :pl.k] * np.outer(f1, f2_band)
+        beta = estimate_coeffs(clean_band, pl).entries
         bias = float(np.mean(f1**2) * np.mean(f2**2) - pl.weight * np.sum(beta**2))
 
     def one(rep: int) -> float:
@@ -288,7 +290,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
             band = clean_band
             if sim.sigma > 0:
                 band = band + sim.sigma * _noise_band(sim.m, sim.n, pl.k, sim.seed, rep)
-            est = hard_threshold(pl.band_coeffs(band, kernel_spec))
+            est = hard_threshold(pl.band_coeffs(band))
             return bias + pl.weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)
@@ -306,12 +308,10 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     return MiseResult(per_run, sim)
 
 
-def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
-           sigmas=(0.5, 1.0), n: int = 512, threads: int = 1) -> list:
-    """Full benchmark table: six signal pairs x grid sizes x noise x modes.
-
-    Returns one dict per cell, ordered pair-major then M, sigma, mode —
-    48 rows under the defaults. Every cell fits nu and C_beta from the
+def table1(runs: int = 25, seed: int = 0, n: int = 512, threads: int = 1) -> list:
+    """Full benchmark table: :data:`PAIR_ORDER` x :data:`TABLE1_M_VALUES` x
+    :data:`TABLE1_SIGMAS` x modes, one dict per cell, ordered pair-major then
+    M, sigma, mode: 48 rows. Every cell fits nu and C_beta from the
     kernel, so N must be at least :data:`TABLE1_MIN_N`.
     """
     if n < TABLE1_MIN_N:
@@ -319,10 +319,10 @@ def table1(runs: int = 25, seed: int = 0, m_values=(128, 256),
                           f"the kernel's nu over the default window [N/16, N/4], which "
                           f"holds the 8 frequencies the fit needs only from N = {TABLE1_MIN_N}")
     rows = []
-    spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in m_values}
+    spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in TABLE1_M_VALUES}
     for f1, f2 in PAIR_ORDER:
-        for m in m_values:
-            for sigma in sigmas:
+        for m in TABLE1_M_VALUES:
+            for sigma in TABLE1_SIGMAS:
                 for mode in (FUNCTIONAL, SEPARATE):
                     sim = SimConfig(f1=f1, f2=f2, m=m, n=n, sigma=sigma,
                                     mode=mode, runs=runs, seed=seed, threads=threads)

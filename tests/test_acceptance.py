@@ -114,8 +114,7 @@ class TestCriterion4VarianceLaw:
                 if cfg is None:
                     cfg = fd.config_for(obs, ks, mode="functional", nu=nu,
                                         j=6, j_prime=6)
-                co = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks,
-                                        fd.plan(cfg, ks.m, ks.n))
+                co = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), fd.plan(cfg, ks))
                 ent.append(co.entries)
             return np.array(ent), co
 
@@ -205,7 +204,7 @@ class TestCriterion6SingleAtomRecovery:
         u_part = spatial.dwt_inverse(unit) * math.sqrt(m)
         obs = simlab.synthesize_data(np.outer(u_part, t_part), 0.0)
         cfg = fd.config_for(obs, ks, j=5, j_prime=6)
-        coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, fd.plan(cfg, ks.m, ks.n))
+        coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), fd.plan(cfg, ks))
         atom = (sslices[4].start + 3, tslices[4].start + 2)
         target = coeffs.entries[atom]
         rest = coeffs.entries.copy()

@@ -22,7 +22,7 @@ def observe(truth, sigma=0.0, seed=0, rep=0):
 
 def pipeline(obs, ks, **cfg_kwargs):
     cfg = fd.config_for(obs, ks, **cfg_kwargs)
-    return fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, fd.plan(cfg, ks.m, ks.n)), cfg
+    return fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), fd.plan(cfg, ks)), cfg
 
 
 class TestResolutionLimits:
@@ -203,24 +203,37 @@ class TestPlan:
             self, kernel_for, monkeypatch):
         """One plan per call and per cell: estimate_coeffs, hard_threshold,
         reconstruct and a cell's replicates read it instead of resolving the
-        config again."""
+        config, or checking the kernel, again."""
         calls = []
-        resolved = fd.EstimatorConfig.resolved
+        resolved, check = fd.EstimatorConfig.resolved, estimator.validate_invertible
 
         def counting(cfg, m, n):
             calls.append((m, n))
             return resolved(cfg, m, n)
 
         monkeypatch.setattr(fd.EstimatorConfig, "resolved", counting)
+        monkeypatch.setattr(estimator, "validate_invertible",
+                            lambda ks, band: calls.append("check") or check(ks, band))
         grid, _ = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
         for mode in ("functional", "separate"):
             calls.clear()
             fd.deconvolve(obs, grid, mode=mode)
-            assert calls == [(64, 256)], mode
+            assert calls == [(64, 256), "check"], mode
             calls.clear()
             simlab.run_mise(simlab.SimConfig(m=64, n=256, mode=mode, runs=3))
-            assert calls == [(64, 256)], mode
+            assert calls == [(64, 256), "check"], mode
+
+    def test_the_plan_checks_its_kernel_before_any_data(self, kernel_for):
+        """A kernel that vanishes on the Meyer band (K = 11 at J = 4, N = 256)
+        is rejected by the plan itself, which holds that kernel by reference."""
+        _, ks = kernel_for(64, 256)
+        cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.03, j=4)
+        assert fd.plan(cfg, ks).kernel is ks
+        g = ks.g_coeffs.copy()
+        g[:, 5] = 0.0
+        with pytest.raises(fd.IllPosedKernel):
+            fd.plan(cfg, fd.KernelSpectrum(g))
 
     def test_hard_threshold_reads_the_plans_read_only_lambda_row(self, monkeypatch):
         """lambda_j is formed once per plan, at each packed time position."""
@@ -232,15 +245,15 @@ class TestPlan:
         monkeypatch.setattr(estimator, "threshold_value", None)
         assert fd.hard_threshold(coeffs).kept[:8, :8].all()
 
-    def test_the_plan_holds_the_layout_and_the_weight(self):
+    def test_the_plan_holds_the_layout_and_the_weight(self, kernel_for):
         """Functional slices are level_slices on both axes with weight 1;
         separate mode has one block, j' = -1, of M rows, weight 1/M."""
         cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.01, j=5, j_prime=4)
-        pl = fd.plan(cfg, 16, 128)
+        pl = fd.plan(cfg, kernel_for(16, 128)[1])
         assert pl.time_slices == fd.level_slices(3, 5)
         assert pl.spatial_slices == fd.level_slices(3, 4)
         assert pl.weight == 1.0
-        sep = fd.plan(replace(cfg, mode="separate"), 5, 128)
+        sep = fd.plan(replace(cfg, mode="separate"), kernel_for(5, 128)[1])
         assert sep.time_slices == fd.level_slices(3, 5)
         assert sep.spatial_slices == {-1: slice(0, 5)}
         assert sep.weight == 1.0 / 5
@@ -344,7 +357,7 @@ class TestEstimateCoeffs:
         for n in (512, 128):
             obs = observe(np.zeros((64, n)))
             with pytest.raises(ConfigError, match="K=11 band columns"):
-                fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks, fd.plan(cfg, ks.m, ks.n))
+                fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), fd.plan(cfg, ks))
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
     def test_a_band_prefix_and_the_full_half_give_the_same_coefficients(
@@ -356,28 +369,29 @@ class TestEstimateCoeffs:
         cfg = fd.config_for(obs, ks, mode=mode).resolved(64, 256)
         k = fd.MeyerBasis().band_size(cfg.j, 256)
         full = fd.fourier_coeffs(obs.samples)
-        want = fd.estimate_coeffs(full, ks, fd.plan(cfg, ks.m, ks.n)).entries
-        got = fd.estimate_coeffs(full[:, :k].copy(), ks, fd.plan(cfg, ks.m, ks.n)).entries
+        want = fd.estimate_coeffs(full, fd.plan(cfg, ks)).entries
+        got = fd.estimate_coeffs(full[:, :k].copy(), fd.plan(cfg, ks)).entries
         assert got.tobytes() == want.tobytes()
         padded = np.concatenate([full, full[:, :1]], axis=1)
         for spec in (full[:, :k - 1], full[:, :k + 1], padded, full[:32]):
             with pytest.raises(ConfigError, match=f"K={k}"):
-                fd.estimate_coeffs(spec, ks, fd.plan(cfg, ks.m, ks.n))
+                fd.estimate_coeffs(spec, fd.plan(cfg, ks))
 
     def test_separate_mode_keeps_profiles(self, kernel_for):
         _, ks = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256))
         cfg = fd.config_for(obs, ks, mode="separate", j=5)
-        coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), ks,
-                                    fd.plan(cfg, ks.m, ks.n))
+        coeffs = fd.estimate_coeffs(fd.fourier_coeffs(obs.samples), fd.plan(cfg, ks))
         assert coeffs.entries.shape == (64, 32)
         assert coeffs.config.mode == "separate"
         assert coeffs.plan.spatial_slices == {-1: slice(0, 64)}
 
 
-def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
+def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional", n=None):
     """Coefficients at m0 = m0' = 3 whose config's J and J' (functional
-    mode; 3 in separate mode) are read off the shape of ``entries``."""
+    mode; 3 in separate mode) are read off the shape of ``entries``, planned
+    on the reference kernel of a grid with one profile per row and N samples
+    (default 2^(J+2))."""
     entries = np.asarray(entries)
     if not np.iscomplexobj(entries):
         entries = entries.astype(float)
@@ -385,7 +399,8 @@ def make_coeffs(entries, c_beta=1.0, nu=0.0, eps=0.01, mode="functional"):
     jp = int(np.log2(rows)) if mode == "functional" else 3
     cfg = fd.EstimatorConfig(c_beta=c_beta, nu=nu, epsilon=eps, mode=mode,
                              j=int(np.log2(cols)), j_prime=jp)
-    return HyperCoeffs(entries, fd.plan(cfg, rows, 2 ** (cfg.j + 2)))
+    n = n or 2 ** (cfg.j + 2)
+    return HyperCoeffs(entries, fd.plan(cfg, fd.kernel_spectrum(simlab.kernel_grid(rows, n))))
 
 
 class TestHardThreshold:
@@ -478,7 +493,7 @@ class TestHardThreshold:
 
 class TestReconstruct:
     def test_zero_coefficients_give_zero_field(self):
-        rec = fd.reconstruct(make_coeffs(np.zeros((16, 16))), 16, 128)
+        rec = fd.reconstruct(make_coeffs(np.zeros((16, 16)), n=128))
         assert rec.values.shape == (16, 128)
         np.testing.assert_allclose(rec.values, 0.0, atol=1e-14)
 
@@ -487,7 +502,7 @@ class TestReconstruct:
         sslices = fd.level_slices(3, 4)
         tslices = fd.level_slices(3, 4)
         entries[sslices[3].start + 1, tslices[3].start + 2] = 1.0
-        rec = fd.reconstruct(make_coeffs(entries), 16, 128)
+        rec = fd.reconstruct(make_coeffs(entries, n=128))
         packed = np.zeros((1, 16))
         packed[0, tslices[3].start + 2] = 1.0
         t_part = fd.spectrum_to_samples(meyer.synthesize_t(packed), 128)[0]
@@ -496,16 +511,21 @@ class TestReconstruct:
         u_part = spatial.dwt_inverse(unit) * math.sqrt(16)
         np.testing.assert_allclose(rec.values, np.outer(u_part, t_part), atol=1e-10)
 
-    @pytest.mark.parametrize("entries,mode,m,n", [
-        (np.zeros((16, 16)), "functional", 8, 64),   # 2^J' = 16 > M
-        (np.zeros((5, 16)), "separate", 8, 64),      # 5 profiles, M = 8
-        (np.zeros((8, 16)), "separate", 8, 8),       # J = 4 needs N >= 22
-    ], ids=["functional-rows-above-m", "separate-rows-not-m", "band-beyond-n"])
-    def test_coefficients_that_do_not_fit_the_grid_are_rejected(self, entries,
-                                                                mode, m, n):
-        shape_and_grid = re.escape(str(entries.shape)) + ".*" + re.escape(f"({m}, {n})")
+    @pytest.mark.parametrize("entries,mode", [
+        (np.zeros((16, 16)), "functional"),   # 2^J' = 16 > M = 8
+        (np.zeros((5, 16)), "separate"),      # 5 profiles, M = 8
+    ], ids=["functional-rows-above-m", "separate-rows-not-m"])
+    def test_coefficients_that_do_not_fit_the_grid_are_rejected(self, entries, mode):
+        """Coefficients paired with the plan of an 8 x 64 grid."""
+        pl = make_coeffs(np.zeros((8, 16)), mode=mode).plan
+        shape_and_grid = re.escape(str(entries.shape)) + ".*" + re.escape("(8, 64)")
         with pytest.raises(ConfigError, match=shape_and_grid):
-            fd.reconstruct(make_coeffs(entries, mode=mode), m, n)
+            fd.reconstruct(HyperCoeffs(entries, pl))
+
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_the_reconstruction_has_the_plans_shape(self, mode):
+        coeffs = make_coeffs(np.ones((16, 32)), mode=mode)
+        assert fd.reconstruct(coeffs).values.shape == coeffs.plan.shape == (16, 128)
 
     def test_in_span_truth_roundtrips(self, spatial, kernel_for):
         """sigma = 0, thresholds off: a truth inside the model span is
@@ -539,14 +559,14 @@ class TestReconstruct:
         rng = np.random.default_rng(3)
         entries = rng.standard_normal((16, 16))
         for mode in ("functional", "separate"):
-            base = fd.reconstruct(make_coeffs(entries, mode=mode), 16, 128).values
+            base = fd.reconstruct(make_coeffs(entries, mode=mode, n=128)).values
             assert base.dtype == np.float64 and base.shape == (16, 128)
             for delta in (1.0, 1e-3, 1e-15, 0.0):
                 perturbed = entries.astype(complex)
                 perturbed[9, 3] += 1j * delta
                 with pytest.raises(ConfigError, match="complex"):
-                    fd.reconstruct(make_coeffs(perturbed, mode=mode), 16, 128)
-            again = fd.reconstruct(make_coeffs(entries.copy(), mode=mode), 16, 128)
+                    fd.reconstruct(make_coeffs(perturbed, mode=mode, n=128))
+            again = fd.reconstruct(make_coeffs(entries.copy(), mode=mode, n=128))
             assert np.array_equal(again.values, base), mode
 
 
@@ -590,8 +610,7 @@ class TestDeconvolve:
         full = np.fft.rfft(obs.samples, axis=1, norm="forward")
         monkeypatch.setattr(estimator, "spectrum_to_samples",
                             lambda c, n: np.fft.irfft(c, n, axis=-1, norm="forward"))
-        ref = fd.reconstruct(fd.hard_threshold(
-            fd.estimate_coeffs(full, ks, fd.plan(cfg, ks.m, ks.n))), 64, 128)
+        ref = fd.reconstruct(fd.hard_threshold(fd.estimate_coeffs(full, fd.plan(cfg, ks))))
         k = fd.MeyerBasis().band_size(cfg.j, 128)
         if sigma == 0:
             assert k > 2 * 7
@@ -640,6 +659,15 @@ class TestDeconvolve:
         with pytest.raises(ConfigError):
             fd.deconvolve(obs, grid, cfg=cfg, c_beta=3.0)
 
+    def test_config_and_mode_conflict(self, kernel_for):
+        """``mode`` is a config keyword like the others: next to a ``cfg`` it
+        raises instead of being ignored."""
+        grid, ks = kernel_for(64, 256)
+        obs = observe(np.zeros((64, 256)), 0.1)
+        cfg = fd.config_for(obs, ks)
+        with pytest.raises(ConfigError, match="not both"):
+            fd.deconvolve(obs, grid, cfg=cfg, mode="separate")
+
     def test_returns_config_and_flags(self, kernel_for):
         grid, _ = kernel_for(64, 256)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
@@ -661,7 +689,7 @@ class TestDeconvolve:
         obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.1)
         cfg = fd.config_for(obs, ks).resolved(64, 256)
         with pytest.raises(ConfigError, match=levels):
-            fd.plan(cfg, 64, 256, **basis)
+            fd.plan(cfg, ks, **basis)
         with pytest.raises(ConfigError, match=levels):
             fd.deconvolve(obs, ks, cfg=cfg, **basis)
 
