@@ -7,7 +7,10 @@ On each data grid it runs ``deconvolve`` in both modes, at the default
 levels and at ``--j 5 --jprime 5 --m0p 2``, and replays each of those runs
 from its manifest into the same paths after deleting what it wrote. It then
 runs ``simulate --runs 3 --out`` with ``--threads 1`` and ``--threads 2``,
-replays both, and runs ``table1 --runs 2 --n 64``. It prints one
+replays both, and runs ``table1 --runs 2 --n 64``. Last it runs
+``nu-estimate`` on the kernel, with the default fit window and with
+``--mlo 8 --mhi 32``; their stdout passes through the kernel's zero floor,
+which the fit window is checked against. It prints one
 ``sha256  name`` line per output file and per run's captured stdout, so two
 trees compare by ``diff``:
 
@@ -33,6 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SHAPE = (64, 256)
 LEVELS = {"default": [], "j5": ["--j", "5", "--jprime", "5", "--m0p", "2"]}
+NU_WINDOWS = {"default": [], "m8_32": ["--mlo", "8", "--mhi", "32"]}
 
 
 def sha256(data: bytes) -> str:
@@ -111,6 +115,8 @@ def hash_outputs() -> list:
         runner.replay(files[-1], files)
     runner.run("table1.csv", ["table1", "--runs", "2", "--n", "64", "--out", "table1.csv"],
                ["table1.csv", "table1.csv.manifest"])
+    for window, flags in NU_WINDOWS.items():
+        runner.run(f"nu_estimate_{window}", ["nu-estimate", "--kernel", "kernel.fdg", *flags], [])
     return runner.lines
 
 

@@ -127,9 +127,9 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
 
 def cmd_deconvolve(args) -> int:
+    # Kernel first: its samples are freed before the data grid takes their block, so 3 grids, not 4.
+    ks = kernel_spectrum(load_grid(args.kernel).samples)
     grid = load_grid(args.input)
-    kernel = load_grid(args.kernel)
-    ks = kernel_spectrum(kernel.samples)
     rec = deconvolve(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
                      m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
     cfg = rec.config

@@ -61,7 +61,10 @@ def paper_kernel(u, t):
     frac = np.mod(t, 1.0)
     dist = np.minimum(frac, 1.0 - frac)
     a = 1.0 + (u - 0.5) ** 2
-    return 0.5 * np.exp(-a * dist)
+    out = np.asarray(-a * dist)     # the one broadcast array; exp and halving run in it
+    np.exp(out, out=out)
+    out *= 0.5
+    return out[()]
 
 
 def kernel_grid(m: int, n: int) -> np.ndarray:

@@ -29,8 +29,9 @@ def test_two_runs_print_the_same_well_formed_lines(output_hashes, capsys):
         assert match[2] not in hashes, match[2]
         hashes[match[2]] = match[1]
     # 3 inputs; 8 deconvolve runs of 4 lines; 2 simulate runs of 3; their
-    # replays alike; table1's stdout, CSV and manifest
-    assert len(hashes) == 3 + 2 * (8 * 4 + 2 * 3) + 3
+    # replays alike; table1's stdout, CSV and manifest; 2 nu-estimate stdouts
+    assert len(hashes) == 3 + 2 * (8 * 4 + 2 * 3) + 3 + 2
+    assert hashes["nu_estimate_default.stdout"] != hashes["nu_estimate_m8_32.stdout"]
     replayed = [name for name in hashes
                 if name.startswith("replay/") and not name.endswith(".stdout")]
     assert len(replayed) == 8 * 3 + 2 * 2

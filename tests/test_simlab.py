@@ -33,6 +33,26 @@ class TestReferenceKernel:
         assert grid[2, 0] == simlab.paper_kernel(0.5, 0.0)
         assert grid[1, 3] == pytest.approx(simlab.paper_kernel(0.25, 3 / 8))
 
+    def test_grid_is_built_in_place(self):
+        """The grid is the two-temporary formula bit for bit, but peaks at about
+        one 512 x 2048 float grid under tracemalloc (the formula holds two);
+        scalars still give a scalar."""
+        m, n = 512, 2048
+        u = np.arange(m, dtype=float)[:, None] / m
+        t = np.arange(n, dtype=float)[None, :] / n
+        dist = np.minimum(t, 1.0 - t)
+        want = 0.5 * np.exp(-(1.0 + (u - 0.5) ** 2) * dist)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            grid = simlab.kernel_grid(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grid, want)
+        assert peak <= 1.1 * 8 * m * n
+        assert isinstance(simlab.paper_kernel(0.25, 3 / 8), float)
+
 
 class TestTargetFunctions:
     @pytest.mark.parametrize("name", ["Quadratic", "Blip", "Bumps"])

@@ -263,6 +263,25 @@ class TestKernelSpectrum:
             ks.g_coeffs *= 1e-20
         fd.validate_invertible(ks, range(11))
 
+    def test_zero_floor_is_taken_by_row_blocks(self):
+        """The floor equals the whole-spectrum formula bit for bit on 300 rows
+        of 1025, in blocks of 127 rows and a partial 46, and on a 512 x 2049
+        spectrum peaks near its 1 MB block buffer, not at abs of the whole
+        (8.4 MB)."""
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((300, 1025)) + 1j * rng.standard_normal((300, 1025))
+        floor = spectra.KernelSpectrum(g.copy()).zero_floor
+        assert np.array_equal(floor, _ZERO_REL * np.abs(g).max(axis=1, keepdims=True))
+        ks = spectra.KernelSpectrum(np.ones((512, 2049), dtype=complex))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ks.zero_floor
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+
     def test_zero_floor_is_relative(self):
         """FFT residues of analytic zeros (~1e-17 absolute) count as zeros."""
         t = np.arange(64) / 64
