@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .estimator import FUNCTIONAL, SEPARATE, deconvolve, finite_arithmetic
 from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
-from .gridio import load_grid, rewrite, save_grid
+from .gridio import load_grid, open_grid, rewrite, save_grid
 from .rates import BesovBall, compare_strategies, exponent_multi
 from .simlab import (
     SimConfig,
@@ -127,10 +127,13 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
 
 def cmd_deconvolve(args) -> int:
-    # Kernel first: its samples are freed before the data grid takes their block, so 3 grids, not 4.
-    ks = kernel_spectrum(load_grid(args.kernel).samples)
-    grid = load_grid(args.input)
-    rec = deconvolve(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
+    # Both headers are checked before any sample is read; the samples are then
+    # read a row block at a time, the kernel's into its spectrum, the data's into their band.
+    grid, kernel = open_grid(args.input), open_grid(args.kernel)
+    if (grid.m, grid.n) != (kernel.m, kernel.n):
+        raise ConfigError(f"{args.input} holds a {grid.m} x {grid.n} grid but {args.kernel} "
+                          f"a {kernel.m} x {kernel.n} kernel; they must have the same shape")
+    rec = deconvolve(grid, kernel_spectrum(kernel), mode=args.mode, c_beta=args.cbeta, nu=args.nu,
                      m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
     cfg = rec.config
     save_grid(args.out, ObservationGrid(rec.values, sigma=0.0))

@@ -349,12 +349,15 @@ def reconstruct(coeffs: HyperCoeffs) -> Reconstruction:
     return Reconstruction(spectrum_to_samples(band, n), coeffs)
 
 
-def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None,
+def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
                meyer_basis: MeyerBasis | None = None, spatial_basis: SpatialBasis | None = None,
                **config_kwargs) -> Reconstruction:
     """Full pipeline: spectra -> coefficient estimates -> threshold -> inverse.
 
-    ``kernel`` is a :class:`KernelSpectrum` or a sampled M x N kernel grid.
+    ``grid`` is an :class:`ObservationGrid` or a :class:`funcdeconv.gridio.GridFile`,
+    whose samples are then read a row block at a time into their K band columns.
+    ``kernel`` is a :class:`KernelSpectrum`, a sampled M x N kernel grid or a
+    ``GridFile`` of one.
     With ``cfg=None`` the configuration is :func:`config_for` of the grid, the
     kernel and ``config_kwargs`` (``mode``, ``nu``, ...); a ``cfg`` with any of
     them is a :class:`ConfigError`. One :func:`plan` of the kernel, given the
@@ -365,10 +368,10 @@ def deconvolve(grid: ObservationGrid, kernel, cfg: EstimatorConfig | None = None
         raise ConfigError("pass either cfg or config keyword overrides, not both")
     with finite_arithmetic():
         ks = kernel if isinstance(kernel, KernelSpectrum) else kernel_spectrum(kernel)
-        if cfg is None:
-            cfg = config_for(grid, ks, **config_kwargs)
         if (grid.m, grid.n) != (ks.m, ks.n):
             raise ConfigError(f"data grid {grid.m} x {grid.n} and kernel grid "
                               f"{ks.m} x {ks.n} differ in shape")
+        if cfg is None:
+            cfg = config_for(grid, ks, **config_kwargs)
         pl = plan(cfg, ks, meyer_basis, spatial_basis)
         return reconstruct(hard_threshold(estimate_coeffs(fourier_coeffs(grid, pl.k), pl)))

@@ -6,8 +6,11 @@ Two interchangeable on-disk forms:
   then M*N f64 samples in row-major order;
 * CSV (``.csv``): first line ``M,N,sigma``, then M rows of N samples.
 
-``load_grid``/``save_grid`` dispatch on file extension; on read, any
+``open_grid``/``save_grid`` dispatch on file extension; on read, any
 extension other than ``.csv`` and ``.fdg`` is sniffed for the magic.
+:func:`open_grid` reads and checks only the header and returns a
+:class:`GridFile`, whose samples are read a row block at a time;
+:func:`load_grid` reads them all into an :class:`ObservationGrid`.
 
 Every output file of the package is written through :func:`rewrite`, which
 replaces an existing file's contents in place instead of truncating it on
@@ -21,14 +24,16 @@ import os
 import stat
 import struct
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .spectra import ObservationGrid
+from .spectra import ObservationGrid, _is_pow2, block_rows, check_finite
 
 MAGIC = b"FDG1"
 _HEADER = struct.Struct("<QQd")
+_DATA_OFFSET = len(MAGIC) + _HEADER.size
 
 
 @contextlib.contextmanager
@@ -65,23 +70,66 @@ def save_grid_binary(path, grid: ObservationGrid) -> None:
         fh.write(memoryview(samples).cast("B"))
 
 
-def _read_binary(fh, path) -> ObservationGrid:
-    """Grid from an open binary file positioned just after the magic."""
+@dataclass(frozen=True, eq=False)
+class GridFile:
+    """An M x N grid file opened by :func:`open_grid`: its path and checked header.
+
+    The samples stay on disk: :meth:`row_blocks` reads them a block of rows at
+    a time (a ``.csv`` file, the small-data form, is parsed on open and its
+    blocks are views). It is a row source of
+    :func:`funcdeconv.spectra.fourier_coeffs` and
+    :func:`funcdeconv.spectra.kernel_spectrum`, and a grid of
+    :func:`funcdeconv.estimator.deconvolve`.
+    """
+
+    path: str
+    m: int
+    n: int
+    sigma: float
+    _parsed: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.m == 0 or self.n == 0:
+            raise ConfigError(f"{self.path}: header promises an empty {self.m}x{self.n} grid")
+        if self.n < 2 or not _is_pow2(self.n):
+            raise ConfigError(f"{self.path}: time length N={self.n} must be a power of two >= 2")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"{self.path}: sigma must be finite and >= 0, got {self.sigma}")
+
+    def row_blocks(self):
+        """``(start, rows)``: the rows from profile ``start`` on, ``block_rows(N)``
+        at a time, each checked to be finite. A binary file is read into one
+        reused buffer, so a block is valid until the next is read."""
+        step = block_rows(self.n)
+        if self._parsed is not None:
+            for start in range(0, self.m, step):
+                rows = self._parsed[start:start + step]
+                check_finite(rows, start, self.path)
+                yield start, rows
+            return
+        buf = np.empty((min(step, self.m), self.n), dtype="<f8")
+        with open(self.path, "rb") as fh:
+            fh.seek(_DATA_OFFSET)
+            for start in range(0, self.m, step):
+                rows = buf[:self.m - start]
+                if fh.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                    raise ConfigError(f"{self.path}: file shrank while being read")
+                check_finite(rows, start, self.path)
+                yield start, rows
+
+
+def _open_binary(fh, path) -> GridFile:
+    """Header of an open binary file positioned just after the magic."""
     header = fh.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ConfigError(f"{path}: truncated header ({len(header)} of "
                           f"{_HEADER.size} bytes after the magic)")
     m, n, sigma = _HEADER.unpack(header)
-    if m == 0 or n == 0:
-        raise ConfigError(f"{path}: header promises an empty {m}x{n} grid")
     payload = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload != 8 * m * n:
         raise ConfigError(f"{path}: header promises {m}x{n} samples "
                           f"({8 * m * n} bytes), file holds {payload} bytes")
-    samples = np.empty((m, n), dtype="<f8")
-    if fh.readinto(memoryview(samples).cast("B")) != payload:
-        raise ConfigError(f"{path}: file shrank while being read")
-    return ObservationGrid(samples, sigma=sigma)
+    return GridFile(os.fspath(path), m, n, sigma)
 
 
 def save_grid_csv(path, grid: ObservationGrid) -> None:
@@ -91,7 +139,7 @@ def save_grid_csv(path, grid: ObservationGrid) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_grid_csv(path) -> ObservationGrid:
+def _open_csv(path) -> GridFile:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -106,7 +154,7 @@ def load_grid_csv(path) -> ObservationGrid:
         raise ConfigError(f"{path}: not a CSV grid: {exc}") from None
     if data.shape != (m, n):
         raise ConfigError(f"{path}: header promises {(m, n)}, file holds {data.shape}")
-    return ObservationGrid(data, sigma=sigma)
+    return GridFile(os.fspath(path), m, n, sigma, data)
 
 
 def save_grid(path, grid: ObservationGrid) -> None:
@@ -117,19 +165,28 @@ def save_grid(path, grid: ObservationGrid) -> None:
         save_grid_binary(path, grid)
 
 
-def load_grid(path) -> ObservationGrid:
-    """Read a grid: a ``.csv`` path as CSV, a ``.fdg`` path as binary (a
-    wrong magic raises :class:`ConfigError`), any other by its magic."""
+def open_grid(path) -> GridFile:
+    """Open a grid file and check its header: a ``.csv`` path as CSV, a ``.fdg``
+    path as binary (a wrong magic raises :class:`ConfigError`), any other by its
+    magic. Binary samples are read only by :meth:`GridFile.row_blocks`."""
     suffix = _suffix(path)
-    if suffix == ".csv":
-        return load_grid_csv(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic == MAGIC:
-            return _read_binary(fh, path)
-    if suffix == ".fdg":
-        raise ConfigError(f"{path}: magic {magic!r} is not the .fdg magic {MAGIC!r}")
-    return load_grid_csv(path)
+    if suffix != ".csv":
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic == MAGIC:
+                return _open_binary(fh, path)
+        if suffix == ".fdg":
+            raise ConfigError(f"{path}: magic {magic!r} is not the .fdg magic {MAGIC!r}")
+    return _open_csv(path)
+
+
+def load_grid(path) -> ObservationGrid:
+    """Read a whole grid file: :func:`open_grid`, then every row block."""
+    grid = open_grid(path)
+    samples = np.empty((grid.m, grid.n))
+    for start, rows in grid.row_blocks():
+        samples[start:start + len(rows)] = rows
+    return ObservationGrid(samples, sigma=grid.sigma)
 
 
 def _suffix(path) -> str:

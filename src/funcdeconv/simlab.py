@@ -26,6 +26,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +36,8 @@ from .estimator import (FUNCTIONAL, SEPARATE, config_for, estimate_coeffs, finit
 from .estimator import deconvolve  # noqa: F401  (perfbench/tracer.py patches simlab.deconvolve)
 from .exceptions import ConfigError
 from .gridio import rewrite
-from .spectra import KernelSpectrum, ObservationGrid, fourier_coeffs, kernel_spectrum
+from .spectra import (KernelSpectrum, ObservationGrid, block_rows, fourier_coeffs,
+                      kernel_spectrum)
 
 PAIR_ORDER = (
     ("Quadratic", "Blip"),
@@ -56,11 +59,18 @@ TABLE1_MIN_N = 64
 
 def paper_kernel(u, t):
     """Pointwise reference kernel, periodic in t with period 1."""
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    frac = np.mod(t, 1.0)
-    dist = np.minimum(frac, 1.0 - frac)
-    a = 1.0 + (u - 0.5) ** 2
+    return _kernel_at(u, _distance_to_zero(t))
+
+
+def _distance_to_zero(t):
+    """``d(t) = min(t mod 1, 1 - t mod 1)``, the periodic distance of t to 0."""
+    frac = np.mod(np.asarray(t, dtype=float), 1.0)
+    return np.minimum(frac, 1.0 - frac)
+
+
+def _kernel_at(u, dist):
+    """:func:`paper_kernel` at u and ``dist = d(t)``."""
+    a = 1.0 + (np.asarray(u, dtype=float) - 0.5) ** 2
     out = np.asarray(-a * dist)     # the one broadcast array; exp and halving run in it
     np.exp(out, out=out)
     out *= 0.5
@@ -72,6 +82,33 @@ def kernel_grid(m: int, n: int) -> np.ndarray:
     u = np.arange(m, dtype=float)[:, None] / m
     t = np.arange(n, dtype=float)[None, :] / n
     return paper_kernel(u, t)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A row source of :func:`funcdeconv.spectra.fourier_coeffs`: M x N rows that
+    ``row_blocks()`` yields as ``(start, rows)`` blocks."""
+
+    m: int
+    n: int
+    row_blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]
+
+
+def _kernel_blocks(m: int, n: int):
+    """The rows of ``kernel_grid(m, n)``, bit for bit, ``block_rows(N)`` at a time.
+    d(t) is formed once: ``np.mod`` costs several times the block's ``exp``."""
+    dist = _distance_to_zero(np.arange(n, dtype=float)[None, :] / n)
+    step = block_rows(n)
+    for start in range(0, m, step):
+        u = np.arange(start, min(start + step, m), dtype=float)[:, None] / m
+        yield start, _kernel_at(u, dist)
+
+
+def reference_spectrum(m: int, n: int) -> KernelSpectrum:
+    """``kernel_spectrum(kernel_grid(m, n))``, bit for bit, without the M x N samples:
+    the reference kernel is sampled a row block at a time into the rows of its
+    half spectrum."""
+    return kernel_spectrum(_Rows(m, n, partial(_kernel_blocks, m, n)))
 
 
 # --- test signals ---------------------------------------------------------
@@ -158,12 +195,9 @@ def synthesize_data(truth: np.ndarray, sigma: float, *, seed: int = 0,
     return ObservationGrid(samples, sigma=sigma)
 
 
-# Bytes of one row block of replicate noise (32 rows at N = 512).
-_NOISE_BLOCK_BYTES = 1 << 17
-
-
 def _noise_blocks(m: int, n: int, seed: int, rep: int):
-    """Replicate ``rep``'s standard normal (M, N) noise, in row blocks of about 128 KB.
+    """Replicate ``rep``'s standard normal (M, N) noise, in row blocks of about 128 KB
+    (:data:`funcdeconv.spectra.ROW_BLOCK_BYTES`, 32 rows at N = 512).
 
     The seed contract in one place: replicate ``rep`` of a run seeded
     ``seed`` draws ``default_rng([seed, rep]).standard_normal((m, n))``.
@@ -173,7 +207,7 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
     a block is valid until the next is drawn.
     """
     rng = np.random.default_rng([seed, rep])
-    block = np.empty((max(1, _NOISE_BLOCK_BYTES // (8 * n)), n))
+    block = np.empty((block_rows(n), n))
     for start in range(0, m, len(block)):
         rows = block[:m - start]
         rng.standard_normal(out=rows)
@@ -181,12 +215,9 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
 
 
 def _noise_band(m: int, n: int, k: int, seed: int, rep: int) -> np.ndarray:
-    """The first k Fourier columns (M, k) of replicate ``rep``'s noise,
-    taken block by block from :func:`_noise_blocks`."""
-    band = np.empty((m, k), dtype=complex)
-    for start, rows in _noise_blocks(m, n, seed, rep):
-        band[start:start + len(rows)] = fourier_coeffs(rows, k)
-    return band
+    """The first k Fourier columns (M, k) of replicate ``rep``'s noise: ``fourier_coeffs``
+    of its :func:`_noise_blocks`, the same blocks and bits as of its M x N grid."""
+    return fourier_coeffs(_Rows(m, n, partial(_noise_blocks, m, n, seed, rep)), k)
 
 
 # --- MISE benchmark -------------------------------------------------------
@@ -272,7 +303,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     and its MISE repeated ``runs`` times, without a pool.
     """
     if kernel_spec is None:
-        kernel_spec = kernel_spectrum(kernel_grid(sim.m, sim.n))
+        kernel_spec = reference_spectrum(sim.m, sim.n)
     if (kernel_spec.m, kernel_spec.n) != (sim.m, sim.n):
         raise ConfigError(f"kernel grid {kernel_spec.m} x {kernel_spec.n} does not fit "
                           f"the cell's {sim.m} x {sim.n} grid")
@@ -322,7 +353,7 @@ def table1(runs: int = 25, seed: int = 0, n: int = 512, threads: int = 1) -> lis
                           f"the kernel's nu over the default window [N/16, N/4], which "
                           f"holds the 8 frequencies the fit needs only from N = {TABLE1_MIN_N}")
     rows = []
-    spectra_cache = {m: kernel_spectrum(kernel_grid(m, n)) for m in TABLE1_M_VALUES}
+    spectra_cache = {m: reference_spectrum(m, n) for m in TABLE1_M_VALUES}
     for f1, f2 in PAIR_ORDER:
         for m in TABLE1_M_VALUES:
             for sigma in TABLE1_SIGMAS:

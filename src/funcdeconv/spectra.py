@@ -37,6 +37,33 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# Bytes of one row block: grid samples are read, transformed and checked
+# this many at a time (32 rows at N = 512), and the kernel's zero floor takes
+# its peaks through a buffer of this size.
+ROW_BLOCK_BYTES = 1 << 17
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` floats in one :data:`ROW_BLOCK_BYTES` block, at least one."""
+    return max(1, ROW_BLOCK_BYTES // (8 * width))
+
+
+def array_blocks(samples: np.ndarray):
+    """``(start, rows)`` views of an (M, N) array, :func:`block_rows` (N) rows each."""
+    step = block_rows(samples.shape[1])
+    for start in range(0, samples.shape[0], step):
+        yield start, samples[start:start + step]
+
+
+def check_finite(rows: np.ndarray, start: int = 0, where: str = "samples") -> None:
+    """Raise :class:`ConfigError` ``WHERE: non-finite sample at (row, col)`` for the
+    first non-finite entry of ``rows``, a block whose first row is row ``start``."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ConfigError(f"{where}: non-finite sample at ({start + row}, {col})")
+
+
 @dataclass
 class ObservationGrid:
     """M x N real sample array y(u_l, t_i) with known noise level sigma."""
@@ -53,8 +80,8 @@ class ObservationGrid:
             raise ConfigError("need at least one profile")
         if n < 2 or not _is_pow2(n):
             raise ConfigError(f"time length N={n} must be a power of two >= 2")
-        if not np.all(np.isfinite(self.samples)):
-            raise ConfigError("samples contain non-finite values")
+        for start, rows in array_blocks(self.samples):
+            check_finite(rows, start)
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
@@ -97,13 +124,13 @@ class KernelSpectrum:
         """Per-profile amplitude (M, 1) at or below which a coefficient counts as zero.
 
         The peak amplitudes are taken a block of rows at a time, through one
-        reused buffer of at most :data:`_FLOOR_ELEMENTS` amplitudes (one row
+        reused buffer of at most :data:`ROW_BLOCK_BYTES` of amplitudes (one row
         when a row is wider), not through ``abs`` of the whole spectrum.
         """
         g = self.g_coeffs
         g.flags.writeable = False
         m, cols = g.shape
-        step = max(1, _FLOOR_ELEMENTS // cols)
+        step = block_rows(cols)
         buf = np.empty((min(step, m), cols))
         floor = np.empty((m, 1))
         for top in range(0, m, step):
@@ -126,36 +153,63 @@ def _matmul_band(k: int, n: int) -> bool:
     return k < n // 2 and k <= 2 * math.log2(n)
 
 
-def fourier_coeffs(grid: ObservationGrid | np.ndarray, k: int | None = None) -> np.ndarray:
+def _rows_of(grid):
+    """M, N and the ``(start, rows)`` blocks of what :func:`fourier_coeffs` reads."""
+    if hasattr(grid, "row_blocks"):
+        m, n, blocks = grid.m, grid.n, grid.row_blocks()
+    else:
+        samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
+        if samples.ndim != 2:
+            raise ConfigError("expected a 2-D (profiles x time) array")
+        if np.iscomplexobj(samples):
+            raise ConfigError("profile rows must be real")
+        (m, n), blocks = samples.shape, array_blocks(samples)
+    if not _is_pow2(n) or n < 2:
+        raise ConfigError(f"time length N={n} must be a power of two >= 2")
+    return m, n, blocks
+
+
+def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
     """Fourier coefficients (M, N/2 + 1) of every (real) profile row, ``m = 0 .. N/2``.
 
-    One ``rfft`` with forward normalisation: column ``m`` equals
+    ``grid`` is an :class:`ObservationGrid`, an (M, N) array or a row source:
+    an object with ``m``, ``n`` and a ``row_blocks()`` that yields ``(start,
+    rows)`` blocks covering the M rows in order, as :class:`funcdeconv.gridio.GridFile`
+    does; it is read once, and only one block of its samples is held at a time.
+
+    An ``rfft`` with forward normalisation: column ``m`` equals
     ``fft(rows)[:, m] / N`` to rounding. With ``k`` only the first k columns,
     ``m = 0 .. k-1``, are returned (1 <= k <= N/2 + 1). A band with k < N/2
     and k <= 2 log2 N is the real matmul ``rows @ band_dft(N, k)``, a wider
-    one the ``rfft``'s first k columns; the two agree to rounding.
+    one the ``rfft``'s first k columns; the two agree to rounding. Every route
+    goes a row block at a time (:func:`array_blocks` for an array), so an array
+    and a row source of the same samples give the same bits.
     """
-    samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
-    if samples.ndim != 2:
-        raise ConfigError("expected a 2-D (profiles x time) array")
-    if np.iscomplexobj(samples):
-        raise ConfigError("profile rows must be real")
-    m, n = samples.shape
-    if not _is_pow2(n) or n < 2:
-        raise ConfigError(f"time length N={n} must be a power of two >= 2")
+    m, n, blocks = _rows_of(grid)
+    full = n // 2 + 1
     if k is None:
-        return np.fft.rfft(samples, axis=1, norm="forward")
-    if not 1 <= k <= n // 2 + 1:
+        k = full
+    elif not 1 <= k <= full:
         raise ConfigError(f"a band of k={k} columns does not fit N={n} samples "
-                          f"(1 <= k <= {n // 2 + 1})")
+                          f"(1 <= k <= {full})")
+    out = np.empty((m, k), dtype=complex)
     if _matmul_band(k, n):
-        return _band_forward(samples, k)
-    return np.fft.rfft(samples, axis=1, norm="forward")[:, :k]
+        for start, rows in blocks:
+            _band_forward(rows, k, out[start:start + len(rows)])
+    elif k == full:
+        for start, rows in blocks:
+            np.fft.rfft(rows, axis=1, norm="forward", out=out[start:start + len(rows)])
+    else:
+        for start, rows in blocks:
+            out[start:start + len(rows)] = np.fft.rfft(rows, axis=1, norm="forward")[:, :k]
+    return out
 
 
-def _band_forward(samples: np.ndarray, k: int) -> np.ndarray:
-    """Matmul route of :func:`fourier_coeffs`: the first k columns of real rows."""
-    return (samples @ band_dft(samples.shape[1], k)).view(complex)
+def _band_forward(samples: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Matmul route of :func:`fourier_coeffs`: the first k columns of real rows,
+    written into the complex ``out`` when given."""
+    flat = None if out is None else out.view(float)
+    return np.matmul(samples, band_dft(samples.shape[1], k), out=flat).view(complex)
 
 
 def _band_inverse(band: np.ndarray, n: int) -> np.ndarray:
@@ -206,29 +260,28 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
     return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 
-def kernel_spectrum(kernel_samples: np.ndarray) -> KernelSpectrum:
+def kernel_spectrum(kernel) -> KernelSpectrum:
     """Per-profile Fourier coefficients of a sampled kernel g(u_l, t_i).
 
+    ``kernel`` is an (M, N) array of samples or a row source (see
+    :func:`fourier_coeffs`), such as a :class:`funcdeconv.gridio.GridFile`, whose
+    blocks are transformed into the rows of the half spectrum as they come.
     Zero coefficients are allowed here; invertibility over the wavelet bands
     actually used is validated when an estimator is built (see
     :func:`validate_invertible`).
     """
-    samples = np.asarray(kernel_samples, dtype=float)
-    if not np.all(np.isfinite(samples)):
-        raise ConfigError("kernel samples contain non-finite values")
-    return KernelSpectrum(fourier_coeffs(samples))
+    if not hasattr(kernel, "row_blocks"):
+        kernel = np.asarray(kernel, dtype=float)
+        if kernel.ndim == 2:
+            for start, rows in array_blocks(kernel):
+                check_finite(rows, start, "kernel samples")
+    return KernelSpectrum(fourier_coeffs(kernel))
 
 
 # Coefficients at or below this fraction of a profile's peak amplitude count
 # as zeros: FFTs of analytically band-limited kernels leave ~1e-16 residues
 # where the true coefficient vanishes.
 _ZERO_REL = 1e-12
-
-# Amplitudes per block of rows in :attr:`KernelSpectrum.zero_floor`: one
-# buffer of 2^17 floats (1 MB). The fit window's 4096 (``_FILL_ELEMENTS``)
-# made the floor about 2.8x slower at 1024 x 2048.
-_FLOOR_ELEMENTS = 2**17
-
 
 def validate_invertible(ks: KernelSpectrum, freqs) -> None:
     """Raise :class:`IllPosedKernel` naming (l, m) where |g_m(u_l)| vanishes on ``freqs``.

@@ -236,11 +236,12 @@ class TestDeconvolveCommand:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
-    def test_a_cold_call_holds_three_grids_not_four(self, tmp_path, mode):
-        """The kernel's samples are freed before the data are loaded: after a
-        warm-up call, one 128 x 512 call peaks below 3.5 float grids under
-        tracemalloc (the data, the kernel spectrum and the estimate, plus a
-        CSV chunk). Loading the data first held both grids, about 4.3."""
+    def test_a_cold_call_holds_no_samples_of_either_file(self, tmp_path, mode):
+        """Both files are read a row block at a time, the kernel's into its
+        spectrum and the data's into their band: after a warm-up call, one
+        128 x 512 call peaks below 2.5 float grids under tracemalloc (the
+        kernel spectrum and the estimate, plus row blocks and a CSV chunk;
+        2.33-2.35 measured). Holding either file's samples would add a grid."""
         m, n = 128, 512
         obs_path, kern_path = tmp_path / "obs.fdg", tmp_path / "kernel.fdg"
         truth = simlab.product_truth("Quadratic", "Blip", m, n)
@@ -258,7 +259,25 @@ class TestDeconvolveCommand:
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert peak < 3.5 * 8 * m * n
+        assert peak < 2.5 * 8 * m * n
+
+    @pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_output_matches_the_library_across_row_blocks(self, tmp_path, mode, suffix):
+        """At 256 x 512 the files are read in 8 row blocks of 32; the written
+        estimate is the library's on the whole grids, bit for bit."""
+        m, n = 256, 512
+        obs_path, kern_path = tmp_path / f"obs{suffix}", tmp_path / f"kernel{suffix}"
+        truth = simlab.product_truth("Blip", "Bumps", m, n)
+        gridio.save_grid(obs_path, simlab.synthesize_data(truth, 0.5, seed=2))
+        gridio.save_grid(kern_path, fd.ObservationGrid(simlab.kernel_grid(m, n)))
+        out = tmp_path / "fhat.fdg"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["deconvolve", "--input", str(obs_path), "--kernel", str(kern_path),
+                         "--mode", mode, "--out", str(out)]) == 0
+        rec = fd.deconvolve(gridio.load_grid(obs_path), gridio.load_grid(kern_path).samples,
+                            mode=mode)
+        assert gridio.load_grid(out).samples.tobytes() == rec.values.tobytes()
 
     def test_missing_input_is_a_usage_failure(self, workspace, capsys):
         root, _, kern_path = workspace
@@ -316,13 +335,68 @@ class TestMalformedInput:
                      str(kern_path), "--out", str(tmp_path / "z.fdg")])
         self.assert_one_line_usage_failure(code, capsys)
 
-    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
-        """simulate --m 10000000000 fails in kernel_grid; here the failure is
-        raised without allocating."""
-        def no_memory(m, n):
-            raise MemoryError(f"Unable to allocate an ({m}, {n}) array")
+    def deconvolve_fails_naming(self, tmp_path, capsys, data, kernel, *named):
+        """``deconvolve`` of the two files exits 1 with one error line holding
+        each of ``named`` and leaves an existing ``--out`` as it was."""
+        out = tmp_path / "out.fdg"
+        out.write_bytes(b"an earlier estimate")
+        code = main(["deconvolve", "--input", str(data), "--kernel", str(kernel),
+                     "--out", str(out)])
+        err = self.assert_one_line_usage_failure(code, capsys)
+        assert all(word in err for word in named), err
+        assert out.read_bytes() == b"an earlier estimate"
+        return err
 
-        monkeypatch.setattr(simlab, "kernel_grid", no_memory)
+    @pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+    @pytest.mark.parametrize("role", ["input", "kernel"])
+    def test_a_non_finite_sample_is_named_with_its_file_and_place(self, tmp_path, capsys,
+                                                                  role, suffix):
+        """The NaN sits in the second row block of a 128 x 256 grid (64 rows a block)."""
+        m, n = 128, 256
+        samples = simlab.kernel_grid(m, n)
+        files = {}
+        for name in ("input", "kernel"):
+            files[name] = tmp_path / f"{name}{suffix}"
+            grid = fd.ObservationGrid(samples.copy(), sigma=0.5)
+            if name == role:
+                grid.samples[100, 7] = np.nan
+            gridio.save_grid(files[name], grid)
+        path = files[role]
+        self.deconvolve_fails_naming(tmp_path, capsys, files["input"], files["kernel"],
+                                     f"{path}: non-finite sample at (100, 7)")
+
+    @pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+    @pytest.mark.parametrize("sigma", [math.nan, -0.5])
+    def test_a_bad_header_sigma_is_named_with_its_file(self, workspace, tmp_path, capsys,
+                                                       sigma, suffix):
+        _, _, kern_path = workspace
+        path = tmp_path / f"obs{suffix}"
+        head = gridio.MAGIC + gridio._HEADER.pack(64, 256, sigma) if suffix == ".fdg" \
+            else f"64,256,{sigma!r}\n".encode()
+        body = bytes(8 * 64 * 256) if suffix == ".fdg" \
+            else ("0.0," * 255 + "0.0\n").encode() * 64
+        path.write_bytes(head + body)
+        self.deconvolve_fails_naming(tmp_path, capsys, path, kern_path,
+                                     f"{path}: sigma must be finite and >= 0, got {sigma}")
+
+    def test_a_shape_mismatch_is_named_from_the_headers(self, tmp_path, capsys):
+        """Both files' samples are all NaN: the line names both shapes, not a
+        sample, so no sample was read before the headers were compared."""
+        path, kern_path = tmp_path / "obs.fdg", tmp_path / "kernel.fdg"
+        for p, m in ((path, 32), (kern_path, 64)):
+            p.write_bytes(gridio.MAGIC + gridio._HEADER.pack(m, 256, 0.5)
+                          + np.full(m * 256, np.nan).tobytes())
+        err = self.deconvolve_fails_naming(tmp_path, capsys, path, kern_path,
+                                           "32 x 256", "64 x 256", str(path), str(kern_path))
+        assert "non-finite" not in err
+
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys):
+        """simulate --m 10000000000 fails in reference_spectrum; here the failure
+        is raised without allocating."""
+        def no_memory(m, n):
+            raise MemoryError(f"Unable to allocate an ({m}, {n // 2 + 1}) array")
+
+        monkeypatch.setattr(simlab, "reference_spectrum", no_memory)
         code = main(["simulate", "--runs", "1", "--m", "10000000000"])
         err = self.assert_one_line_usage_failure(code, capsys)
         assert "Unable to allocate" in err

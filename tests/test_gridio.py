@@ -26,7 +26,7 @@ def test_csv_roundtrip_is_bitwise(tmp_path, grid):
     """repr round-trips doubles exactly, so even CSV is lossless."""
     path = tmp_path / "grid.csv"
     gridio.save_grid_csv(path, grid)
-    back = gridio.load_grid_csv(path)
+    back = gridio.load_grid(path)
     assert back.sigma == grid.sigma
     assert np.array_equal(back.samples, grid.samples)
 
@@ -96,7 +96,7 @@ def test_csv_header_mismatch_rejected(tmp_path, grid):
     lines[0] = "4,16,0.25"          # claims 4 profiles, file has 5
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError):
-        gridio.load_grid_csv(path)
+        gridio.load_grid(path)
 
 
 def test_rewrite_replaces_longer_contents(tmp_path):
@@ -149,3 +149,56 @@ def test_binary_rewrite_of_a_larger_grid_file(tmp_path, grid):
     back = fd.load_grid(path)
     assert back.sigma == grid.sigma
     assert np.array_equal(back.samples, grid.samples)
+
+
+@pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+def test_fourier_coeffs_of_a_file_is_that_of_its_array_bitwise(tmp_path, suffix):
+    """80 x 512 is three row blocks (32, 32, 16): the file's blocks go through
+    the same matmul (narrow band) and rfft (full width) as the array's."""
+    samples = np.random.default_rng(11).standard_normal((80, 512))
+    path = tmp_path / f"grid{suffix}"
+    fd.save_grid(path, fd.ObservationGrid(samples, sigma=0.5))
+    gf = fd.open_grid(path)
+    for k in (9, None):
+        assert fd.fourier_coeffs(gf, k).tobytes() == fd.fourier_coeffs(samples, k).tobytes()
+    assert fd.kernel_spectrum(gf).g_coeffs.tobytes() == \
+        fd.kernel_spectrum(samples).g_coeffs.tobytes()
+
+
+def test_open_grid_reads_the_header_only(tmp_path):
+    """The samples of an .fdg file are read by ``row_blocks``, 64 rows at N = 256,
+    into one reused buffer, and checked block by block; a GridFile has no ``samples``."""
+    path = tmp_path / "grid.fdg"
+    samples = np.arange(70 * 256, dtype=float).reshape(70, 256)
+    samples[69, 3] = np.nan
+    path.write_bytes(gridio.MAGIC + gridio._HEADER.pack(70, 256, 0.5) + samples.tobytes())
+    gf = gridio.open_grid(path)
+    assert (gf.m, gf.n, gf.sigma) == (70, 256, 0.5)
+    assert not hasattr(gf, "samples")
+    seen = []
+    with pytest.raises(ConfigError, match=rf"{path}: non-finite sample at \(69, 3\)"):
+        for start, rows in gf.row_blocks():
+            seen.append((start, rows.shape, rows.ctypes.data))
+            assert np.array_equal(rows, samples[start:start + len(rows)])
+    assert [s[:2] for s in seen] == [(0, (64, 256))]
+    samples[69, 3] = 0.0
+    path.write_bytes(gridio.MAGIC + gridio._HEADER.pack(70, 256, 0.5) + samples.tobytes())
+    seen = [(start, rows.shape, rows.ctypes.data) for start, rows in gf.row_blocks()]
+    assert [s[:2] for s in seen] == [(0, (64, 256)), (64, (6, 256))]
+    assert seen[0][2] == seen[1][2]
+
+
+def test_a_file_that_shrinks_after_open_is_named(tmp_path, grid):
+    path = tmp_path / "grid.fdg"
+    gridio.save_grid_binary(path, grid)
+    gf = gridio.open_grid(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="file shrank"):
+        list(gf.row_blocks())
+
+
+def test_a_non_power_of_two_n_is_named_with_its_file(tmp_path):
+    path = tmp_path / "grid.fdg"
+    path.write_bytes(gridio.MAGIC + gridio._HEADER.pack(2, 48, 0.5) + bytes(8 * 2 * 48))
+    with pytest.raises(ConfigError, match=f"{path}: time length N=48"):
+        gridio.open_grid(path)

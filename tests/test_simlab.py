@@ -169,9 +169,33 @@ class TestNoiseBlocks:
         assert got.tobytes() == want.tobytes()
 
     def test_the_noise_band_is_the_band_of_the_grid_noise(self):
+        """48 x 512 is two row blocks (32, 16); the band of the grid noise goes
+        by the same blocks, so the two are equal bit for bit."""
         want = fd.fourier_coeffs(np.random.default_rng([3, 5]).standard_normal((48, 512)), 9)
-        np.testing.assert_allclose(simlab._noise_band(48, 512, 9, 3, 5), want,
-                                   rtol=0, atol=1e-15)
+        assert simlab._noise_band(48, 512, 9, 3, 5).tobytes() == want.tobytes()
+
+
+class TestReferenceSpectrum:
+    @pytest.mark.parametrize("m, n", [(256, 512), (100, 64), (3, 8192)])
+    def test_is_the_spectrum_of_the_kernel_grid_bitwise(self, m, n):
+        """8 blocks of 32 rows, one partial block, and rows wider than a block."""
+        got = simlab.reference_spectrum(m, n)
+        want = fd.kernel_spectrum(simlab.kernel_grid(m, n))
+        assert got.g_coeffs.tobytes() == want.g_coeffs.tobytes()
+        assert got.zero_floor.tobytes() == want.zero_floor.tobytes()
+
+    def test_holds_one_row_block_of_samples(self):
+        """At 1024 x 2048 the build peaks within 1.1 half spectra (16.8 MB) under
+        tracemalloc; ``kernel_spectrum(kernel_grid(m, n))`` holds two."""
+        simlab.reference_spectrum(8, 2048)          # numpy's lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ks = simlab.reference_spectrum(1024, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * ks.g_coeffs.nbytes
 
 
 class TestRunMise:

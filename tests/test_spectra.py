@@ -145,6 +145,16 @@ class TestFourierCoeffs:
         with pytest.raises(ConfigError):
             fd.ObservationGrid(bad)
 
+    def test_a_non_finite_sample_is_named_by_its_place(self):
+        """The check goes a row block at a time (64 rows at N = 256) and names
+        the first bad sample of the grid, here in the second block."""
+        bad = np.zeros((70, 256))
+        bad[66, 9], bad[67, 1] = np.inf, np.nan
+        with pytest.raises(ConfigError, match=r"^samples: non-finite sample at \(66, 9\)$"):
+            fd.ObservationGrid(bad)
+        with pytest.raises(ConfigError, match=r"^kernel samples: non-finite sample at \(66, 9\)$"):
+            fd.kernel_spectrum(bad)
+
 
 class TestBandRoutes:
     """A band of k columns goes by a real matmul with ``band_dft`` when
@@ -264,12 +274,12 @@ class TestKernelSpectrum:
         fd.validate_invertible(ks, range(11))
 
     def test_zero_floor_is_taken_by_row_blocks(self):
-        """The floor equals the whole-spectrum formula bit for bit on 300 rows
-        of 1025, in blocks of 127 rows and a partial 46, and on a 512 x 2049
-        spectrum peaks near its 1 MB block buffer, not at abs of the whole
-        (8.4 MB)."""
+        """The floor equals the whole-spectrum formula bit for bit on 310 rows
+        of 1025, in blocks of 15 rows and a partial 10, and on a 512 x 2049
+        spectrum peaks near its 128 KB block buffer (``ROW_BLOCK_BYTES``), not
+        at abs of the whole (8.4 MB)."""
         rng = np.random.default_rng(5)
-        g = rng.standard_normal((300, 1025)) + 1j * rng.standard_normal((300, 1025))
+        g = rng.standard_normal((310, 1025)) + 1j * rng.standard_normal((310, 1025))
         floor = spectra.KernelSpectrum(g.copy()).zero_floor
         assert np.array_equal(floor, _ZERO_REL * np.abs(g).max(axis=1, keepdims=True))
         ks = spectra.KernelSpectrum(np.ones((512, 2049), dtype=complex))
@@ -280,7 +290,7 @@ class TestKernelSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2e6
+        assert peak < 0.2e6
 
     def test_zero_floor_is_relative(self):
         """FFT residues of analytic zeros (~1e-17 absolute) count as zeros."""
