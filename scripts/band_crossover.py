@@ -5,8 +5,10 @@ take the first k columns of an N-sample row's half spectrum by a real matmul
 with ``spectra.band_dft(N, k)`` when ``k < N // 2`` and ``k <= 2 log2 N``,
 and by ``rfft``/``irfft`` otherwise. This script times both routes, forward
 and inverse, at the rule's edge and at wider bands, up to four times the
-edge. No benchmark workload reaches the wide-band (FFT) side: their bands
-are 6 to 11 columns.
+edge, by calling those two functions with the rule (``spectra._matmul_band``)
+forced each way. The forward transform reads an ``ObservationGrid``, by row
+blocks of about 128 KB, as ``deconvolve`` does. No benchmark workload reaches
+the wide-band (FFT) side: their bands are 6 to 11 columns.
 
 Run: python3 scripts/band_crossover.py [--repeats 15]
 
@@ -22,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -47,14 +50,14 @@ def median_ms(fn, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-def routes(x: np.ndarray, k: int):
-    """(forward FFT, forward matmul, inverse FFT, inverse matmul) callables."""
-    n = x.shape[1]
-    band = np.fft.rfft(x, axis=1, norm="forward")[:, :k].copy()
-    return (lambda: np.fft.rfft(x, axis=1, norm="forward")[:, :k],
-            lambda: spectra._band_forward(x, k),
-            lambda: np.fft.irfft(band, n, axis=-1, norm="forward"),
-            lambda: spectra._band_inverse(band, n))
+@contextlib.contextmanager
+def forced(matmul: bool):
+    """Send every band by the matmul (True) or the FFT (False) route, whatever its width."""
+    rule, spectra._matmul_band = spectra._matmul_band, lambda k, n: matmul
+    try:
+        yield
+    finally:
+        spectra._matmul_band = rule
 
 
 def main() -> None:
@@ -65,12 +68,18 @@ def main() -> None:
     print("| M x N | k | rule | forward FFT / matmul (ms) | inverse FFT / matmul (ms) |")
     print("| --- | --- | --- | --- | --- |")
     for m, n in SHAPES:
-        x = rng.standard_normal((m, n))
+        grid = spectra.ObservationGrid(rng.standard_normal((m, n)))
         edge = min(n // 2 - 1, int(2 * np.log2(n)))
         for k in (edge, edge + 1, 2 * edge, 4 * edge):
             rule = "matmul" if spectra._matmul_band(k, n) else "fft"
-            fwd_fft, fwd_mm, inv_fft, inv_mm = (median_ms(fn, args.repeats)
-                                                for fn in routes(x, k))
+            band = spectra.fourier_coeffs(grid, k)
+            fwd, inv = {}, {}
+            for matmul in (False, True):
+                with forced(matmul):
+                    fwd[matmul] = median_ms(lambda: spectra.fourier_coeffs(grid, k), args.repeats)
+                    inv[matmul] = median_ms(lambda: spectra.spectrum_to_samples(band, n),
+                                            args.repeats)
+            (fwd_fft, fwd_mm), (inv_fft, inv_mm) = fwd.values(), inv.values()
             print(f"| {m}x{n} | {k} | {rule} | {fwd_fft:.2f} / {fwd_mm:.2f} "
                   f"({fwd_mm / fwd_fft:.2f}x) | {inv_fft:.2f} / {inv_mm:.2f} "
                   f"({inv_mm / inv_fft:.2f}x) |")

@@ -2,15 +2,18 @@
 
 In a fresh temporary directory, with relative paths (manifests record
 them), the script writes 64 x 256 inputs: the reference kernel and
-Quadratic (x) Blip data drawn at seed 0 with sigma 0.5 and with sigma 0.
-On each data grid it runs ``deconvolve`` in both modes, at the default
+Quadratic (x) Blip data drawn at seed 0 with sigma 0.5 and with sigma 0,
+and ``.csv`` copies of the kernel and of the sigma 0.5 data.
+On each ``.fdg`` data grid it runs ``deconvolve`` in both modes, at the default
 levels and at ``--j 5 --jprime 5 --m0p 2``, and replays each of those runs
-from its manifest into the same paths after deleting what it wrote. It then
+from its manifest into the same paths after deleting what it wrote; on the
+``.csv`` data and kernel it runs ``deconvolve`` once per mode. It then
 runs ``simulate --runs 3 --out`` with ``--threads 1`` and ``--threads 2``,
 replays both, and runs ``table1 --runs 2 --n 64``. Last it runs
 ``nu-estimate`` on the kernel, with the default fit window and with
-``--mlo 8 --mhi 32``; their stdout passes through the kernel's zero floor,
-which the fit window is checked against. It prints one
+``--mlo 8 --mhi 32``, and on the ``.csv`` kernel with the default window;
+their stdout passes through the kernel's zero floor, which the fit window
+is checked against. It prints one
 ``sha256  name`` line per output file and per run's captured stdout, so two
 trees compare by ``diff``:
 
@@ -89,12 +92,15 @@ def hash_outputs() -> list:
     from funcdeconv import ObservationGrid, gridio, simlab
     m, n = SHAPE
     runner = Runner()
-    gridio.save_grid("kernel.fdg", ObservationGrid(simlab.kernel_grid(m, n), sigma=0.0))
+    kernel = ObservationGrid(simlab.kernel_grid(m, n), sigma=0.0)
     truth = simlab.product_truth("Quadratic", "Blip", m, n)
-    inputs = {f"y_s{sigma:g}.fdg": sigma for sigma in (0.5, 0.0)}
-    for name, sigma in inputs.items():
-        gridio.save_grid(name, simlab.synthesize_data(truth, sigma, seed=0))
-    runner.hash_files(["kernel.fdg", *inputs])
+    inputs = {f"y_s{sigma:g}.fdg": simlab.synthesize_data(truth, sigma, seed=0)
+              for sigma in (0.5, 0.0)}
+    files = {"kernel.fdg": kernel, **inputs, "kernel.csv": kernel,
+             "y_s0.5.csv": inputs["y_s0.5.fdg"]}
+    for name, grid in files.items():
+        gridio.save_grid(name, grid)
+    runner.hash_files(files)
 
     deconvolved = []
     for name in inputs:
@@ -105,6 +111,11 @@ def hash_outputs() -> list:
                 runner.run(out, ["deconvolve", "--input", name, "--kernel", "kernel.fdg",
                                  "--mode", mode, *flags, "--out", out], files)
                 deconvolved.append(files)
+    for mode in ("functional", "separate"):
+        out = f"y_s0.5_csv_{mode}.fdg"
+        runner.run(out, ["deconvolve", "--input", "y_s0.5.csv", "--kernel", "kernel.csv",
+                         "--mode", mode, "--out", out],
+                   [out, f"{out}.coeffs.csv", f"{out}.manifest"])
     simulated = []
     for threads in ("1", "2"):
         out = f"simulate_threads{threads}.csv"
@@ -117,6 +128,7 @@ def hash_outputs() -> list:
                ["table1.csv", "table1.csv.manifest"])
     for window, flags in NU_WINDOWS.items():
         runner.run(f"nu_estimate_{window}", ["nu-estimate", "--kernel", "kernel.fdg", *flags], [])
+    runner.run("nu_estimate_csv", ["nu-estimate", "--kernel", "kernel.csv"], [])
     return runner.lines
 
 

@@ -354,10 +354,11 @@ def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
                **config_kwargs) -> Reconstruction:
     """Full pipeline: spectra -> coefficient estimates -> threshold -> inverse.
 
-    ``grid`` is an :class:`ObservationGrid` or a :class:`funcdeconv.gridio.GridFile`,
-    whose samples are then read a row block at a time into their K band columns.
-    ``kernel`` is a :class:`KernelSpectrum`, a sampled M x N kernel grid or a
-    ``GridFile`` of one.
+    ``grid`` is a row source with a ``sigma``, an :class:`ObservationGrid` or a
+    :class:`funcdeconv.gridio.GridFile`, read once, a row block at a time, into
+    its K band columns (:func:`fourier_coeffs`). ``kernel`` is a
+    :class:`KernelSpectrum` or anything :func:`kernel_spectrum` reads: a row
+    source or an M x N array of samples.
     With ``cfg=None`` the configuration is :func:`config_for` of the grid, the
     kernel and ``config_kwargs`` (``mode``, ``nu``, ...); a ``cfg`` with any of
     them is a :class:`ConfigError`. One :func:`plan` of the kernel, given the

@@ -9,8 +9,9 @@ Two interchangeable on-disk forms:
 ``open_grid``/``save_grid`` dispatch on file extension; on read, any
 extension other than ``.csv`` and ``.fdg`` is sniffed for the magic.
 :func:`open_grid` reads and checks only the header and returns a
-:class:`GridFile`, whose samples are read a row block at a time;
-:func:`load_grid` reads them all into an :class:`ObservationGrid`.
+:class:`GridFile`, a row source of :func:`funcdeconv.spectra.fourier_coeffs`
+whose samples are read a row block at a time; :func:`load_grid` reads them
+all into an :class:`ObservationGrid`.
 
 Every output file of the package is written through :func:`rewrite`, which
 replaces an existing file's contents in place instead of truncating it on
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError
-from .spectra import ObservationGrid, _is_pow2, block_rows, check_finite
+from .spectra import ObservationGrid, _is_pow2, array_blocks, block_rows, check_finite
 
 MAGIC = b"FDG1"
 _HEADER = struct.Struct("<QQd")
@@ -74,12 +75,10 @@ def save_grid_binary(path, grid: ObservationGrid) -> None:
 class GridFile:
     """An M x N grid file opened by :func:`open_grid`: its path and checked header.
 
-    The samples stay on disk: :meth:`row_blocks` reads them a block of rows at
-    a time (a ``.csv`` file, the small-data form, is parsed on open and its
-    blocks are views). It is a row source of
-    :func:`funcdeconv.spectra.fourier_coeffs` and
-    :func:`funcdeconv.spectra.kernel_spectrum`, and a grid of
-    :func:`funcdeconv.estimator.deconvolve`.
+    A row source (``m``, ``n``, :meth:`row_blocks`) of data or kernel samples. A
+    binary file's samples stay on disk and are read a block of rows at a time; a
+    ``.csv`` file, the small-data form, is parsed on open into an array whose
+    blocks are read as any array's (:func:`funcdeconv.spectra.array_blocks`).
     """
 
     path: str
@@ -98,15 +97,13 @@ class GridFile:
 
     def row_blocks(self):
         """``(start, rows)``: the rows from profile ``start`` on, ``block_rows(N)``
-        at a time, each checked to be finite. A binary file is read into one
+        at a time, each checked to be finite, a non-finite sample raising
+        :class:`ConfigError` with the path. A binary file is read into one
         reused buffer, so a block is valid until the next is read."""
-        step = block_rows(self.n)
         if self._parsed is not None:
-            for start in range(0, self.m, step):
-                rows = self._parsed[start:start + step]
-                check_finite(rows, start, self.path)
-                yield start, rows
+            yield from array_blocks(self._parsed, self.path)
             return
+        step = block_rows(self.n)
         buf = np.empty((min(step, self.m), self.n), dtype="<f8")
         with open(self.path, "rb") as fh:
             fh.seek(_DATA_OFFSET)

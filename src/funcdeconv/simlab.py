@@ -16,7 +16,8 @@ benchmark table bitwise reproducible. The Monte-Carlo harness
 separable, so the clean data are known on the K band columns the estimator
 reads, each noise block is reduced to its band as it is drawn, and every
 replicate is scored in coefficient space. The basis is orthonormal on the grid, so the
-score equals the grid MISE to rounding.
+score equals the grid MISE to rounding. The noise's and the reference kernel's
+row blocks reach ``fourier_coeffs`` as a :class:`funcdeconv.spectra.RowSource`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .estimator import (FUNCTIONAL, SEPARATE, config_for, estimate_coeffs, finit
 from .estimator import deconvolve  # noqa: F401  (perfbench/tracer.py patches simlab.deconvolve)
 from .exceptions import ConfigError
 from .gridio import rewrite
-from .spectra import (KernelSpectrum, ObservationGrid, block_rows, fourier_coeffs,
+from .spectra import (KernelSpectrum, ObservationGrid, RowSource, block_rows, fourier_coeffs,
                       kernel_spectrum)
 
 PAIR_ORDER = (
@@ -84,16 +84,6 @@ def kernel_grid(m: int, n: int) -> np.ndarray:
     return paper_kernel(u, t)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A row source of :func:`funcdeconv.spectra.fourier_coeffs`: M x N rows that
-    ``row_blocks()`` yields as ``(start, rows)`` blocks."""
-
-    m: int
-    n: int
-    row_blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]
-
-
 def _kernel_blocks(m: int, n: int):
     """The rows of ``kernel_grid(m, n)``, bit for bit, ``block_rows(N)`` at a time.
     d(t) is formed once: ``np.mod`` costs several times the block's ``exp``."""
@@ -108,7 +98,7 @@ def reference_spectrum(m: int, n: int) -> KernelSpectrum:
     """``kernel_spectrum(kernel_grid(m, n))``, bit for bit, without the M x N samples:
     the reference kernel is sampled a row block at a time into the rows of its
     half spectrum."""
-    return kernel_spectrum(_Rows(m, n, partial(_kernel_blocks, m, n)))
+    return kernel_spectrum(RowSource(m, n, partial(_kernel_blocks, m, n)))
 
 
 # --- test signals ---------------------------------------------------------
@@ -217,7 +207,7 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
 def _noise_band(m: int, n: int, k: int, seed: int, rep: int) -> np.ndarray:
     """The first k Fourier columns (M, k) of replicate ``rep``'s noise: ``fourier_coeffs``
     of its :func:`_noise_blocks`, the same blocks and bits as of its M x N grid."""
-    return fourier_coeffs(_Rows(m, n, partial(_noise_blocks, m, n, seed, rep)), k)
+    return fourier_coeffs(RowSource(m, n, partial(_noise_blocks, m, n, seed, rep)), k)
 
 
 # --- MISE benchmark -------------------------------------------------------

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +40,8 @@ def _is_pow2(n: int) -> bool:
 
 # Bytes of one row block: grid samples are read, transformed and checked
 # this many at a time (32 rows at N = 512), and the kernel's zero floor takes
-# its peaks through a buffer of this size.
+# its peaks through a buffer of this size. The nu fit's window has its own,
+# smaller buffer (:data:`_FILL_ELEMENTS`).
 ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -48,20 +50,35 @@ def block_rows(width: int) -> int:
     return max(1, ROW_BLOCK_BYTES // (8 * width))
 
 
-def array_blocks(samples: np.ndarray):
-    """``(start, rows)`` views of an (M, N) array, :func:`block_rows` (N) rows each."""
+def array_blocks(samples: np.ndarray, where: str | None = None):
+    """``(start, rows)`` views of an (M, N) array, :func:`block_rows` (N) rows each;
+    with ``where``, each is first checked by :func:`check_finite` under that name."""
     step = block_rows(samples.shape[1])
     for start in range(0, samples.shape[0], step):
-        yield start, samples[start:start + step]
+        rows = samples[start:start + step]
+        if where is not None:
+            check_finite(rows, start, where)
+        yield start, rows
 
 
-def check_finite(rows: np.ndarray, start: int = 0, where: str = "samples") -> None:
+def check_finite(rows: np.ndarray, start: int, where: str) -> None:
     """Raise :class:`ConfigError` ``WHERE: non-finite sample at (row, col)`` for the
     first non-finite entry of ``rows``, a block whose first row is row ``start``."""
     finite = np.isfinite(rows)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ConfigError(f"{where}: non-finite sample at ({start + row}, {col})")
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """M x N real rows that ``row_blocks()`` yields as ``(start, rows)`` blocks in
+    order, what :func:`fourier_coeffs` reads. Any object with ``m``, ``n`` and such
+    a ``row_blocks()`` is a row source, as ObservationGrid and GridFile are."""
+
+    m: int
+    n: int
+    row_blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]
 
 
 @dataclass
@@ -80,8 +97,8 @@ class ObservationGrid:
             raise ConfigError("need at least one profile")
         if n < 2 or not _is_pow2(n):
             raise ConfigError(f"time length N={n} must be a power of two >= 2")
-        for start, rows in array_blocks(self.samples):
-            check_finite(rows, start)
+        for _ in array_blocks(self.samples, "samples"):   # checks each block
+            pass
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
 
@@ -92,6 +109,10 @@ class ObservationGrid:
     @property
     def n(self) -> int:
         return self.samples.shape[1]
+
+    def row_blocks(self):
+        """:func:`array_blocks` of the samples, unchecked: they were checked on construction."""
+        return array_blocks(self.samples)
 
 
 def _half_width_to_n(cols: int) -> int:
@@ -146,46 +167,40 @@ def _matmul_band(k: int, n: int) -> bool:
 
     A real matmul costs about k N per row and an FFT about N log2 N, so the
     matmul wins for a band of a few log2 N columns; the rule keeps it within
-    2 log2 N, where it took about half the FFT's time for N = 128 .. 8192
-    (``scripts/band_crossover.py``). A band reaching N/2 keeps the FFT, which
-    alone gives the Nyquist column its one-sided meaning.
+    2 log2 N, where it took 0.3 to 0.55 of the FFT's time for N = 128 .. 2048
+    (``scripts/band_crossover.py``). At N = 8192 a row block is two rows and
+    the forward matmul took 2.2 times the FFT's time. A band reaching N/2 keeps
+    the FFT, which alone gives the Nyquist column its one-sided meaning.
     """
     return k < n // 2 and k <= 2 * math.log2(n)
-
-
-def _rows_of(grid):
-    """M, N and the ``(start, rows)`` blocks of what :func:`fourier_coeffs` reads."""
-    if hasattr(grid, "row_blocks"):
-        m, n, blocks = grid.m, grid.n, grid.row_blocks()
-    else:
-        samples = grid.samples if isinstance(grid, ObservationGrid) else np.asarray(grid)
-        if samples.ndim != 2:
-            raise ConfigError("expected a 2-D (profiles x time) array")
-        if np.iscomplexobj(samples):
-            raise ConfigError("profile rows must be real")
-        (m, n), blocks = samples.shape, array_blocks(samples)
-    if not _is_pow2(n) or n < 2:
-        raise ConfigError(f"time length N={n} must be a power of two >= 2")
-    return m, n, blocks
 
 
 def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
     """Fourier coefficients (M, N/2 + 1) of every (real) profile row, ``m = 0 .. N/2``.
 
-    ``grid`` is an :class:`ObservationGrid`, an (M, N) array or a row source:
-    an object with ``m``, ``n`` and a ``row_blocks()`` that yields ``(start,
-    rows)`` blocks covering the M rows in order, as :class:`funcdeconv.gridio.GridFile`
-    does; it is read once, and only one block of its samples is held at a time.
+    ``grid`` is a row source (see :class:`RowSource`), read once, a block at a
+    time. An (M, N) array is read as the row source of its :func:`array_blocks`,
+    each checked to be finite: a non-finite sample raises :class:`ConfigError`
+    naming its (row, col).
 
     An ``rfft`` with forward normalisation: column ``m`` equals
     ``fft(rows)[:, m] / N`` to rounding. With ``k`` only the first k columns,
     ``m = 0 .. k-1``, are returned (1 <= k <= N/2 + 1). A band with k < N/2
     and k <= 2 log2 N is the real matmul ``rows @ band_dft(N, k)``, a wider
     one the ``rfft``'s first k columns; the two agree to rounding. Every route
-    goes a row block at a time (:func:`array_blocks` for an array), so an array
-    and a row source of the same samples give the same bits.
+    goes a row block at a time, so every row source of the same samples gives
+    the same bits.
     """
-    m, n, blocks = _rows_of(grid)
+    if not hasattr(grid, "row_blocks"):
+        samples = np.asarray(grid)
+        if samples.ndim != 2:
+            raise ConfigError("expected a 2-D (profiles x time) array")
+        if np.iscomplexobj(samples):
+            raise ConfigError("profile rows must be real")
+        grid = RowSource(*samples.shape, partial(array_blocks, samples, "samples"))
+    m, n = grid.m, grid.n
+    if not _is_pow2(n) or n < 2:
+        raise ConfigError(f"time length N={n} must be a power of two >= 2")
     full = n // 2 + 1
     if k is None:
         k = full
@@ -194,22 +209,21 @@ def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
                           f"(1 <= k <= {full})")
     out = np.empty((m, k), dtype=complex)
     if _matmul_band(k, n):
-        for start, rows in blocks:
+        for start, rows in grid.row_blocks():
             _band_forward(rows, k, out[start:start + len(rows)])
     elif k == full:
-        for start, rows in blocks:
+        for start, rows in grid.row_blocks():
             np.fft.rfft(rows, axis=1, norm="forward", out=out[start:start + len(rows)])
     else:
-        for start, rows in blocks:
+        for start, rows in grid.row_blocks():
             out[start:start + len(rows)] = np.fft.rfft(rows, axis=1, norm="forward")[:, :k]
     return out
 
 
-def _band_forward(samples: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _band_forward(rows: np.ndarray, k: int, out: np.ndarray) -> None:
     """Matmul route of :func:`fourier_coeffs`: the first k columns of real rows,
-    written into the complex ``out`` when given."""
-    flat = None if out is None else out.view(float)
-    return np.matmul(samples, band_dft(samples.shape[1], k), out=flat).view(complex)
+    written into the complex ``out``."""
+    np.matmul(rows, band_dft(rows.shape[1], k), out=out.view(float))
 
 
 def _band_inverse(band: np.ndarray, n: int) -> np.ndarray:
@@ -263,18 +277,13 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
 def kernel_spectrum(kernel) -> KernelSpectrum:
     """Per-profile Fourier coefficients of a sampled kernel g(u_l, t_i).
 
-    ``kernel`` is an (M, N) array of samples or a row source (see
-    :func:`fourier_coeffs`), such as a :class:`funcdeconv.gridio.GridFile`, whose
-    blocks are transformed into the rows of the half spectrum as they come.
-    Zero coefficients are allowed here; invertibility over the wavelet bands
-    actually used is validated when an estimator is built (see
-    :func:`validate_invertible`).
+    ``kernel`` is what :func:`fourier_coeffs` reads: a row source, such as a
+    :class:`funcdeconv.gridio.GridFile`, whose blocks are transformed into the
+    rows of the half spectrum as they come, or an (M, N) array, whose samples
+    are checked to be finite in the same pass. Zero coefficients are allowed
+    here; invertibility over the wavelet bands actually used is validated
+    when an estimator is built (see :func:`validate_invertible`).
     """
-    if not hasattr(kernel, "row_blocks"):
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.ndim == 2:
-            for start, rows in array_blocks(kernel):
-                check_finite(rows, start, "kernel samples")
     return KernelSpectrum(fourier_coeffs(kernel))
 
 

@@ -153,16 +153,19 @@ def test_binary_rewrite_of_a_larger_grid_file(tmp_path, grid):
 
 @pytest.mark.parametrize("suffix", [".fdg", ".csv"])
 def test_fourier_coeffs_of_a_file_is_that_of_its_array_bitwise(tmp_path, suffix):
-    """80 x 512 is three row blocks (32, 32, 16): the file's blocks go through
-    the same matmul (narrow band) and rfft (full width) as the array's."""
+    """80 x 512 is three row blocks (32, 32, 16): the blocks of the file and of
+    an ObservationGrid go through the same matmul (narrow band) and rfft (full
+    width) as the array's."""
     samples = np.random.default_rng(11).standard_normal((80, 512))
     path = tmp_path / f"grid{suffix}"
-    fd.save_grid(path, fd.ObservationGrid(samples, sigma=0.5))
-    gf = fd.open_grid(path)
-    for k in (9, None):
-        assert fd.fourier_coeffs(gf, k).tobytes() == fd.fourier_coeffs(samples, k).tobytes()
-    assert fd.kernel_spectrum(gf).g_coeffs.tobytes() == \
-        fd.kernel_spectrum(samples).g_coeffs.tobytes()
+    obs = fd.ObservationGrid(samples, sigma=0.5)
+    fd.save_grid(path, obs)
+    for source in (fd.open_grid(path), obs):
+        for k in (9, None):
+            assert fd.fourier_coeffs(source, k).tobytes() == \
+                fd.fourier_coeffs(samples, k).tobytes()
+        assert fd.kernel_spectrum(source).g_coeffs.tobytes() == \
+            fd.kernel_spectrum(samples).g_coeffs.tobytes()
 
 
 def test_open_grid_reads_the_header_only(tmp_path):

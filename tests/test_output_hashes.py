@@ -28,10 +28,17 @@ def test_two_runs_print_the_same_well_formed_lines(output_hashes, capsys):
         assert match, line
         assert match[2] not in hashes, match[2]
         hashes[match[2]] = match[1]
-    # 3 inputs; 8 deconvolve runs of 4 lines; 2 simulate runs of 3; their
-    # replays alike; table1's stdout, CSV and manifest; 2 nu-estimate stdouts
-    assert len(hashes) == 3 + 2 * (8 * 4 + 2 * 3) + 3 + 2
+    # 3 .fdg and 2 .csv inputs; 8 deconvolve runs of 4 lines; 2 simulate runs
+    # of 3; their replays alike; 2 deconvolve runs of 4 lines on the .csv
+    # inputs; table1's stdout, CSV and manifest; 3 nu-estimate stdouts
+    assert len(hashes) == 5 + 2 * (8 * 4 + 2 * 3) + 2 * 4 + 3 + 3
     assert hashes["nu_estimate_default.stdout"] != hashes["nu_estimate_m8_32.stdout"]
+    # a .csv grid holds the same doubles as its .fdg copy, so it gives the same results
+    assert hashes["nu_estimate_csv.stdout"] == hashes["nu_estimate_default.stdout"]
+    for mode in ("functional", "separate"):
+        for suffix in ("", ".coeffs.csv"):
+            assert hashes[f"y_s0.5_csv_{mode}.fdg{suffix}"] == \
+                hashes[f"y_s0.5_{mode}_default.fdg{suffix}"], (mode, suffix)
     replayed = [name for name in hashes
                 if name.startswith("replay/") and not name.endswith(".stdout")]
     assert len(replayed) == 8 * 3 + 2 * 2

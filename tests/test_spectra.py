@@ -147,13 +147,23 @@ class TestFourierCoeffs:
 
     def test_a_non_finite_sample_is_named_by_its_place(self):
         """The check goes a row block at a time (64 rows at N = 256) and names
-        the first bad sample of the grid, here in the second block."""
+        the first bad sample of the grid, here in the second block. A kernel
+        array is checked by the ``fourier_coeffs`` pass that transforms it."""
         bad = np.zeros((70, 256))
         bad[66, 9], bad[67, 1] = np.inf, np.nan
         with pytest.raises(ConfigError, match=r"^samples: non-finite sample at \(66, 9\)$"):
             fd.ObservationGrid(bad)
-        with pytest.raises(ConfigError, match=r"^kernel samples: non-finite sample at \(66, 9\)$"):
+        with pytest.raises(ConfigError, match=r"^samples: non-finite sample at \(66, 9\)$"):
             fd.kernel_spectrum(bad)
+
+    @pytest.mark.parametrize("k", [9, 20, None])
+    def test_fourier_coeffs_of_an_array_names_a_non_finite_sample(self, k):
+        """Every route (matmul band, rfft band, full width) checks an array's
+        blocks as it reads them, instead of returning NaN coefficients."""
+        bad = np.zeros((70, 256))
+        bad[66, 9] = np.nan
+        with pytest.raises(ConfigError, match=r"^samples: non-finite sample at \(66, 9\)$"):
+            fd.fourier_coeffs(bad, k)
 
 
 class TestBandRoutes:
@@ -165,7 +175,8 @@ class TestBandRoutes:
         x = np.random.default_rng(n).standard_normal((6, n))
         edge = band_edge(n)
         for k in (1, edge, edge + 1):
-            matmul = spectra._band_forward(x, k)
+            matmul = np.empty((6, k), dtype=complex)
+            spectra._band_forward(x, k, matmul)
             fft = np.fft.rfft(x, axis=1, norm="forward")[:, :k]
             np.testing.assert_allclose(matmul, fft, rtol=0,
                                        atol=1e-15 * np.abs(x).max())
