@@ -7,14 +7,21 @@ and by ``rfft``/``irfft`` otherwise. This script times both routes, forward
 and inverse, at the rule's edge and at wider bands, up to four times the
 edge, by calling those two functions with the rule (``spectra._matmul_band``)
 forced each way. The forward transform reads an ``ObservationGrid``, by row
-blocks of about 128 KB, as ``deconvolve`` does. No benchmark workload reaches
-the wide-band (FFT) side: their bands are 6 to 11 columns.
+blocks of about 128 KB, as ``deconvolve`` does; the inverse writes blocks of
+``spectra.inverse_block_rows(N, k)`` rows into one output array. No benchmark
+workload reaches the wide-band (FFT) side: their bands are 6 to 11 columns.
+
+A second table times the blocked inverse at the rule's edge against one
+matmul of the whole band with the weights applied to the band first,
+``(band * weight) @ band_dft(N, k).T``, the inverse before it went by row
+blocks, at every N above and at 2048 x 8192 (a 134 MB output).
 
 Run: python3 scripts/band_crossover.py [--repeats 15]
 
 Prints one row per (M x N, k): the median milliseconds of the FFT route and
 of the matmul route in each direction, their ratio and the route the rule
-picks.
+picks; then one row per M x N: the rows per inverse block and the median
+milliseconds of the blocked and of the whole-array inverse.
 """
 
 import os
@@ -38,6 +45,7 @@ from funcdeconv import spectra  # noqa: E402
 
 # (M, N) of 0.1-2 M samples: each grid and band matrix stays under 17 MB
 SHAPES = ((1024, 128), (256, 512), (1024, 2048), (256, 8192))
+INVERSE_SHAPES = SHAPES + ((2048, 8192),)
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -60,6 +68,18 @@ def forced(matmul: bool):
         spectra._matmul_band = rule
 
 
+def whole_inverse(band: np.ndarray, n: int) -> np.ndarray:
+    """One matmul of the whole band, weighted by N (m = 0) and 2N (m > 0) first."""
+    k = band.shape[1]
+    weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
+    return (band.view(float) * weight) @ spectra.band_dft(n, k).T
+
+
+def edge(n: int) -> int:
+    """Widest band the rule sends by matmul."""
+    return min(n // 2 - 1, int(2 * np.log2(n)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15)
@@ -69,8 +89,8 @@ def main() -> None:
     print("| --- | --- | --- | --- | --- |")
     for m, n in SHAPES:
         grid = spectra.ObservationGrid(rng.standard_normal((m, n)))
-        edge = min(n // 2 - 1, int(2 * np.log2(n)))
-        for k in (edge, edge + 1, 2 * edge, 4 * edge):
+        e = edge(n)
+        for k in (e, e + 1, 2 * e, 4 * e):
             rule = "matmul" if spectra._matmul_band(k, n) else "fft"
             band = spectra.fourier_coeffs(grid, k)
             fwd, inv = {}, {}
@@ -84,6 +104,19 @@ def main() -> None:
                   f"({fwd_mm / fwd_fft:.2f}x) | {inv_fft:.2f} / {inv_mm:.2f} "
                   f"({inv_mm / inv_fft:.2f}x) |")
         spectra.band_dft.cache_clear()
+        spectra.band_idft.cache_clear()
+    print()
+    print("| M x N | k | rows per block | inverse blocked / whole-array matmul (ms) |")
+    print("| --- | --- | --- | --- |")
+    for m, n in INVERSE_SHAPES:
+        k = edge(n)
+        band = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        out = np.empty((m, n))
+        blocked = median_ms(lambda: spectra.spectrum_to_samples(band, n, out=out), args.repeats)
+        whole = median_ms(lambda: whole_inverse(band, n), args.repeats)
+        print(f"| {m}x{n} | {k} | {spectra.inverse_block_rows(n, k)} | {blocked:.2f} / "
+              f"{whole:.2f} ({blocked / whole:.2f}x) |")
+        del band, out
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import warnings
 from fractions import Fraction
 
 from . import __version__
-from .estimator import FUNCTIONAL, SEPARATE, deconvolve, finite_arithmetic
+from .estimator import FUNCTIONAL, SEPARATE, estimate, finite_arithmetic, sample_rows
+from .estimator import deconvolve  # noqa: F401  (perfbench/tracer.py binds (cli, "deconvolve"))
 from .exceptions import ConfigError, FuncDeconvError, IllPosedKernel
 from .gridio import load_grid  # noqa: F401  (perfbench/tracer.py binds (cli, "load_grid"))
 from .gridio import open_grid, rewrite, save_grid
@@ -33,7 +34,7 @@ from .simlab import (
     table1,
     write_table_csv,
 )
-from .spectra import ObservationGrid, estimate_nu, kernel_bounds, kernel_spectrum
+from .spectra import estimate_nu, kernel_bounds, kernel_spectrum
 
 
 def _rational(text: str):
@@ -106,25 +107,25 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
     Rows run over the (j', j) blocks in ascending level order and through
     each block row-major; separate mode has one block row, jprime = -1, with
-    kprime the profile index. The floats of a chunk are formatted by one
-    ``repr`` of its list, the shortest round-trip digits of ``repr`` of each.
+    kprime the profile index. A chunk of a block's rows is formatted by one
+    ``%`` template, a line ``j,k,jprime,%d,%r,%d`` per coefficient, whose
+    ``%r`` of each float gives the shortest round-trip digits of ``repr``.
     """
-    tails = (",0\n", ",1\n")
     with rewrite(path) as fh:
         fh.write("j,k,jprime,kprime,re,kept\n")
         for jp, ss in coeffs.plan.spatial_slices.items():
             for j, ts in coeffs.plan.time_slices.items():
                 block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
                 rows, width = block.shape
-                heads = [f"{j},{k},{jp}," for k in range(width)]
+                line = "".join(f"{j},{k},{jp},%d,%r,%d\n" for k in range(width))
                 step = max(1, _CSV_CHUNK // width)
                 for top in range(0, rows, step):
                     bottom = min(top + step, rows)
-                    starts = [head + f"{kp}," for kp in range(top, bottom) for head in heads]
-                    res = repr(block[top:bottom].ravel().tolist())[1:-1].split(", ")
-                    flags = kept[top:bottom].ravel().tolist()
-                    fh.write("".join([start + re + tails[flag]
-                                      for start, re, flag in zip(starts, res, flags)]))
+                    values = [None] * (3 * width * (bottom - top))
+                    values[0::3] = [kp for kp in range(top, bottom) for _ in range(width)]
+                    values[1::3] = block[top:bottom].ravel().tolist()
+                    values[2::3] = kept[top:bottom].ravel().tolist()
+                    fh.write((line * (bottom - top)) % tuple(values))
 
 
 def cmd_deconvolve(args) -> int:
@@ -134,12 +135,13 @@ def cmd_deconvolve(args) -> int:
     if (grid.m, grid.n) != (kernel.m, kernel.n):
         raise ConfigError(f"{args.input} holds a {grid.m} x {grid.n} grid but {args.kernel} "
                           f"a {kernel.m} x {kernel.n} kernel; they must have the same shape")
-    rec = deconvolve(grid, kernel_spectrum(kernel), mode=args.mode, c_beta=args.cbeta, nu=args.nu,
-                     m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
-    cfg = rec.config
-    save_grid(args.out, ObservationGrid(rec.values, sigma=0.0))
+    coeffs = estimate(grid, kernel_spectrum(kernel), mode=args.mode, c_beta=args.cbeta,
+                      nu=args.nu, m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
+    cfg = coeffs.config
+    # the estimate is written as its row blocks are made, never held whole
+    save_grid(args.out, sample_rows(coeffs))
     args.coeffs = args.coeffs or f"{args.out}.coeffs.csv"
-    _write_coeffs_csv(args.coeffs, rec.coeffs)
+    _write_coeffs_csv(args.coeffs, coeffs)
     args.nu, args.cbeta, args.j, args.jprime = cfg.nu, cfg.c_beta, cfg.j, cfg.j_prime
     if grid.sigma == 0:
         print(f"warning: {args.input} records sigma = 0, so no threshold is "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -28,8 +29,9 @@ import numpy as np
 from .exceptions import ConfigError, InsufficientRange, LevelTooFine
 from .meyer import MeyerBasis, j_capacity, level_slices
 from .spatial import SpatialBasis
-from .spectra import (KernelSpectrum, ObservationGrid, _kernel_fit, fourier_coeffs,
-                      kernel_spectrum, spectrum_to_samples, validate_invertible)
+from .spectra import (KernelSpectrum, ObservationGrid, RowSource, _kernel_fit, fourier_coeffs,
+                      inverse_block_rows, kernel_spectrum, spectrum_to_samples,
+                      validate_invertible)
 from .spectra import estimate_nu  # noqa: F401  (perfbench/tracer.py patches estimator.estimate_nu)
 
 FUNCTIONAL = "functional"
@@ -323,13 +325,10 @@ class Reconstruction:
         return self.coeffs.config
 
 
-def reconstruct(coeffs: HyperCoeffs) -> Reconstruction:
-    """Invert thresholded coefficients back to samples on the plan's grid, by its bases.
-
-    :class:`ConfigError` is raised for complex entries (a real field has
-    real coefficients) and for rows that do not fit the plan's M: more than
-    M spatial rows (functional), other than M profile rows (separate).
-    """
+def _synthesis_band(coeffs: HyperCoeffs) -> np.ndarray:
+    """The (M, K) band of the estimate's spectrum: the thresholded coefficients,
+    checked as :func:`reconstruct` states, through the inverse spatial DWT
+    (functional mode) and the Meyer synthesis."""
     pl, cfg, (m, n) = coeffs.plan, coeffs.config, coeffs.plan.shape
     if np.iscomplexobj(coeffs.entries):
         raise ConfigError("coefficients must be real, got complex entries")
@@ -337,22 +336,64 @@ def reconstruct(coeffs: HyperCoeffs) -> Reconstruction:
     if rows > m or (cfg.mode == SEPARATE and rows < m):
         raise ConfigError(f"{cfg.mode} coefficients of shape {coeffs.entries.shape} "
                           f"do not fit the plan's (M, N) = ({m}, {n}) grid")
-    # the temporaries are deleted before the M x N grid is allocated
-    timec = coeffs.thresholded()
-    if cfg.mode == FUNCTIONAL:
-        full = np.zeros((timec.shape[1], m))                # (2^J, M)
-        full[:, :rows] = timec.T                            # rows beyond 2^J' stay zero
-        timec = pl.spatial.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
-        del full
-    band = pl.meyer.synthesize_t(timec)
-    del timec
-    return Reconstruction(spectrum_to_samples(band, n), coeffs)
+    with finite_arithmetic():
+        timec = coeffs.thresholded()
+        if cfg.mode == FUNCTIONAL:
+            full = np.zeros((timec.shape[1], m))                # (2^J, M)
+            full[:, :rows] = timec.T                            # rows beyond 2^J' stay zero
+            timec = pl.spatial.dwt_inverse(full).T * math.sqrt(m)  # (M, 2^J)
+        return pl.meyer.synthesize_t(timec)
 
 
-def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
-               meyer_basis: MeyerBasis | None = None, spatial_basis: SpatialBasis | None = None,
-               **config_kwargs) -> Reconstruction:
-    """Full pipeline: spectra -> coefficient estimates -> threshold -> inverse.
+def _sample_blocks(band: np.ndarray, n: int):
+    """``(start, rows)``: :func:`spectrum_to_samples` of each block of
+    :func:`inverse_block_rows` rows of ``band``, the blocks it walks itself,
+    written into one reused buffer, each under :func:`finite_arithmetic`."""
+    m = band.shape[0]
+    step = inverse_block_rows(n, band.shape[1])
+    buf = np.empty((min(step, m), n))
+    for start in range(0, m, step):
+        rows = buf[:m - start]
+        with finite_arithmetic():
+            spectrum_to_samples(band[start:start + step], n, out=rows)
+        yield start, rows
+
+
+def sample_rows(coeffs: HyperCoeffs) -> RowSource:
+    """The estimate on the plan's M x N grid as a row source of sigma 0, one
+    block of rows at a time, never the whole grid.
+
+    The coefficients are checked, and taken to the (M, K) band of the
+    estimate's spectrum, at once; each ``row_blocks()`` then takes that band
+    back to the grid a block of :func:`inverse_block_rows` rows at a time,
+    through one reused buffer: a block is valid until the next is made. A
+    block is :func:`spectrum_to_samples` of the rows it covers, so the blocks
+    are bitwise the rows of :func:`reconstruct`'s values.
+    """
+    band = _synthesis_band(coeffs)
+    m, n = coeffs.plan.shape
+    return RowSource(m, n, partial(_sample_blocks, band, n))
+
+
+def reconstruct(coeffs: HyperCoeffs) -> Reconstruction:
+    """Invert thresholded coefficients back to samples on the plan's grid, by its bases.
+
+    The grid is :func:`spectrum_to_samples` of the band that :func:`sample_rows`
+    streams, by the same row blocks, under :func:`finite_arithmetic`.
+    :class:`ConfigError` is raised for complex entries (a real field has
+    real coefficients) and for rows that do not fit the plan's M: more than
+    M spatial rows (functional), other than M profile rows (separate).
+    """
+    band = _synthesis_band(coeffs)
+    with finite_arithmetic():
+        return Reconstruction(spectrum_to_samples(band, coeffs.plan.shape[1]), coeffs)
+
+
+def estimate(grid, kernel, cfg: EstimatorConfig | None = None,
+             meyer_basis: MeyerBasis | None = None, spatial_basis: SpatialBasis | None = None,
+             **config_kwargs) -> HyperCoeffs:
+    """The pipeline up to the estimate's coefficients: spectra -> coefficient
+    estimates -> threshold.
 
     ``grid`` is a row source with a ``sigma``, an :class:`ObservationGrid` or a
     :class:`funcdeconv.gridio.GridFile`, read once, a row block at a time, into
@@ -362,8 +403,7 @@ def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
     With ``cfg=None`` the configuration is :func:`config_for` of the grid, the
     kernel and ``config_kwargs`` (``mode``, ``nu``, ...); a ``cfg`` with any of
     them is a :class:`ConfigError`. One :func:`plan` of the kernel, given the
-    bases if any, serves every stage. It runs under :func:`finite_arithmetic`,
-    so it never returns non-finite values.
+    bases if any, serves every stage. It runs under :func:`finite_arithmetic`.
     """
     if cfg is not None and config_kwargs:
         raise ConfigError("pass either cfg or config keyword overrides, not both")
@@ -375,4 +415,17 @@ def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
         if cfg is None:
             cfg = config_for(grid, ks, **config_kwargs)
         pl = plan(cfg, ks, meyer_basis, spatial_basis)
-        return reconstruct(hard_threshold(estimate_coeffs(fourier_coeffs(grid, pl.k), pl)))
+        return hard_threshold(estimate_coeffs(fourier_coeffs(grid, pl.k), pl))
+
+
+def deconvolve(grid, kernel, cfg: EstimatorConfig | None = None,
+               meyer_basis: MeyerBasis | None = None, spatial_basis: SpatialBasis | None = None,
+               **config_kwargs) -> Reconstruction:
+    """Full pipeline, ``reconstruct(estimate(...))``: spectra -> coefficient
+    estimates -> threshold -> inverse, with the arguments of :func:`estimate`.
+
+    Every stage runs under :func:`finite_arithmetic`, so it never returns
+    non-finite values.
+    """
+    return reconstruct(estimate(grid, kernel, cfg, meyer_basis, spatial_basis,
+                                **config_kwargs))

@@ -11,7 +11,9 @@ extension other than ``.csv`` and ``.fdg`` is sniffed for the magic.
 :func:`open_grid` reads and checks only the header and returns a
 :class:`GridFile`, a row source of :func:`funcdeconv.spectra.fourier_coeffs`
 whose samples are read a row block at a time; :func:`load_grid` reads them
-all into an :class:`ObservationGrid`.
+all into an :class:`ObservationGrid`. :func:`save_grid` writes any row source
+with a ``sigma`` a row block at a time, and removes the file when a block
+fails.
 
 Every output file of the package is written through :func:`rewrite`, which
 replaces an existing file's contents in place instead of truncating it on
@@ -63,12 +65,27 @@ def _open_untruncated(path, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def save_grid_binary(path, grid: ObservationGrid) -> None:
-    samples = np.ascontiguousarray(grid.samples, dtype="<f8")
-    with rewrite(path, "wb") as fh:
+@contextlib.contextmanager
+def _written(path, mode: str = "w"):
+    """:func:`rewrite` of a grid file that a failed write removes: if producing or
+    writing a row block raises, the file at ``path`` is removed, an older one it
+    was overwriting included, and the error re-raised. Pipes and devices stay."""
+    with rewrite(path, mode) as fh:
+        try:
+            yield fh
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.remove(path)
+            raise
+
+
+def save_grid_binary(path, grid) -> None:
+    """Write a row source with a ``sigma`` as a binary grid, a row block at a time."""
+    with _written(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(grid.m, grid.n, float(grid.sigma)))
-        fh.write(memoryview(samples).cast("B"))
+        for _, rows in grid.row_blocks():
+            fh.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +146,13 @@ def _open_binary(fh, path) -> GridFile:
     return GridFile(os.fspath(path), m, n, sigma)
 
 
-def save_grid_csv(path, grid: ObservationGrid) -> None:
-    with rewrite(path) as fh:
+def save_grid_csv(path, grid) -> None:
+    """Write a row source with a ``sigma`` as a CSV grid, a row block at a time."""
+    with _written(path) as fh:
         fh.write(f"{grid.m},{grid.n},{grid.sigma!r}\n")
-        for row in grid.samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for _, rows in grid.row_blocks():
+            for row in rows:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _open_csv(path) -> GridFile:
@@ -154,8 +173,14 @@ def _open_csv(path) -> GridFile:
     return GridFile(os.fspath(path), m, n, sigma, data)
 
 
-def save_grid(path, grid: ObservationGrid) -> None:
-    """Write a grid: CSV for a ``.csv`` path, binary for any other."""
+def save_grid(path, grid) -> None:
+    """Write a grid: CSV for a ``.csv`` path, binary for any other.
+
+    ``grid`` is any row source with a ``sigma`` (an :class:`ObservationGrid`, a
+    :class:`GridFile`, :func:`funcdeconv.estimator.sample_rows`), written as its
+    row blocks come. A block that fails to be made or written removes the file,
+    so a failed write leaves no file at ``path``, not even an older one.
+    """
     if _suffix(path) == ".csv":
         save_grid_csv(path, grid)
     else:

@@ -13,7 +13,8 @@ spectrum of an N-sample row has N/2 + 1 columns, column ``m`` holding
 frequency ``m`` for ``0 <= m <= N/2`` (the ``rfft`` layout). The row length
 is recovered from the width as ``N = 2 * (columns - 1)``. A band, the first k
 columns, is a prefix of that layout; a narrow one is computed, and taken
-back to the grid, by a real matmul instead of an FFT.
+back to the grid, by a real matmul instead of an FFT. Both directions go a
+block of rows at a time, so neither needs more than one block of samples.
 
 The kernel's decay exponent nu and its bounds c1, c2 are fitted over a window
 of frequencies, by default ``[N/16, N/4]``. The window's amplitudes are read
@@ -74,11 +75,13 @@ def check_finite(rows: np.ndarray, start: int, where: str) -> None:
 class RowSource:
     """M x N real rows that ``row_blocks()`` yields as ``(start, rows)`` blocks in
     order, what :func:`fourier_coeffs` reads. Any object with ``m``, ``n`` and such
-    a ``row_blocks()`` is a row source, as ObservationGrid and GridFile are."""
+    a ``row_blocks()`` is a row source, as ObservationGrid and GridFile are; one
+    with a ``sigma`` as well is what :func:`funcdeconv.gridio.save_grid` writes."""
 
     m: int
     n: int
     row_blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]
+    sigma: float = 0.0
 
 
 @dataclass
@@ -226,13 +229,28 @@ def _band_forward(rows: np.ndarray, k: int, out: np.ndarray) -> None:
     np.matmul(rows, band_dft(rows.shape[1], k), out=out.view(float))
 
 
-def _band_inverse(band: np.ndarray, n: int) -> np.ndarray:
-    """Matmul route of :func:`spectrum_to_samples`: N samples per row from a
-    k-column band, each column ``m > 0`` counted twice for its conjugate at ``-m``."""
-    k = band.shape[-1]
-    flat = np.ascontiguousarray(band, dtype=complex).view(float)
-    weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
-    return (flat * weight) @ band_dft(n, k).T
+def _peak(x: np.ndarray) -> float:
+    """Largest magnitude in ``x`` (0 when empty), without an ``abs`` copy."""
+    return max(x.max(initial=0.0), -x.min(initial=0.0))
+
+
+def _band_inverse(band: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Matmul route of :func:`spectrum_to_samples`: N samples per row of a
+    C-contiguous complex k-column band, written into ``out`` a block of
+    :func:`inverse_block_rows` rows at a time.
+
+    A band whose weighted coefficients, N c_0 or 2N c_m (the unnormalised
+    two-sided spectrum), exceed the float range raises :class:`ConfigError`.
+    """
+    flat, k = band.view(float), band.shape[1]
+    big = np.finfo(float).max / n
+    if _peak(flat[:, :2]) > big or _peak(flat[:, 2:]) > big / 2:
+        raise ConfigError("floating-point overflow: the band's unnormalised spectrum "
+                          f"N c_m exceeds the float range at N={n} (input values or "
+                          "parameters out of range)")
+    idft, step = band_idft(n, k), inverse_block_rows(n, k)
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start:start + step], idft, out=out[start:start + step])
 
 
 @lru_cache(maxsize=8)
@@ -250,28 +268,75 @@ def band_dft(n: int, k: int) -> np.ndarray:
     return dft
 
 
-def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
+@lru_cache(maxsize=8)
+def band_idft(n: int, k: int) -> np.ndarray:
+    """(2K, N) real matrix G with ``band.view(float) @ G`` the N samples per row
+    of a K-column band of real rows, the inverse of :func:`band_dft`.
+
+    Row pair (2m, 2m + 1) is column pair (2m, 2m + 1) of ``band_dft(N, K)``
+    times N at m = 0 and times 2N above, each m > 0 counted twice for its
+    conjugate at -m. The weights are powers of two, so the fold is exact:
+    every product is bitwise that of weighting the band first. C-contiguous
+    and memoised: every call with the same (N, K) returns one read-only array.
+    """
+    weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
+    idft = np.ascontiguousarray((band_dft(n, k) * weight).T)
+    idft.flags.writeable = False
+    return idft
+
+
+# Fewest rows of a block of spectrum_to_samples where each block pays a fixed
+# cost: an irfft call, or the matmul's packing of a (2K, N) band matrix larger
+# than a row block. Against the whole array's time, 128 KB blocks took 1.1-1.3
+# times on the irfft route (N = 2048, 8192) and 32-row matmul blocks 1.3-1.4
+# times (N = 4096, 8192); 128-row blocks took 0.9-1.07 times on both routes.
+_INVERSE_MIN_ROWS = 128
+
+
+def inverse_block_rows(n: int, k: int) -> int:
+    """Rows per block of :func:`spectrum_to_samples` from k columns to N samples:
+    :func:`block_rows` (N) on the matmul route while its (2K, N) band matrix fits
+    in a row block, else at least :data:`_INVERSE_MIN_ROWS`."""
+    if _matmul_band(k, n) and 16 * k * n <= ROW_BLOCK_BYTES:
+        return block_rows(n)
+    return max(block_rows(n), _INVERSE_MIN_ROWS)
+
+
+def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Real inverse of :func:`fourier_coeffs`: ``irfft`` to N samples per row.
 
-    ``coeffs`` holds frequencies ``0 .. cols-1``; those from ``cols`` up to N/2
-    count as zero, so a band-limited spectrum needs only its band. N
-    defaults to ``2 * (cols - 1)``, the full half spectrum. The half stands
-    for the conjugate-symmetric two-sided spectrum, so the result is real;
-    the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is not
-    read. A band that :func:`fourier_coeffs` computes by matmul returns to
-    the grid by the transposed matmul, with each column ``m > 0`` counted
-    twice for its conjugate at ``-m``.
+    ``coeffs`` is an (M, cols) array of frequencies ``0 .. cols-1``; those from
+    ``cols`` up to N/2 count as zero, so a band-limited spectrum needs only its
+    band. N defaults to ``2 * (cols - 1)``, the full half spectrum. The half
+    stands for the conjugate-symmetric two-sided spectrum, so the result is
+    real; the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is
+    not read. A band that :func:`fourier_coeffs` computes by matmul returns to
+    the grid by the matmul with :func:`band_idft`, a wider one by ``irfft``.
+
+    The rows go :func:`inverse_block_rows` at a time into ``out``, an (M, N)
+    float array, or a new one; the result is ``out``. A call on one such block
+    of rows gives the bits of those rows of a call on the whole array.
     """
     coeffs = np.asarray(coeffs)
-    cols = coeffs.shape[-1]
+    if coeffs.ndim != 2:
+        raise ConfigError("expected a 2-D (profiles x frequencies) array")
+    m, cols = coeffs.shape
     full = _half_width_to_n(cols)
     if n is None:
         n = full
     elif n < full:
         raise ConfigError(f"{cols} spectrum columns do not fit N={n} samples")
+    if out is None:
+        out = np.empty((m, n))
     if _matmul_band(cols, n):
-        return _band_inverse(coeffs, n)
-    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
+        _band_inverse(np.ascontiguousarray(coeffs, dtype=complex), n, out)
+        return out
+    step = inverse_block_rows(n, cols)
+    for start in range(0, m, step):
+        np.fft.irfft(coeffs[start:start + step], n=n, axis=-1, norm="forward",
+                     out=out[start:start + step])
+    return out
 
 
 def kernel_spectrum(kernel) -> KernelSpectrum:

@@ -570,6 +570,51 @@ class TestReconstruct:
             assert np.array_equal(again.values, base), mode
 
 
+class TestSampleRows:
+    """``sample_rows`` streams the estimate a block of rows at a time; the blocks
+    are bitwise the rows of ``reconstruct``, which fills its grid from them."""
+
+    @pytest.mark.parametrize("m,n,mode,sigma,blocks", [
+        (256, 512, "functional", 0.5, [32] * 8),
+        (256, 512, "separate", 0.5, [32] * 8),
+        (100, 512, "separate", 0.5, [32, 32, 32, 4]),          # a partial last block
+        (256, 256, "functional", 0.0, [128, 128]),              # capacity K: the irfft route
+        (160, 8192, "separate", 0.5, [128, 32]),                # the matmul's row floor
+    ], ids=["functional", "separate", "partial", "irfft", "row-floor"])
+    def test_blocks_concatenate_to_the_reconstruction_bitwise(self, kernel_for, m, n, mode,
+                                                               sigma, blocks):
+        _, ks = kernel_for(m, n)
+        obs = observe(simlab.product_truth("Blip", "Bumps", m, n), sigma, seed=2)
+        coeffs = fd.estimate(obs, ks, mode=mode)
+        k = coeffs.plan.k
+        assert fd.spectra._matmul_band(k, n) == (sigma > 0)
+        source = fd.sample_rows(coeffs)
+        assert (source.m, source.n, source.sigma) == (m, n, 0.0)
+        seen = [(start, rows.copy(), rows.ctypes.data) for start, rows in source.row_blocks()]
+        assert [len(rows) for _, rows, _ in seen] == blocks
+        assert [start for start, _, _ in seen] == list(np.cumsum([0] + blocks[:-1]))
+        assert len({address for _, _, address in seen}) == 1     # one reused buffer
+        values = np.concatenate([rows for _, rows, _ in seen])
+        assert values.tobytes() == fd.reconstruct(coeffs).values.tobytes()
+        assert values.tobytes() == fd.deconvolve(obs, ks, mode=mode).values.tobytes()
+
+    def test_coefficients_are_checked_before_any_block(self):
+        """A row source of coefficients that cannot be inverted is never made."""
+        pl = make_coeffs(np.zeros((8, 16)), mode="separate").plan
+        with pytest.raises(ConfigError, match="do not fit"):
+            fd.sample_rows(HyperCoeffs(np.zeros((5, 16)), pl))
+        with pytest.raises(ConfigError, match="complex"):
+            fd.sample_rows(HyperCoeffs(np.zeros((8, 16), dtype=complex), pl))
+
+    def test_estimate_is_the_thresholded_coefficients_of_deconvolve(self, kernel_for):
+        _, ks = kernel_for(64, 256)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 64, 256), 0.5)
+        coeffs, rec = fd.estimate(obs, ks), fd.deconvolve(obs, ks)
+        assert coeffs.entries.tobytes() == rec.coeffs.entries.tobytes()
+        assert np.array_equal(coeffs.kept, rec.coeffs.kept)
+        assert not coeffs.kept.all()
+
+
 class TestDeconvolve:
     def test_noise_halving_scales_error(self, kernel_for):
         """Against a sigma = 0 baseline, squared error from noise scales by
@@ -609,7 +654,8 @@ class TestDeconvolve:
         cfg = rec.config
         full = np.fft.rfft(obs.samples, axis=1, norm="forward")
         monkeypatch.setattr(estimator, "spectrum_to_samples",
-                            lambda c, n: np.fft.irfft(c, n, axis=-1, norm="forward"))
+                            lambda c, n, out=None: np.fft.irfft(c, n, axis=-1, norm="forward",
+                                                           out=out))
         ref = fd.reconstruct(fd.hard_threshold(fd.estimate_coeffs(full, fd.plan(cfg, ks))))
         k = fd.MeyerBasis().band_size(cfg.j, 128)
         if sigma == 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import funcdeconv as fd
-from funcdeconv import gridio
+from funcdeconv import gridio, spectra
 from funcdeconv.exceptions import ConfigError
 
 
@@ -205,3 +205,32 @@ def test_a_non_power_of_two_n_is_named_with_its_file(tmp_path):
     path.write_bytes(gridio.MAGIC + gridio._HEADER.pack(2, 48, 0.5) + bytes(8 * 2 * 48))
     with pytest.raises(ConfigError, match=f"{path}: time length N=48"):
         gridio.open_grid(path)
+
+
+@pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+def test_a_row_source_is_written_block_by_block_as_its_array_is(tmp_path, suffix):
+    """Any row source with a sigma is written: 70 x 256 in blocks of 64 and 6 rows
+    gives the bytes of the whole array's ObservationGrid."""
+    samples = np.random.default_rng(3).standard_normal((70, 256))
+    source = spectra.RowSource(70, 256, lambda: spectra.array_blocks(samples), sigma=0.5)
+    whole, blocked = tmp_path / f"whole{suffix}", tmp_path / f"blocked{suffix}"
+    fd.save_grid(whole, fd.ObservationGrid(samples, sigma=0.5))
+    fd.save_grid(blocked, source)
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".fdg", ".csv"])
+def test_a_block_that_fails_removes_the_file_an_older_one_included(tmp_path, suffix):
+    """A grid file is written as its blocks are made; a block that raises leaves
+    no file at the path, neither a part of the new grid nor the older file."""
+    def blocks():
+        yield 0, np.zeros((2, 16))
+        raise ConfigError("block failed")
+
+    path = tmp_path / f"grid{suffix}"
+    for older in (False, True):
+        if older:
+            path.write_bytes(b"an older grid")
+        with pytest.raises(ConfigError, match="block failed"):
+            fd.save_grid(path, spectra.RowSource(4, 16, blocks))
+        assert not path.exists()

@@ -188,7 +188,8 @@ class TestBandRoutes:
         edge = band_edge(n)
         for k in (1, edge, edge + 1):
             band = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
-            matmul = spectra._band_inverse(band, n)
+            matmul = np.empty((6, n))
+            spectra._band_inverse(band, n, matmul)
             fft = np.fft.irfft(band, n, axis=-1, norm="forward")
             np.testing.assert_allclose(matmul, fft, rtol=0, atol=1e-15 * row_scale(band))
             assert np.array_equal(fd.spectrum_to_samples(band, n),
@@ -225,6 +226,50 @@ class TestBandRoutes:
         dft = spectra.band_dft(512, 11)
         assert spectra.band_dft(512, 11) is dft
         assert not dft.flags.writeable
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096, 8192])
+    def test_band_idft_folds_the_weights_bitwise(self, n):
+        """The inverse matrix is ``band_dft`` transposed with the weights N (m = 0)
+        and 2N (m > 0) folded in: powers of two, so the blocked product is bitwise
+        the weighted band times ``band_dft.T`` over the whole array."""
+        k = band_edge(n)
+        dft, idft = spectra.band_dft(n, k), spectra.band_idft(n, k)
+        weight = np.repeat(np.where(np.arange(k) == 0, float(n), 2.0 * n), 2)
+        assert idft.flags.c_contiguous and not idft.flags.writeable
+        assert spectra.band_idft(n, k) is idft
+        assert np.array_equal(idft, dft.T * weight[:, None])
+        rng = np.random.default_rng(n)
+        m = 2 * spectra.inverse_block_rows(n, k) + 3          # two blocks and a partial one
+        band = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        old = (band.view(float) * weight) @ dft.T
+        assert fd.spectrum_to_samples(band, n).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("n,k,rows", [
+        (512, 11, 32), (1024, 7, 16), (512, 18, 128), (2048, 11, 128), (8192, 26, 128),
+        (8192, 100, 128), (512, 40, 128), (64, 12, 256)])
+    def test_inverse_blocks_have_a_row_floor(self, n, k, rows):
+        """128 KB row blocks while the matmul's (2K, N) band matrix fits in one,
+        else at least 128 rows: a larger band matrix, or the irfft route."""
+        assert spectra.inverse_block_rows(n, k) == rows
+
+    @pytest.mark.parametrize("n,k", [(512, 11), (512, 40)], ids=["matmul", "irfft"])
+    def test_spectrum_to_samples_writes_into_out(self, n, k):
+        band = np.random.default_rng(4).standard_normal((70, k)) + 0j
+        out = np.full((70, n), np.nan)
+        assert fd.spectrum_to_samples(band, n, out=out) is out
+        assert out.tobytes() == fd.spectrum_to_samples(band, n).tobytes()
+
+    @pytest.mark.parametrize("col,scale", [(0, 1.0), (3, 0.5)], ids=["m0", "m1"])
+    def test_a_band_whose_unnormalised_spectrum_overflows_is_rejected(self, col, scale):
+        """The matmul route weights c_0 by N and c_m by 2N; a weighted coefficient
+        beyond the float range raises, one at the range's edge does not."""
+        n, top = 64, np.finfo(float).max
+        band = np.zeros((3, 10))                    # 5 columns, re/im interleaved
+        band[1, col] = top / n * scale
+        fd.spectrum_to_samples(band.view(complex), n)
+        band[1, col] = np.nextafter(band[1, col], np.inf)
+        with pytest.raises(ConfigError, match="overflow"):
+            fd.spectrum_to_samples(band.view(complex), n)
 
 
 class TestKernelSpectrum:
