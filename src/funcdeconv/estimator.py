@@ -218,16 +218,6 @@ class Plan:
     def shape(self) -> tuple[int, int]:     # (M, N)
         return self.kernel.m, self.kernel.n
 
-    def band_coeffs(self, band: np.ndarray) -> HyperCoeffs:
-        """beta-tilde from the K band columns (M, K) of a data spectrum; unchecked,
-        as :func:`estimate_coeffs` checks the band against the plan."""
-        ratio = band / self.kernel.g_coeffs[:, :self.k]        # (M, K)
-        timec = self.meyer.analyze_t(ratio, self.config.j)      # (M, 2^J) real
-        if self.config.mode == SEPARATE:
-            return HyperCoeffs(timec, self)
-        packed = self.spatial.dwt_forward(timec.T) / math.sqrt(self.kernel.m)  # (2^J, M)
-        return HyperCoeffs(packed[:, :2**self.config.j_prime].T.copy(), self)  # (2^J', 2^J)
-
 
 def plan(cfg: EstimatorConfig, ks: KernelSpectrum, meyer_basis: MeyerBasis | None = None,
          spatial_basis: SpatialBasis | None = None) -> Plan:
@@ -295,7 +285,12 @@ def estimate_coeffs(spec: np.ndarray, plan: Plan) -> HyperCoeffs:
         raise ConfigError(f"data spectrum of shape {spec.shape} does not fit the plan's "
                           f"{m} x {n} grid: the data need the K={k} band columns or all "
                           f"N/2 + 1 = {n // 2 + 1}")
-    return plan.band_coeffs(spec[:, :k])
+    ratio = spec[:, :k] / plan.kernel.g_coeffs[:, :k]     # (M, K)
+    timec = plan.meyer.analyze_t(ratio, plan.config.j)    # (M, 2^J) real
+    if plan.config.mode == SEPARATE:
+        return HyperCoeffs(timec, plan)
+    packed = plan.spatial.dwt_forward(timec.T) / math.sqrt(m)  # (2^J, M)
+    return HyperCoeffs(packed[:, :2**plan.config.j_prime].T.copy(), plan)  # (2^J', 2^J)
 
 
 def hard_threshold(coeffs: HyperCoeffs) -> HyperCoeffs:
@@ -395,9 +390,9 @@ def estimate(grid, kernel, cfg: EstimatorConfig | None = None,
     """The pipeline up to the estimate's coefficients: spectra -> coefficient
     estimates -> threshold.
 
-    ``grid`` is a row source with a ``sigma``, an :class:`ObservationGrid` or a
-    :class:`funcdeconv.gridio.GridFile`, read once, a row block at a time, into
-    its K band columns (:func:`fourier_coeffs`). ``kernel`` is a
+    ``grid`` is a row source with a ``sigma``, an :class:`ObservationGrid` or
+    :func:`funcdeconv.gridio.open_grid` of a file, read once, a row block at a
+    time, into its K band columns (:func:`fourier_coeffs`). ``kernel`` is a
     :class:`KernelSpectrum` or anything :func:`kernel_spectrum` reads: a row
     source or an M x N array of samples.
     With ``cfg=None`` the configuration is :func:`config_for` of the grid, the

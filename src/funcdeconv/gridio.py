@@ -9,11 +9,12 @@ Two interchangeable on-disk forms:
 ``open_grid``/``save_grid`` dispatch on file extension; on read, any
 extension other than ``.csv`` and ``.fdg`` is sniffed for the magic.
 :func:`open_grid` reads and checks only the header and returns a
-:class:`GridFile`, a row source of :func:`funcdeconv.spectra.fourier_coeffs`
-whose samples are read a row block at a time; :func:`load_grid` reads them
-all into an :class:`ObservationGrid`. :func:`save_grid` writes any row source
-with a ``sigma`` a row block at a time, and removes the file when a block
-fails.
+:class:`funcdeconv.spectra.RowSource` with the file's ``sigma``, whose
+samples come a row block at a time: a binary file's read from the disk, a
+``.csv`` file's (the small-data form) from the array parsed on open.
+:func:`load_grid` reads them all into an :class:`ObservationGrid`.
+:func:`save_grid` writes any row source with a ``sigma`` a row block at a
+time, and removes the file when a block fails.
 
 Every output file of the package is written through :func:`rewrite`, which
 replaces an existing file's contents in place instead of truncating it on
@@ -27,12 +28,13 @@ import os
 import stat
 import struct
 import warnings
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .exceptions import ConfigError
-from .spectra import ObservationGrid, _is_pow2, array_blocks, block_rows, check_finite
+from .spectra import (ObservationGrid, RowSource, _is_pow2, array_blocks, block_rows,
+                      check_finite)
 
 MAGIC = b"FDG1"
 _HEADER = struct.Struct("<QQd")
@@ -88,52 +90,39 @@ def save_grid_binary(path, grid) -> None:
             fh.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B"))
 
 
-@dataclass(frozen=True, eq=False)
-class GridFile:
-    """An M x N grid file opened by :func:`open_grid`: its path and checked header.
-
-    A row source (``m``, ``n``, :meth:`row_blocks`) of data or kernel samples. A
-    binary file's samples stay on disk and are read a block of rows at a time; a
-    ``.csv`` file, the small-data form, is parsed on open into an array whose
-    blocks are read as any array's (:func:`funcdeconv.spectra.array_blocks`).
-    """
-
-    path: str
-    m: int
-    n: int
-    sigma: float
-    _parsed: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.m == 0 or self.n == 0:
-            raise ConfigError(f"{self.path}: header promises an empty {self.m}x{self.n} grid")
-        if self.n < 2 or not _is_pow2(self.n):
-            raise ConfigError(f"{self.path}: time length N={self.n} must be a power of two >= 2")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ConfigError(f"{self.path}: sigma must be finite and >= 0, got {self.sigma}")
-
-    def row_blocks(self):
-        """``(start, rows)``: the rows from profile ``start`` on, ``block_rows(N)``
-        at a time, each checked to be finite, a non-finite sample raising
-        :class:`ConfigError` with the path. A binary file is read into one
-        reused buffer, so a block is valid until the next is read."""
-        if self._parsed is not None:
-            yield from array_blocks(self._parsed, self.path)
-            return
-        step = block_rows(self.n)
-        buf = np.empty((min(step, self.m), self.n), dtype="<f8")
-        with open(self.path, "rb") as fh:
-            fh.seek(_DATA_OFFSET)
-            for start in range(0, self.m, step):
-                rows = buf[:self.m - start]
-                if fh.readinto(memoryview(rows).cast("B")) != rows.nbytes:
-                    raise ConfigError(f"{self.path}: file shrank while being read")
-                check_finite(rows, start, self.path)
-                yield start, rows
+def _binary_blocks(path, m: int, n: int):
+    """``(start, rows)``: the rows of the binary grid file at ``path`` from profile
+    ``start`` on, ``block_rows(N)`` at a time, each checked to be finite, a
+    non-finite sample raising :class:`ConfigError` with the path. The blocks are
+    read into one reused buffer, so a block is valid until the next is read."""
+    step = block_rows(n)
+    buf = np.empty((min(step, m), n), dtype="<f8")
+    with open(path, "rb") as fh:
+        fh.seek(_DATA_OFFSET)
+        for start in range(0, m, step):
+            rows = buf[:m - start]
+            if fh.readinto(memoryview(rows).cast("B")) != rows.nbytes:
+                raise ConfigError(f"{path}: file shrank while being read")
+            check_finite(rows, start, path)
+            yield start, rows
 
 
-def _open_binary(fh, path) -> GridFile:
-    """Header of an open binary file positioned just after the magic."""
+def _grid_source(path, m: int, n: int, sigma: float, row_blocks) -> RowSource:
+    """The row source of a grid file whose header promised M x N samples and
+    ``sigma``, once the header is checked: a non-empty grid, N a power of two
+    >= 2 and sigma finite and >= 0, each failure a :class:`ConfigError` naming
+    the path."""
+    if m == 0 or n == 0:
+        raise ConfigError(f"{path}: header promises an empty {m}x{n} grid")
+    if n < 2 or not _is_pow2(n):
+        raise ConfigError(f"{path}: time length N={n} must be a power of two >= 2")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"{path}: sigma must be finite and >= 0, got {sigma}")
+    return RowSource(m, n, row_blocks, sigma)
+
+
+def _open_binary(fh, path) -> RowSource:
+    """Row source of an open binary file positioned just after the magic."""
     header = fh.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise ConfigError(f"{path}: truncated header ({len(header)} of "
@@ -143,7 +132,7 @@ def _open_binary(fh, path) -> GridFile:
     if payload != 8 * m * n:
         raise ConfigError(f"{path}: header promises {m}x{n} samples "
                           f"({8 * m * n} bytes), file holds {payload} bytes")
-    return GridFile(os.fspath(path), m, n, sigma)
+    return _grid_source(path, m, n, sigma, partial(_binary_blocks, path, m, n))
 
 
 def save_grid_csv(path, grid) -> None:
@@ -155,7 +144,7 @@ def save_grid_csv(path, grid) -> None:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _open_csv(path) -> GridFile:
+def _open_csv(path) -> RowSource:
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -170,14 +159,14 @@ def _open_csv(path) -> GridFile:
         raise ConfigError(f"{path}: not a CSV grid: {exc}") from None
     if data.shape != (m, n):
         raise ConfigError(f"{path}: header promises {(m, n)}, file holds {data.shape}")
-    return GridFile(os.fspath(path), m, n, sigma, data)
+    return _grid_source(path, m, n, sigma, partial(array_blocks, data, path))
 
 
 def save_grid(path, grid) -> None:
     """Write a grid: CSV for a ``.csv`` path, binary for any other.
 
-    ``grid`` is any row source with a ``sigma`` (an :class:`ObservationGrid`, a
-    :class:`GridFile`, :func:`funcdeconv.estimator.sample_rows`), written as its
+    ``grid`` is any row source with a ``sigma`` (an :class:`ObservationGrid`,
+    :func:`open_grid`, :func:`funcdeconv.estimator.sample_rows`), written as its
     row blocks come. A block that fails to be made or written removes the file,
     so a failed write leaves no file at ``path``, not even an older one.
     """
@@ -187,10 +176,11 @@ def save_grid(path, grid) -> None:
         save_grid_binary(path, grid)
 
 
-def open_grid(path) -> GridFile:
+def open_grid(path) -> RowSource:
     """Open a grid file and check its header: a ``.csv`` path as CSV, a ``.fdg``
     path as binary (a wrong magic raises :class:`ConfigError`), any other by its
-    magic. Binary samples are read only by :meth:`GridFile.row_blocks`."""
+    magic. Binary samples are read only by the source's ``row_blocks()``."""
+    path = os.fspath(path)
     suffix = _suffix(path)
     if suffix != ".csv":
         with open(path, "rb") as fh:

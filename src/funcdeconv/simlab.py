@@ -285,9 +285,9 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
 
     Each replicate draws its noise in row blocks of about 128 KB and keeps
     only their K band columns, ``clean + sigma * noise band``; it estimates
-    its coefficients by the plan's band step, thresholds them and scores
-    ``bias + w sum (beta_hat - beta)^2``, which equals the grid MISE to
-    rounding. ``sim.threads > 1`` runs the replicates on a pool of at most
+    its coefficients from that band (:func:`estimate_coeffs`), thresholds
+    them and scores ``bias + w sum (beta_hat - beta)^2``, which equals the
+    grid MISE to rounding. ``sim.threads > 1`` runs the replicates on a pool of at most
     ``runs`` threads and no more than the process's CPUs; the results do not
     depend on it. At sigma = 0 the replicates draw no noise, so one is scored
     and its MISE repeated ``runs`` times, without a pool.
@@ -314,7 +314,7 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
             band = clean_band
             if sim.sigma > 0:
                 band = band + sim.sigma * _noise_band(sim.m, sim.n, pl.k, sim.seed, rep)
-            est = hard_threshold(pl.band_coeffs(band))
+            est = hard_threshold(estimate_coeffs(band, pl))
             return bias + pl.weight * float(np.sum((est.thresholded() - beta) ** 2))
 
     per_run = np.empty(sim.runs)

@@ -40,9 +40,8 @@ def _is_pow2(n: int) -> bool:
 
 
 # Bytes of one row block: grid samples are read, transformed and checked
-# this many at a time (32 rows at N = 512), and the kernel's zero floor takes
-# its peaks through a buffer of this size. The nu fit's window has its own,
-# smaller buffer (:data:`_FILL_ELEMENTS`).
+# this many at a time (32 rows at N = 512), and the kernel's zero floor and
+# the nu fit's window take their amplitudes by blocks of this size.
 ROW_BLOCK_BYTES = 1 << 17
 
 
@@ -75,8 +74,9 @@ def check_finite(rows: np.ndarray, start: int, where: str) -> None:
 class RowSource:
     """M x N real rows that ``row_blocks()`` yields as ``(start, rows)`` blocks in
     order, what :func:`fourier_coeffs` reads. Any object with ``m``, ``n`` and such
-    a ``row_blocks()`` is a row source, as ObservationGrid and GridFile are; one
-    with a ``sigma`` as well is what :func:`funcdeconv.gridio.save_grid` writes."""
+    a ``row_blocks()`` is a row source: an ObservationGrid holds its samples, this
+    class streams them (grid files, noise, the estimate). One with a ``sigma`` is
+    what :func:`funcdeconv.gridio.save_grid` writes."""
 
     m: int
     n: int
@@ -212,8 +212,9 @@ def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
                           f"(1 <= k <= {full})")
     out = np.empty((m, k), dtype=complex)
     if _matmul_band(k, n):
+        dft, flat = band_dft(n, k), out.view(float)
         for start, rows in grid.row_blocks():
-            _band_forward(rows, k, out[start:start + len(rows)])
+            np.matmul(rows, dft, out=flat[start:start + len(rows)])
     elif k == full:
         for start, rows in grid.row_blocks():
             np.fft.rfft(rows, axis=1, norm="forward", out=out[start:start + len(rows)])
@@ -223,34 +224,9 @@ def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
     return out
 
 
-def _band_forward(rows: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Matmul route of :func:`fourier_coeffs`: the first k columns of real rows,
-    written into the complex ``out``."""
-    np.matmul(rows, band_dft(rows.shape[1], k), out=out.view(float))
-
-
 def _peak(x: np.ndarray) -> float:
     """Largest magnitude in ``x`` (0 when empty), without an ``abs`` copy."""
     return max(x.max(initial=0.0), -x.min(initial=0.0))
-
-
-def _band_inverse(band: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Matmul route of :func:`spectrum_to_samples`: N samples per row of a
-    C-contiguous complex k-column band, written into ``out`` a block of
-    :func:`inverse_block_rows` rows at a time.
-
-    A band whose weighted coefficients, N c_0 or 2N c_m (the unnormalised
-    two-sided spectrum), exceed the float range raises :class:`ConfigError`.
-    """
-    flat, k = band.view(float), band.shape[1]
-    big = np.finfo(float).max / n
-    if _peak(flat[:, :2]) > big or _peak(flat[:, 2:]) > big / 2:
-        raise ConfigError("floating-point overflow: the band's unnormalised spectrum "
-                          f"N c_m exceeds the float range at N={n} (input values or "
-                          "parameters out of range)")
-    idft, step = band_idft(n, k), inverse_block_rows(n, k)
-    for start in range(0, len(flat), step):
-        np.matmul(flat[start:start + step], idft, out=out[start:start + step])
 
 
 @lru_cache(maxsize=8)
@@ -313,6 +289,9 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None,
     real; the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is
     not read. A band that :func:`fourier_coeffs` computes by matmul returns to
     the grid by the matmul with :func:`band_idft`, a wider one by ``irfft``.
+    On the matmul route, a band whose weighted coefficients, N c_0 or 2N c_m
+    (the unnormalised two-sided spectrum), exceed the float range raises
+    :class:`ConfigError`.
 
     The rows go :func:`inverse_block_rows` at a time into ``out``, an (M, N)
     float array, or a new one; the result is ``out``. A call on one such block
@@ -329,10 +308,18 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None,
         raise ConfigError(f"{cols} spectrum columns do not fit N={n} samples")
     if out is None:
         out = np.empty((m, n))
-    if _matmul_band(cols, n):
-        _band_inverse(np.ascontiguousarray(coeffs, dtype=complex), n, out)
-        return out
     step = inverse_block_rows(n, cols)
+    if _matmul_band(cols, n):
+        flat = np.ascontiguousarray(coeffs, dtype=complex).view(float)
+        big = np.finfo(float).max / n
+        if _peak(flat[:, :2]) > big or _peak(flat[:, 2:]) > big / 2:
+            raise ConfigError("floating-point overflow: the band's unnormalised spectrum "
+                              f"N c_m exceeds the float range at N={n} (input values or "
+                              "parameters out of range)")
+        idft = band_idft(n, cols)
+        for start in range(0, m, step):
+            np.matmul(flat[start:start + step], idft, out=out[start:start + step])
+        return out
     for start in range(0, m, step):
         np.fft.irfft(coeffs[start:start + step], n=n, axis=-1, norm="forward",
                      out=out[start:start + step])
@@ -342,12 +329,12 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None,
 def kernel_spectrum(kernel) -> KernelSpectrum:
     """Per-profile Fourier coefficients of a sampled kernel g(u_l, t_i).
 
-    ``kernel`` is what :func:`fourier_coeffs` reads: a row source, such as a
-    :class:`funcdeconv.gridio.GridFile`, whose blocks are transformed into the
-    rows of the half spectrum as they come, or an (M, N) array, whose samples
-    are checked to be finite in the same pass. Zero coefficients are allowed
-    here; invertibility over the wavelet bands actually used is validated
-    when an estimator is built (see :func:`validate_invertible`).
+    ``kernel`` is what :func:`fourier_coeffs` reads: a row source, such as
+    :func:`funcdeconv.gridio.open_grid` of a file, whose blocks are transformed
+    into the rows of the half spectrum as they come, or an (M, N) array, whose
+    samples are checked to be finite in the same pass. Zero coefficients are
+    allowed here; invertibility over the wavelet bands actually used is
+    validated when an estimator is built (see :func:`validate_invertible`).
     """
     return KernelSpectrum(fourier_coeffs(kernel))
 
@@ -375,20 +362,15 @@ def validate_invertible(ks: KernelSpectrum, freqs) -> None:
         raise IllPosedKernel(profile=int(l), frequency=int(freqs[mi]))
 
 
-# Complex elements of the kernel window that ``np.abs`` reads per call in
-# :func:`_fit_window`: one call buffers at most this much (64 KB).
-_FILL_ELEMENTS = 4096
-
-
 def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | None):
     """Frequencies ``lo..hi`` and their amplitudes, a fresh column-major float
     buffer of shape (M, F), F = hi - lo + 1.
 
     A missing ``m_range``, or a ``None`` end of it, defaults to ``N/16``
     (``lo``) and ``N/4`` (``hi``). The amplitudes are filled straight from
-    the complex coefficients, a few columns per ``np.abs`` call into the rows
-    of an (F, M) C-order array, whose transpose is returned; no complex copy
-    of the window is made. The layout is column-major because it fixes the
+    the complex coefficients, :func:`block_rows` (M) columns per ``np.abs``
+    call, into the rows of an (F, M) C-order array whose transpose is
+    returned; no complex copy of the window is made. The layout is column-major because it fixes the
     summation order of the mean over profiles in :func:`estimate_nu`.
     """
     n = ks.n
@@ -406,7 +388,7 @@ def _fit_window(ks: KernelSpectrum, m_range: tuple[int | None, int | None] | Non
     cols = ks.g_coeffs[:, lo:hi + 1].T
     buf = np.empty(cols.shape)                          # (F, M)
     floor = ks.zero_floor.T                             # (1, M)
-    step = max(1, _FILL_ELEMENTS // ks.m)
+    step = block_rows(ks.m)
     for c in range(0, len(buf), step):
         block = np.abs(cols[c:c + step], out=buf[c:c + step])
         if np.any(block <= floor):

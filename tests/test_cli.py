@@ -560,6 +560,19 @@ class TestMalformedInput:
         self.assert_one_line_usage_failure(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("manifest,message", [
+        (None, "--from-manifest needs a path"),
+        ("# comment\nsigma=0.5\n", "{path}: manifest has no 'command' line"),
+    ], ids=["no_path", "no_command"])
+    def test_a_bad_manifest_replay(self, tmp_path, capsys, manifest, message):
+        argv = ["--from-manifest"]
+        path = tmp_path / "run.manifest"
+        if manifest is not None:
+            path.write_text(manifest)
+            argv.append(str(path))
+        err = self.assert_one_line_usage_failure(main(argv), capsys)
+        assert err == f"error: {message.format(path=path)}\n"
+
     @pytest.mark.parametrize("argv", [
         ["rates", "--s1", "1/0", "--s2", "1", "--nu", "1"],
         ["compare", "--s1", "1", "--s2", "1/0", "--nu", "1", "--M", "4", "--N", "8"],

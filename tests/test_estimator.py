@@ -739,6 +739,21 @@ class TestDeconvolve:
         with pytest.raises(ConfigError, match=levels):
             fd.deconvolve(obs, ks, cfg=cfg, **basis)
 
+    def test_a_data_grid_and_a_kernel_of_other_shapes_are_rejected(self):
+        """Only a library call reaches this check: the CLI compares the file
+        headers first."""
+        obs = fd.ObservationGrid(np.zeros((8, 64)), sigma=0.5)
+        with pytest.raises(ConfigError, match=r"^data grid 8 x 64 and kernel grid "
+                                              r"16 x 64 differ in shape$"):
+            fd.estimate(obs, simlab.kernel_grid(16, 64))
+
+    def test_finite_arithmetic_turns_a_floating_point_error_into_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^floating-point overflow encountered in "
+                                              r"multiply \(input values or parameters "
+                                              r"out of range\)$"):
+            with estimator.finite_arithmetic():
+                np.array([1e308]) * 10.0
+
     def test_values_near_the_float_limit_raise_instead_of_returning_nan(self):
         """Finite samples whose spectrum overflows stop with a ConfigError and
         no RuntimeWarning, instead of a grid of NaNs."""

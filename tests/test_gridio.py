@@ -170,7 +170,8 @@ def test_fourier_coeffs_of_a_file_is_that_of_its_array_bitwise(tmp_path, suffix)
 
 def test_open_grid_reads_the_header_only(tmp_path):
     """The samples of an .fdg file are read by ``row_blocks``, 64 rows at N = 256,
-    into one reused buffer, and checked block by block; a GridFile has no ``samples``."""
+    into one reused buffer, and checked block by block; the row source that
+    ``open_grid`` returns has no ``samples``."""
     path = tmp_path / "grid.fdg"
     samples = np.arange(70 * 256, dtype=float).reshape(70, 256)
     samples[69, 3] = np.nan

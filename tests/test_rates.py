@@ -105,6 +105,15 @@ class TestCaseSelection:
         rep = fd.exponent_multi(fd.BesovBall(s1=3, s2_vec=(1, 1)), nu=1)
         assert rep.d1 == 2
 
+    def test_float_inputs_decide_boundaries_within_tolerance(self):
+        """In floats 1.1 * 3 = 3.3000000000000003, not 3.3: the dense boundary
+        s1 = s2 (2 nu + 1) holds only within the tolerance, and gives the
+        exponent and log power of the exact 33/10, 11/10, 1."""
+        exact = fd.exponent_multi(ball(Fraction(33, 10), Fraction(11, 10)), nu=1)
+        rep = fd.exponent_multi(ball(3.3, 1.1), nu=1.0)
+        assert (exact.d, exact.d1, exact.regime) == (Fraction(11, 16), 1, "DenseTime")
+        assert (rep.d, rep.d1, rep.regime) == (0.6875, 1, "DenseTime")
+
     def test_regime_warning_emitted_and_flagged(self):
         with pytest.warns(RegimeWarning):
             rep = fd.exponent_multi(ball(Fraction(1, 4), 2, p=2), nu=1)

@@ -327,21 +327,22 @@ class TestRunMise:
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
     def test_a_noiseless_cell_scores_one_replicate(self, monkeypatch, mode):
-        """At sigma = 0 runs = 50 repeats runs = 1's MISE bitwise: the band
-        step runs for beta and for one replicate, and no pool is started."""
+        """At sigma = 0 runs = 50 repeats runs = 1's MISE bitwise: the
+        coefficient estimate runs for beta and for one replicate, and no pool
+        is started."""
         steps, pools = [], []
-        band_coeffs = fd.Plan.band_coeffs
+        estimate_coeffs = simlab.estimate_coeffs
 
-        def counting(self, *args):
+        def counting(*args):
             steps.append(args)
-            return band_coeffs(self, *args)
+            return estimate_coeffs(*args)
 
         class Recording(simlab.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(fd.Plan, "band_coeffs", counting)
+        monkeypatch.setattr(simlab, "estimate_coeffs", counting)
         monkeypatch.setattr(simlab, "ThreadPoolExecutor", Recording)
         ks = fd.kernel_spectrum(simlab.kernel_grid(64, 256))
         sim = simlab.SimConfig(m=64, n=256, sigma=0.0, mode=mode, runs=1)

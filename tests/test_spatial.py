@@ -116,6 +116,10 @@ class TestTransform:
         with pytest.raises(ConfigError):
             spatial.dwt_forward(np.zeros(4))    # below the coarsest block
 
+    def test_a_negative_coarsest_level_is_rejected(self):
+        with pytest.raises(ConfigError, match="^coarsest spatial level m0' must be >= 0$"):
+            fd.SpatialBasis(m0p=-1)
+
     def test_single_coefficient_images_are_orthonormal(self, spatial):
         e1, e2 = np.zeros(64), np.zeros(64)
         e1[10], e2[37] = 1.0, 1.0
