@@ -3,13 +3,16 @@
 ``spectra.fourier_coeffs(x, k)`` and ``spectra.spectrum_to_samples(band, n)``
 take the first k columns of an N-sample row's half spectrum by a real matmul
 with ``spectra.band_dft(N, k)`` when ``k < N // 2`` and ``k <= 2 log2 N``,
-and by ``rfft``/``irfft`` otherwise. This script times both routes, forward
-and inverse, at the rule's edge and at wider bands, up to four times the
-edge, by calling those two functions with the rule (``spectra._matmul_band``)
-forced each way. The forward transform reads an ``ObservationGrid``, by row
-blocks of about 128 KB, as ``deconvolve`` does; the inverse writes blocks of
+and by ``rfft``/``irfft`` otherwise; the forward direction also needs at
+least 4 rows in a 128 KB row block (N <= 4096). This script times both
+routes, forward and inverse, at the rule's edge and at wider bands, up to
+four times the edge, by calling those two functions with the rules
+(``spectra._matmul_band`` and ``spectra._forward_matmul``) forced each way.
+The forward transform reads an ``ObservationGrid``, by row blocks of about
+128 KB, as ``deconvolve`` does; the inverse writes blocks of
 ``spectra.inverse_block_rows(N, k)`` rows into one output array. No benchmark
-workload reaches the wide-band (FFT) side: their bands are 6 to 11 columns.
+workload reaches the wide-band (FFT) side or N >= 4096: their bands are 6
+to 11 columns and N is at most 2048.
 
 A second table times the blocked inverse at the rule's edge against one
 matmul of the whole band with the weights applied to the band first,
@@ -18,10 +21,11 @@ blocks, at every N above and at 2048 x 8192 (a 134 MB output).
 
 Run: python3 scripts/band_crossover.py [--repeats 15]
 
-Prints one row per (M x N, k): the median milliseconds of the FFT route and
-of the matmul route in each direction, their ratio and the route the rule
-picks; then one row per M x N: the rows per inverse block and the median
-milliseconds of the blocked and of the whole-array inverse.
+Prints one row per (M x N, k): the routes the rules pick, forward / inverse,
+and the median milliseconds of the FFT route and of the matmul route in each
+direction, with their ratio; then one row per M x N: the rows per inverse
+block and the median milliseconds of the blocked and of the whole-array
+inverse.
 """
 
 import os
@@ -44,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from funcdeconv import spectra  # noqa: E402
 
 # (M, N) of 0.1-2 M samples: each grid and band matrix stays under 17 MB
-SHAPES = ((1024, 128), (256, 512), (1024, 2048), (256, 8192))
+SHAPES = ((1024, 128), (256, 512), (1024, 2048), (512, 4096), (256, 8192))
 INVERSE_SHAPES = SHAPES + ((2048, 8192),)
 
 
@@ -61,11 +65,12 @@ def median_ms(fn, repeats: int) -> float:
 @contextlib.contextmanager
 def forced(matmul: bool):
     """Send every band by the matmul (True) or the FFT (False) route, whatever its width."""
-    rule, spectra._matmul_band = spectra._matmul_band, lambda k, n: matmul
+    rules = spectra._matmul_band, spectra._forward_matmul
+    spectra._matmul_band = spectra._forward_matmul = lambda k, n: matmul
     try:
         yield
     finally:
-        spectra._matmul_band = rule
+        spectra._matmul_band, spectra._forward_matmul = rules
 
 
 def whole_inverse(band: np.ndarray, n: int) -> np.ndarray:
@@ -85,13 +90,15 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    print("| M x N | k | rule | forward FFT / matmul (ms) | inverse FFT / matmul (ms) |")
+    print("| M x N | k | rule, forward / inverse | forward FFT / matmul (ms) "
+          "| inverse FFT / matmul (ms) |")
     print("| --- | --- | --- | --- | --- |")
     for m, n in SHAPES:
         grid = spectra.ObservationGrid(rng.standard_normal((m, n)))
         e = edge(n)
         for k in (e, e + 1, 2 * e, 4 * e):
-            rule = "matmul" if spectra._matmul_band(k, n) else "fft"
+            rule = " / ".join("matmul" if picks(k, n) else "fft"
+                              for picks in (spectra._forward_matmul, spectra._matmul_band))
             band = spectra.fourier_coeffs(grid, k)
             fwd, inv = {}, {}
             for matmul in (False, True):

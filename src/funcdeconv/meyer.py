@@ -102,12 +102,20 @@ class MeyerBasis:
         return ms[keep]
 
     def union_band(self, big_j: int) -> np.ndarray:
-        """All frequencies used by levels [m0-1, big_j), ascending (cached, read-only)."""
+        """All frequencies used by levels [m0-1, big_j), ascending (cached, read-only).
+
+        The sorted set is a membership mask over [min, max], not ``np.unique``,
+        whose first call imports ``numpy.ma`` (about 11 ms of a cold process).
+        """
         key = ("band", big_j)
         if key not in self._cache:
             ms = [self.scaling_support()]
             ms += [self.support_set(j) for j in range(self.m0, big_j)]
-            band = np.unique(np.concatenate(ms))
+            ms = np.concatenate(ms)
+            lo = ms.min()
+            member = np.zeros(ms.max() - lo + 1, dtype=bool)
+            member[ms - lo] = True
+            band = np.flatnonzero(member) + lo
             band.flags.writeable = False
             self._cache[key] = band
         return self._cache[key]

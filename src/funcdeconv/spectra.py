@@ -12,8 +12,9 @@ conjugate of ``coeffs(m)`` and only the non-negative half is stored: the
 spectrum of an N-sample row has N/2 + 1 columns, column ``m`` holding
 frequency ``m`` for ``0 <= m <= N/2`` (the ``rfft`` layout). The row length
 is recovered from the width as ``N = 2 * (columns - 1)``. A band, the first k
-columns, is a prefix of that layout; a narrow one is computed, and taken
-back to the grid, by a real matmul instead of an FFT. Both directions go a
+columns, is a prefix of that layout; a narrow one is taken back to the
+grid by a real matmul instead of an FFT, and computed by one while a row
+block holds at least 4 rows (N <= 4096). Both directions go a
 block of rows at a time, so neither needs more than one block of samples.
 
 The kernel's decay exponent nu and its bounds c1, c2 are fitted over a window
@@ -166,16 +167,32 @@ class KernelSpectrum:
 
 
 def _matmul_band(k: int, n: int) -> bool:
-    """Whether the first k columns of N-sample rows go by :func:`band_dft` matmul.
+    """Whether the first k columns of N-sample rows go back to the grid by
+    :func:`band_idft` matmul, and the rule's band limit in both directions.
 
     A real matmul costs about k N per row and an FFT about N log2 N, so the
     matmul wins for a band of a few log2 N columns; the rule keeps it within
     2 log2 N, where it took 0.3 to 0.55 of the FFT's time for N = 128 .. 2048
-    (``scripts/band_crossover.py``). At N = 8192 a row block is two rows and
-    the forward matmul took 2.2 times the FFT's time. A band reaching N/2 keeps
-    the FFT, which alone gives the Nyquist column its one-sided meaning.
+    and the inverse 0.3 of it at N = 8192 (``scripts/band_crossover.py``). A
+    band reaching N/2 keeps the FFT, which alone gives the Nyquist column its
+    one-sided meaning. The forward direction adds a row rule of its own,
+    :func:`_forward_matmul`.
     """
     return k < n // 2 and k <= 2 * math.log2(n)
+
+
+# Fewest rows of a 128 KB block for which fourier_coeffs takes a band by matmul:
+# each block's product streams the whole (N, 2K) band matrix, so with 2 rows a
+# block (N = 8192) the matmul took 2.1 to 2.4 times the FFT's time at the rule's
+# edge, with 4 rows (N = 4096) 0.65 to 0.96 of it, with 8 or more (N <= 2048) 0.55.
+_FORWARD_MIN_ROWS = 4
+
+
+def _forward_matmul(k: int, n: int) -> bool:
+    """Whether :func:`fourier_coeffs` takes the first k columns by :func:`band_dft`
+    matmul: the band rule :func:`_matmul_band`, and :data:`_FORWARD_MIN_ROWS` rows
+    or more in a row block (N <= 4096)."""
+    return _matmul_band(k, n) and block_rows(n) >= _FORWARD_MIN_ROWS
 
 
 def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
@@ -189,8 +206,9 @@ def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
     An ``rfft`` with forward normalisation: column ``m`` equals
     ``fft(rows)[:, m] / N`` to rounding. With ``k`` only the first k columns,
     ``m = 0 .. k-1``, are returned (1 <= k <= N/2 + 1). A band with k < N/2
-    and k <= 2 log2 N is the real matmul ``rows @ band_dft(N, k)``, a wider
-    one the ``rfft``'s first k columns; the two agree to rounding. Every route
+    and k <= 2 log2 N, at N <= 4096 (see :func:`_forward_matmul`), is the real
+    matmul ``rows @ band_dft(N, k)``; a wider one, or any band at N >= 8192,
+    the ``rfft``'s first k columns. The two agree to rounding. Every route
     goes a row block at a time, so every row source of the same samples gives
     the same bits.
     """
@@ -211,7 +229,7 @@ def fourier_coeffs(grid, k: int | None = None) -> np.ndarray:
         raise ConfigError(f"a band of k={k} columns does not fit N={n} samples "
                           f"(1 <= k <= {full})")
     out = np.empty((m, k), dtype=complex)
-    if _matmul_band(k, n):
+    if _forward_matmul(k, n):
         dft, flat = band_dft(n, k), out.view(float)
         for start, rows in grid.row_blocks():
             np.matmul(rows, dft, out=flat[start:start + len(rows)])
@@ -287,8 +305,10 @@ def spectrum_to_samples(coeffs: np.ndarray, n: int | None = None,
     band. N defaults to ``2 * (cols - 1)``, the full half spectrum. The half
     stands for the conjugate-symmetric two-sided spectrum, so the result is
     real; the imaginary part at ``m = 0``, and at ``m = N/2`` when given, is
-    not read. A band that :func:`fourier_coeffs` computes by matmul returns to
-    the grid by the matmul with :func:`band_idft`, a wider one by ``irfft``.
+    not read. A band within :func:`_matmul_band`'s rule returns to the grid by
+    the matmul with :func:`band_idft`, a wider one by ``irfft``; at N >= 8192
+    that includes bands :func:`fourier_coeffs` takes by ``rfft``, as the
+    inverse matmul has no streaming cost per row (0.3 of ``irfft``'s time).
     On the matmul route, a band whose weighted coefficients, N c_0 or 2N c_m
     (the unnormalised two-sided spectrum), exceed the float range raises
     :class:`ConfigError`.

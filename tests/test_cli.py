@@ -238,7 +238,8 @@ class TestDeconvolveCommand:
     @staticmethod
     def warm_call_peak(tmp_path, mode):
         """Peak traced bytes of a 128 x 512 CLI deconvolve, after a warm-up call
-        has done numpy's lazy imports and filled the band matrix caches."""
+        has imported numpy.fft and argparse's locale and filled the memoised
+        band DFT matrices."""
         m, n = 128, 512
         obs_path, kern_path = tmp_path / "obs.fdg", tmp_path / "kernel.fdg"
         truth = simlab.product_truth("Quadratic", "Blip", m, n)
@@ -923,3 +924,45 @@ class TestParser:
         assert _rational("0.6") == Fraction(3, 5)
         assert _rational("inf") == math.inf
         assert _rational("Infinity") == math.inf
+
+
+# Run in a fresh interpreter by TestColdStart. It prints, as JSON, which of
+# numpy's lazily imported submodules `import funcdeconv` alone imported, and
+# the numpy modules that the first CLI deconvolve in each mode and a first
+# Monte-Carlo cell imported after numpy.fft and numpy.random, which those
+# calls use by design, were imported as a benchmark's input generation does.
+COLD_PROBE = """
+import json, sys
+import funcdeconv
+from funcdeconv import cli, simlab
+on_import = [name for name in ("numpy.fft", "numpy.ma", "numpy.random") if name in sys.modules]
+import numpy.fft, numpy.random
+before = set(sys.modules)
+obs, kernel = sys.argv[1:3]
+for mode in ("functional", "separate"):
+    assert cli.main(["deconvolve", "--input", obs, "--kernel", kernel,
+                     "--mode", mode, "--out", f"fhat_{mode}.fdg"]) == 0
+simlab.run_mise(simlab.SimConfig(m=16, n=64, sigma=0.5, runs=2))
+new = sorted(name for name in set(sys.modules) - before
+             if name == "numpy" or name.startswith("numpy."))
+print(json.dumps({"on_import": on_import, "new": new}))
+"""
+
+
+class TestColdStart:
+    def test_first_calls_import_no_numpy_module(self, tmp_path):
+        """In a fresh process the first deconvolve (both modes) and the first
+        Monte-Carlo cell import no numpy module beyond the FFT and the
+        generator they use: ``np.unique`` imported numpy.ma, about 11 ms of a
+        cold CLI run. ``import funcdeconv`` leaves all three unimported, so no
+        such cost moved into import time."""
+        m, n = 16, 64
+        obs, kernel = tmp_path / "obs.fdg", tmp_path / "kernel.fdg"
+        truth = simlab.product_truth("Quadratic", "Blip", m, n)
+        gridio.save_grid(obs, simlab.synthesize_data(truth, 0.5, seed=4))
+        gridio.save_grid(kernel, fd.ObservationGrid(simlab.kernel_grid(m, n)))
+        env = dict(os.environ, PYTHONPATH=str(Path(fd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", COLD_PROBE, str(obs), str(kernel)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"on_import": [], "new": []}

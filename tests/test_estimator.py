@@ -123,6 +123,22 @@ class TestConfigFor:
         cfg = fd.config_for(fd.ObservationGrid(np.zeros((64, 512)), sigma=0.5), ks)
         assert cfg.c_beta == pytest.approx(expected, rel=1e-12)
 
+    def test_a_default_constant_with_c1_zero_is_refused(self):
+        """Scaled by 1e-160 the reference kernel fits the same nu, but its
+        fit-window amplitudes (about 1e-163) underflow to 0 when squared, so
+        c1 = 0 and the default C_beta = 4 (2 pi / 3)^nu / sqrt(c1) cannot be
+        formed; a given C_beta needs no c1."""
+        grid = simlab.kernel_grid(64, 256)
+        ks = fd.kernel_spectrum(grid * 1e-160)
+        nu = fd.estimate_nu(ks)
+        assert nu == pytest.approx(fd.estimate_nu(fd.kernel_spectrum(grid)), rel=1e-9)
+        assert fd.kernel_bounds(ks, nu)[0] == 0.0
+        obs = observe(np.zeros((64, 256)), sigma=0.5)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"default C_beta needs c1 > 0, got c1=0.0 at nu={nu}; give C_beta (--cbeta)")):
+            fd.config_for(obs, ks)
+        assert fd.config_for(obs, ks, c_beta=1.0).nu == nu
+
     def test_an_identity_kernel_fits_nu_zero(self):
         """A kernel with 1 at t = 0 in every row is flat in m; its raw fit is
         -1.1e-16 by rounding, which the config takes as 0, in both modes. The

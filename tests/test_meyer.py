@@ -92,6 +92,19 @@ class TestSupports:
         assert band.max() == (4 * 2**5) // 3
         assert meyer.union_band(6) is band and not band.flags.writeable
 
+    @pytest.mark.parametrize("m0", [3, 4, 5, 6])
+    def test_union_band_is_the_sorted_set_of_the_supports(self, m0):
+        """The membership-mask union equals ``np.unique`` of the same supports,
+        in values and dtype, at every level up to the capacity of N = 2^14."""
+        basis = fd.MeyerBasis(m0)
+        for big_j in range(m0, fd.j_capacity(2**14) + 1):
+            supports = [basis.scaling_support()]
+            supports += [basis.support_set(j) for j in range(m0, big_j)]
+            want = np.unique(np.concatenate(supports))
+            band = basis.union_band(big_j)
+            assert band.dtype == want.dtype and np.array_equal(band, want), big_j
+            assert basis.union_band(big_j) is band and not band.flags.writeable
+
     def test_capacity_bound(self, meyer):
         with pytest.raises(LevelTooFine):
             meyer.band_size(6, 64)
@@ -249,6 +262,27 @@ class TestAnalyzeSynthesize:
     def test_rejects_overfull_grid(self, meyer):
         with pytest.raises(LevelTooFine):
             meyer.band_size(7, 128)
+
+    def test_levels_below_m0_rejected(self, meyer):
+        """Every entry that takes a level names one below m0 = 3."""
+        for call in (lambda: meyer.support_set(2), lambda: meyer.psi_fourier(2, 0, 1),
+                     lambda: meyer.band_size(2, 64), lambda: meyer.analyze_t(
+                         np.zeros((1, 33), dtype=complex), 2)):
+            with pytest.raises(LevelTooCoarse, match="m0=3"):
+                call()
+        with pytest.raises(LevelTooCoarse, match=r"packed length 4 shorter than .*2\^3"):
+            meyer.synthesize_t(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("k", [-1, 8])
+    def test_shifts_outside_the_level_rejected(self, meyer, k):
+        with pytest.raises(IndexError, match=rf"shift k={k} outside \[0, 2\^3\)"):
+            meyer.psi_fourier(3, k, 1)
+        with pytest.raises(IndexError, match=rf"shift k={k} outside \[0, 2\^3\)"):
+            meyer.phi_fourier(k, 1)
+
+    def test_packed_length_not_a_power_of_two_rejected(self, meyer):
+        with pytest.raises(IndexError, match="packed length 24 is not a power of two"):
+            meyer.synthesize_t(np.zeros((1, 24)))
 
     def test_rejects_malformed_inputs(self, meyer):
         with pytest.raises(ConfigError):

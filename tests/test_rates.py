@@ -155,6 +155,10 @@ class TestCaseSelection:
         with pytest.raises(ConfigError):
             fd.BesovBall(s1=1, s2_vec=(1,), p=0.5)
 
+    def test_a_scalar_s2_is_one_spatial_component(self):
+        assert fd.BesovBall(s1=2, s2_vec=1) == fd.BesovBall(s1=2, s2_vec=(1,))
+        assert fd.BesovBall(s1=2, s2_vec=Fraction(1, 2)).s2_vec == (Fraction(1, 2),)
+
     def test_report_serializes(self):
         d = fd.exponent_multi(ball(2, 1), nu=1).as_dict()
         assert d["d"] == pytest.approx(4 / 7)

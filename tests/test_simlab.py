@@ -187,7 +187,7 @@ class TestReferenceSpectrum:
     def test_holds_one_row_block_of_samples(self):
         """At 1024 x 2048 the build peaks within 1.1 half spectra (16.8 MB) under
         tracemalloc; ``kernel_spectrum(kernel_grid(m, n))`` holds two."""
-        simlab.reference_spectrum(8, 2048)          # numpy's lazy imports
+        simlab.reference_spectrum(8, 2048)          # imports numpy.fft
         gc.collect()
         tracemalloc.start()
         try:
@@ -278,9 +278,9 @@ class TestRunMise:
                                    self.grid_loop(sim, ks), rtol=1e-12, atol=0)
 
     def test_a_cell_forms_no_grid(self):
-        """After a warm-up call (numpy's lazy imports, the memoised band DFT
-        matrix), a 256 x 512 functional cell peaks below one 256 x 512 float
-        grid under tracemalloc."""
+        """After a warm-up call (the imports of numpy.fft and numpy.random, the
+        memoised band DFT matrix), a 256 x 512 functional cell peaks below one
+        256 x 512 float grid under tracemalloc."""
         sim = simlab.SimConfig(m=256, n=512, runs=3)
         ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
         simlab.run_mise(sim, kernel_spec=ks)

@@ -178,7 +178,8 @@ class TestFourierCoeffs:
 
 class TestBandRoutes:
     """A band of k columns goes by a real matmul with ``band_dft`` when
-    k < N/2 and k <= 2 log2 N, by ``rfft``/``irfft`` otherwise."""
+    k < N/2 and k <= 2 log2 N (forward, also 4 or more rows in a row block),
+    by ``rfft``/``irfft`` otherwise."""
 
     @pytest.mark.parametrize("n", [16, 64, 512, 2048])
     def test_forward_routes_agree(self, monkeypatch, n):
@@ -192,6 +193,19 @@ class TestBandRoutes:
             np.testing.assert_allclose(matmul, fft, rtol=0,
                                        atol=1e-15 * np.abs(x).max())
             assert np.array_equal(fd.fourier_coeffs(x, k), matmul if k <= edge else fft)
+
+    def test_the_forward_matmul_needs_four_rows_a_block(self, monkeypatch):
+        """At the rule's edge N = 4096 (4-row blocks) takes the band by matmul,
+        N = 8192 (2-row blocks) by rfft; the inverse keeps the matmul at both."""
+        for n, matmul in ((4096, True), (8192, False)):
+            x = np.random.default_rng(n).standard_normal((6, n))
+            k = band_edge(n)
+            assert spectra._matmul_band(k, n) and spectra._forward_matmul(k, n) is matmul
+            with monkeypatch.context() as mp:
+                mp.setattr(spectra, "_forward_matmul", lambda k, n: True)
+                forced = fd.fourier_coeffs(x, k)
+            fft = np.fft.rfft(x, axis=1, norm="forward")[:, :k]
+            assert np.array_equal(fd.fourier_coeffs(x, k), forced if matmul else fft)
 
     @pytest.mark.parametrize("n", [16, 64, 512, 2048])
     def test_inverse_routes_agree(self, monkeypatch, n):
@@ -486,8 +500,8 @@ class TestFitWindow:
 
     def test_config_for_peaks_near_one_window_buffer(self, kernel_for):
         """At 256 x 512 the float window (256 x 97) is 0.199 MB, and config_for
-        holds little else: no complex copy of it, no second buffer. The cached
-        zero floor and numpy's lazy imports are warmed first."""
+        holds little else: no complex copy of it, no second buffer. The kernel's
+        cached zero floor is warmed first; a first call imports no module."""
         _, ks = kernel_for(256, 512)
         sim = simlab.SimConfig(m=256, n=512)
         fd.config_for(sim, ks)
