@@ -14,11 +14,23 @@ imported:
 * ``simulate --runs 2`` (128 x 512, the command's defaults);
 * ``nu-estimate`` on the kernel.
 
+After its two calls, a ``deconvolve`` process runs a third, warm call stage
+by stage, as ``cmd_deconvolve`` and ``main`` run it, with a clock between
+stages: the kernel spectrum (both headers and the kernel's samples), the
+nu fit (``config_for``), the estimate (``estimate``: the data's band,
+Meyer analysis, spatial DWT, threshold), ``save_grid`` of the estimate's
+row blocks, the coefficient CSV and the manifest. ``--repeats`` more fresh
+processes each time their first ``build_parser`` call, which builds the
+parser that later calls reuse.
+
 Run: python3 scripts/cold_start.py [--repeats 7] [--src DIR]
 
 Prints one row per command: the median milliseconds of the import, of the
 first and of the second (warm) call, and the modules the first call imported
-(a package's submodules are folded into it, with the total count). ``--src``
+(a package's submodules are folded into it, with the total count). Then one
+row per ``deconvolve`` mode with the median milliseconds of each stage of
+the warm call and their sum, and a line with the median time of the first
+``build_parser`` call. ``--src``
 is the directory holding the ``funcdeconv`` package to run, by default the
 ``src/`` next to this script, so two trees compare run by run. The children
 run with one BLAS thread. Nothing is written outside the temporary directory.
@@ -60,9 +72,48 @@ for _ in range(2):
     if code:
         sys.exit(f"exit code {code}")
 (first_ms, modules), (warm_ms, _) = calls
-print(json.dumps({"import_ms": import_ms, "first_ms": first_ms, "warm_ms": warm_ms,
-                  "modules": modules}))
+report = {"import_ms": import_ms, "first_ms": first_ms, "warm_ms": warm_ms,
+          "modules": modules}
+if argv[0] == "deconvolve":
+    from funcdeconv import estimator, gridio, spectra
+    stages, clock = {}, time.perf_counter
+
+    def lap(name, t0):
+        stages[name] = 1e3 * (clock() - t0)
+        return clock()
+
+    args = cli.build_parser().parse_args(argv)
+    t = clock()
+    with estimator.finite_arithmetic():
+        grid, kernel = gridio.open_grid(args.input), gridio.open_grid(args.kernel)
+        ks = spectra.kernel_spectrum(kernel)
+        t = lap("kernel spectrum", t)
+        cfg = estimator.config_for(grid, ks, mode=args.mode, c_beta=args.cbeta, nu=args.nu,
+                                   m0=args.m0, m0p=args.m0p, j=args.j, j_prime=args.jprime)
+        t = lap("nu fit", t)
+        coeffs = estimator.estimate(grid, ks, cfg)
+        t = lap("estimate", t)
+        gridio.save_grid(args.out, estimator.sample_rows(coeffs))
+        t = lap("save_grid", t)
+        args.coeffs = args.coeffs or f"{args.out}.coeffs.csv"
+        cli._write_coeffs_csv(args.coeffs, coeffs)
+        t = lap("CSV", t)
+    args.nu, args.cbeta, args.j, args.jprime = cfg.nu, cfg.c_beta, cfg.j, cfg.j_prime
+    cli._write_manifest(args)
+    lap("manifest", t)
+    report["stages"] = stages
+print(json.dumps(report))
 """
+
+PARSER_CHILD = """
+import json, time
+from funcdeconv import cli
+t0 = time.perf_counter()
+cli.build_parser()
+print(json.dumps(1e3 * (time.perf_counter() - t0)))
+"""
+
+STAGES = ("kernel spectrum", "nu fit", "estimate", "save_grid", "CSV", "manifest")
 
 
 def write_inputs(src: Path, root: Path) -> None:
@@ -77,11 +128,11 @@ def write_inputs(src: Path, root: Path) -> None:
     gridio.save_grid(root / "kernel.fdg", fd.ObservationGrid(simlab.kernel_grid(m, n)))
 
 
-def run_child(argv: list, root: Path, env: dict) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], cwd=root,
+def run_child(code: str, argv: list, root: Path, env: dict):
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=root,
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(argv)} failed:\n{proc.stderr}")
+        raise SystemExit(f"error: {' '.join(argv) or 'build_parser'} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -106,9 +157,11 @@ def main(argv=None) -> None:
         root = Path(tmp)
         write_inputs(src, root)
         runs = {name: [] for name in COMMANDS}
+        parser_ms = []
         for _ in range(args.repeats):
             for name, argv in COMMANDS.items():
-                runs[name].append(run_child(argv, root, env))
+                runs[name].append(run_child(CHILD, argv, root, env))
+            parser_ms.append(run_child(PARSER_CHILD, [], root, env))
     print(f"Medians of {args.repeats} fresh processes per command, funcdeconv from {src}")
     print("| command | import (ms) | first call (ms) | warm call (ms) | "
           "modules the first call imports |")
@@ -118,6 +171,14 @@ def main(argv=None) -> None:
                for key in ("import_ms", "first_ms", "warm_ms")}
         print(f"| {name} | {med['import_ms']:.1f} | {med['first_ms']:.1f} | "
               f"{med['warm_ms']:.1f} | {folded(reports[0]['modules'])} |")
+    print(f"\nA warm deconvolve at {SHAPE[0]} x {SHAPE[1]} by stage (median ms)")
+    print(f"| command | {' | '.join(STAGES)} | sum |")
+    print("|" + " --- |" * (len(STAGES) + 2))
+    for name, reports in runs.items():
+        if "stages" in reports[0]:
+            med = [statistics.median(r["stages"][stage] for r in reports) for stage in STAGES]
+            print(f"| {name} | {' | '.join(f'{v:.2f}' for v in med)} | {sum(med):.2f} |")
+    print(f"\nFirst build_parser call (median ms): {statistics.median(parser_ms):.2f}")
 
 
 if __name__ == "__main__":

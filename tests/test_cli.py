@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 import funcdeconv as fd
 from funcdeconv import gridio, simlab
 from funcdeconv.cli import _rational, _write_coeffs_csv, build_parser, main
+from funcdeconv.estimator import HyperCoeffs
 
 
 def main_recording_warnings(argv):
@@ -299,6 +300,66 @@ class TestDeconvolveCommand:
                      "--kernel", str(kern_path), "--out", str(root / "y.fdg")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def _csv_reference(coeffs) -> str:
+    """The coefficient CSV formatted one coefficient at a time."""
+    lines = ["j,k,jprime,kprime,re,kept\n"]
+    for jp, ss in coeffs.plan.spatial_slices.items():
+        for j, ts in coeffs.plan.time_slices.items():
+            block, kept = coeffs.entries[ss, ts], coeffs.kept[ss, ts]
+            for kp in range(block.shape[0]):
+                for k in range(block.shape[1]):
+                    v = float(block[kp, k])
+                    lines.append(f"{j},{k},{jp},{kp},{v!r},{int(kept[kp, k])}\n")
+    return "".join(lines)
+
+
+_TINY = 2.2250738585072014e-308     # the smallest normal double
+
+
+def _coefficient_values():
+    """Finite doubles, -0.0, subnormals and the exponent forms of ``repr``."""
+    return st.one_of(
+        st.just(-0.0), st.just(0.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-_TINY, max_value=_TINY, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1e16, allow_infinity=False),
+        st.floats(max_value=-1e16, allow_infinity=False),
+        st.floats(min_value=_TINY, max_value=1e-5),
+        st.floats(min_value=-1e-5, max_value=-_TINY),
+    )
+
+
+class TestCoeffCsvWriter:
+    """``_write_coeffs_csv`` writes byte for byte what a one-line-per-coefficient
+    formatter writes, across every chunk edge: a block 512 wide (J = 10, one row
+    per chunk) and block row counts that are not a multiple of the chunk step."""
+
+    # (mode, M): functional 16 x 1024 in 2 x 8 blocks, separate 70 x 1024 in one
+    # block row, whose 8-wide blocks are written as 64 rows, then 6
+    LAYOUTS = {"functional": 16, "separate": 70}
+
+    @pytest.mark.parametrize("mode", list(LAYOUTS))
+    @given(values=st.lists(_coefficient_values(), min_size=1, max_size=40),
+           flags=st.lists(st.booleans(), min_size=1, max_size=9))
+    @example(values=[-0.0, 5e-324, -2.5e-310, 1e16, -1.2345678901234567e300, 1e-5,
+                     9.999999999999999e-06, 0.1, -1.0], flags=[True, False])
+    @settings(deadline=None, max_examples=15,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_a_one_line_reference_formatter(self, kernel_for, tmp_path, mode,
+                                                    values, flags):
+        m = self.LAYOUTS[mode]
+        cfg = fd.EstimatorConfig(c_beta=1.0, nu=0.0, epsilon=0.01, mode=mode,
+                                 j=10, j_prime=4)
+        pl = fd.plan(cfg, kernel_for(m, 4096)[1])
+        shape = (m if mode == "separate" else 2**cfg.j_prime, 2**cfg.j)
+        coeffs = HyperCoeffs(np.resize(np.array(values, dtype=float), shape), pl,
+                             np.resize(np.array(flags), shape))
+        assert max(ts.stop - ts.start for ts in pl.time_slices.values()) == 512
+        path = tmp_path / "coeffs.csv"
+        _write_coeffs_csv(path, coeffs)
+        assert path.read_bytes() == _csv_reference(coeffs).encode()
 
 
 class TestSimulateCommand:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import funcdeconv as fd
 from funcdeconv import estimator, simlab
+from funcdeconv import meyer as meyer_module
 from funcdeconv.estimator import HyperCoeffs
 from funcdeconv.exceptions import ConfigError, LevelTooFine
 
@@ -239,6 +240,25 @@ class TestPlan:
             calls.clear()
             simlab.run_mise(simlab.SimConfig(m=64, n=256, mode=mode, runs=3))
             assert calls == [(64, 256), "check"], mode
+
+    @pytest.mark.parametrize("mode", ["functional", "separate"])
+    def test_fresh_bases_give_bitwise_the_coefficients_of_given_bases(
+            self, kernel_for, monkeypatch, mode):
+        """A plan without bases reads the Meyer tables shared per (m0, J) (J <= 6)
+        or builds its own (J = 7); either way its coefficients are bitwise those
+        of a plan given bases whose tables were all built anew."""
+        grid, ks = kernel_for(32, 512)
+        obs = observe(simlab.product_truth("Quadratic", "Blip", 32, 512), 0.5)
+        for big_j in (4, 6, 7):
+            cfg = fd.config_for(obs, ks, mode=mode, j=big_j)
+            with monkeypatch.context() as patch:
+                patch.setattr(meyer_module, "_SHARED", {})
+                given_bases = fd.estimate(obs, ks, cfg, fd.MeyerBasis(cfg.m0),
+                                          fd.SpatialBasis(cfg.m0p))
+            for _ in range(2):
+                fresh = fd.estimate(obs, ks, cfg)
+                assert fresh.entries.tobytes() == given_bases.entries.tobytes(), big_j
+                assert np.array_equal(fresh.kept, given_bases.kept), big_j
 
     def test_the_plan_checks_its_kernel_before_any_data(self, kernel_for):
         """A kernel that vanishes on the Meyer band (K = 11 at J = 4, N = 256)

@@ -1,13 +1,18 @@
 """Periodized band-limited wavelet basis on the time axis."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcdeconv as fd
+from funcdeconv import meyer as meyer_module
 from funcdeconv.exceptions import ConfigError, LevelTooCoarse, LevelTooFine
 from funcdeconv.meyer import meyer_aux, phi_hat, psi_hat
+from funcdeconv.spectra import ROW_BLOCK_BYTES
 
 
 def hermitian_noise(rng, n, mmax):
@@ -168,6 +173,56 @@ class TestCoefficientTables:
         a = np.array(rows)
         gram = a @ a.conj().T
         np.testing.assert_allclose(gram, np.eye(len(rows)), atol=1e-12)
+
+
+class TestSharedTables:
+    """The tables of a cutoff J depend only on (m0, J); those whose band matrix
+    takes at most 128 KB are shared by every basis at m0, the rest go with
+    their basis."""
+
+    @pytest.mark.parametrize("m0", [3, 4, 5, 6])
+    def test_bases_at_one_m0_share_the_read_only_tables_up_to_j6(self, m0):
+        first, second = fd.MeyerBasis(m0), fd.MeyerBasis(m0)
+        for big_j in range(m0, 7):
+            band = first.union_band(big_j)
+            synthesis, weight = first._band_matrix(big_j)
+            assert second.union_band(big_j) is band, big_j
+            again = second._band_matrix(big_j)
+            assert again[0] is synthesis and again[1] is weight, big_j
+            assert synthesis.nbytes <= ROW_BLOCK_BYTES, big_j
+            for table in (band, synthesis, weight):
+                assert not table.flags.writeable, big_j
+        retained = sum(table.nbytes for (m, _), tables in meyer_module._SHARED.items()
+                       if m == m0 for table in (tables["band"], *tables["matrix"]))
+        assert retained < 64 * 1024
+        big = first._band_matrix(7)[0]
+        assert big.nbytes > ROW_BLOCK_BYTES
+        assert second._band_matrix(7)[0] is not big
+        assert (m0, 7) not in meyer_module._SHARED
+
+    def test_a_table_above_128kb_goes_with_its_basis(self):
+        """At J = 8 the band matrix takes 700 KB: no reference outlives the basis."""
+        basis = fd.MeyerBasis(3)
+        synthesis, weight = basis._band_matrix(8)
+        assert synthesis.nbytes > 5 * ROW_BLOCK_BYTES
+        refs = [weakref.ref(table) for table in
+                (synthesis, synthesis.base, weight, basis.union_band(8))]
+        del basis, synthesis, weight
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+        assert (3, 8) not in meyer_module._SHARED
+
+    def test_shared_tables_equal_tables_built_anew(self, monkeypatch):
+        shared = fd.MeyerBasis(3)
+        tables = {big_j: (shared.union_band(big_j), shared._band_matrix(big_j))
+                  for big_j in range(3, 7)}
+        monkeypatch.setattr(meyer_module, "_SHARED", {})
+        fresh = fd.MeyerBasis(3)
+        for big_j, (band, (synthesis, weight)) in tables.items():
+            assert fresh.union_band(big_j) is not band
+            assert np.array_equal(fresh.union_band(big_j), band)
+            assert fresh._band_matrix(big_j)[0].tobytes() == synthesis.tobytes()
+            assert fresh._band_matrix(big_j)[1].tobytes() == weight.tobytes()
 
 
 class TestAnalyzeSynthesize:
