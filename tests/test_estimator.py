@@ -247,7 +247,7 @@ class TestPlan:
         """A plan without bases reads the Meyer tables shared per (m0, J) (J <= 6)
         or builds its own (J = 7); either way its coefficients are bitwise those
         of a plan given bases whose tables were all built anew."""
-        grid, ks = kernel_for(32, 512)
+        _, ks = kernel_for(32, 512)
         obs = observe(simlab.product_truth("Quadratic", "Blip", 32, 512), 0.5)
         for big_j in (4, 6, 7):
             cfg = fd.config_for(obs, ks, mode=mode, j=big_j)

@@ -175,11 +175,12 @@ class TestInternedStrings:
 
     def test_the_windows_are_the_sliding_windows(self):
         """The windowed view gives bitwise the coefficients of numpy's
-        ``sliding_window_view`` of the same padded rows."""
+        ``sliding_window_view`` of the same padded rows, also for rows in
+        Fortran order (``dwt_forward`` of a transposed array)."""
         from numpy.lib.stride_tricks import sliding_window_view
         rng = np.random.default_rng(1)
-        for shape in [(3, 8), (5, 64), (2, 3, 32)]:
-            a = rng.standard_normal(shape)
+        for shape, order in [((3, 8), "C"), ((5, 64), "C"), ((16, 64), "F"), ((2, 3, 32), "C")]:
+            a = np.asarray(rng.standard_normal(shape), order=order)
             n = shape[-1]
             padded = np.take(a, np.arange(n + len(DB6_LO) - 2), axis=-1, mode="wrap")
             want = sliding_window_view(padded, len(DB6_LO), axis=-1)[..., ::2, :] \
