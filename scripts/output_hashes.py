@@ -13,10 +13,12 @@ replays both, and runs ``table1 --runs 2 --n 64``. Then it runs
 ``nu-estimate`` on the kernel, with the default fit window and with
 ``--mlo 8 --mhi 32``, and on the ``.csv`` kernel with the default window;
 their stdout passes through the kernel's zero floor, which the fit window
-is checked against. Last, on sigma 0 data at 8 x 4096 (``WIDE``), it runs
-``deconvolve`` in functional mode at the default levels, grid capacity
-J = 10, so block j = 9 of the coefficient CSV is 512 wide: one block row per
-written chunk. It prints one
+is checked against. It runs ``rates`` with one ``--s2`` value and with
+two, and ``compare``, each with ``--manifest``, and replays each; these
+write no file but the manifest, so their stdout is what is compared. Last,
+on sigma 0 data at 8 x 4096 (``WIDE``), it runs ``deconvolve`` in functional
+mode at the default levels, grid capacity J = 10, so block j = 9 of the
+coefficient CSV is 512 wide: one block row per written chunk. It prints one
 ``sha256  name`` line per output file and per run's captured stdout, so two
 trees compare by ``diff``:
 
@@ -44,6 +46,11 @@ SHAPE = (64, 256)
 WIDE = (8, 4096)
 LEVELS = {"default": [], "j5": ["--j", "5", "--jprime", "5", "--m0p", "2"]}
 NU_WINDOWS = {"default": [], "m8_32": ["--mlo", "8", "--mhi", "32"]}
+CALCULATORS = {
+    "rates_one_s2": ["rates", "--s1", "4", "--s2", "1", "--nu", "1"],
+    "rates_two_s2": ["rates", "--s1", "1/2", "--s2", "3/2", "2", "--nu", "2"],
+    "compare": ["compare", "--s1", "8", "--s2", "1", "--nu", "1/2", "--M", "4", "--N", "4096"],
+}
 
 
 def sha256(data: bytes) -> str:
@@ -133,6 +140,10 @@ def hash_outputs() -> list:
     for window, flags in NU_WINDOWS.items():
         runner.run(f"nu_estimate_{window}", ["nu-estimate", "--kernel", "kernel.fdg", *flags], [])
     runner.run("nu_estimate_csv", ["nu-estimate", "--kernel", "kernel.csv"], [])
+    for label, argv in CALCULATORS.items():
+        manifest = f"{label}.manifest"
+        runner.run(label, [*argv, "--manifest", manifest], [manifest])
+        runner.replay(manifest, [])
 
     m, n = WIDE
     wide = {"kernel_wide.fdg": ObservationGrid(simlab.kernel_grid(m, n), sigma=0.0),

@@ -230,7 +230,8 @@ def plan(cfg: EstimatorConfig, ks: KernelSpectrum, meyer_basis: MeyerBasis | Non
     if (basis.m0, sbasis.m0p) != (cfg.m0, cfg.m0p):
         raise ConfigError(f"bases at m0={basis.m0}, m0'={sbasis.m0p} do not match "
                           f"the config's m0={cfg.m0}, m0'={cfg.m0p}")
-    validate_invertible(ks, basis.union_band(cfg.j))
+    k = basis.band_size(cfg.j, ks.n)
+    validate_invertible(ks, np.arange(k))
     tslices = level_slices(cfg.m0, cfg.j)
     lam = np.empty(2**cfg.j)
     for j, ts in tslices.items():
@@ -240,7 +241,7 @@ def plan(cfg: EstimatorConfig, ks: KernelSpectrum, meyer_basis: MeyerBasis | Non
         sslices, weight = level_slices(cfg.m0p, cfg.j_prime), 1.0
     else:
         sslices, weight = {-1: slice(0, ks.m)}, 1.0 / ks.m
-    return Plan(cfg, ks, basis, sbasis, basis.band_size(cfg.j, ks.n), lam,
+    return Plan(cfg, ks, basis, sbasis, k, lam,
                 MappingProxyType(tslices), MappingProxyType(sslices), weight)
 
 

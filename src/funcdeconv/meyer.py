@@ -103,15 +103,11 @@ class MeyerBasis:
         key = (self.m0, big_j)
         tables = _SHARED.get(key) or self._cache.get(key)
         if tables is None:
-            ms = [self.scaling_support()]
-            ms += [self.support_set(j) for j in range(self.m0, big_j)]
-            ms = np.concatenate(ms)
-            lo = ms.min()
-            member = np.zeros(ms.max() - lo + 1, dtype=bool)
-            member[ms - lo] = True
-            band = np.flatnonzero(member) + lo
+            finest = self.support_set(big_j - 1) if big_j > self.m0 else self.scaling_support()
+            top = int(finest.max())
+            band = np.arange(-top, top + 1)
             band.flags.writeable = False
-            matrix_bytes = 2**big_j * 2 * (int(band.max()) + 1) * 8
+            matrix_bytes = 2**big_j * 2 * (top + 1) * 8
             store = _SHARED if matrix_bytes <= ROW_BLOCK_BYTES else self._cache
             tables = store.setdefault(key, {"band": band})
         return tables
@@ -139,35 +135,16 @@ class MeyerBasis:
     def union_band(self, big_j: int) -> np.ndarray:
         """All frequencies used by levels [m0-1, big_j), ascending (memoised, read-only).
 
-        The sorted set is a membership mask over [min, max], not ``np.unique``,
+        The supports of consecutive levels overlap, so the set is the run
+        ``-top..top`` of the finest level's top frequency; no ``np.unique``,
         whose first call imports ``numpy.ma`` (about 11 ms of a cold process).
         """
         return self._tables(big_j)["band"]
 
-    # -- pointwise coefficients -------------------------------------------
-
-    def psi_fourier(self, j: int, k: int, m) :
-        """Fourier coefficient psi_{j,k,m} of the periodized wavelet."""
-        if j < self.m0:
-            raise LevelTooCoarse(f"level j={j} below coarsest level m0={self.m0}")
-        if not 0 <= k < 2**j:
-            raise IndexError(f"shift k={k} outside [0, 2^{j})")
-        m = np.asarray(m, dtype=float)
-        return (2.0**(-j / 2) * psi_hat(2 * np.pi * m / 2**j)
-                * np.exp(-2j * np.pi * m * k / 2**j))
-
-    def phi_fourier(self, k: int, m):
-        """Fourier coefficient of the periodized level-m0 scaling function."""
-        if not 0 <= k < 2**self.m0:
-            raise IndexError(f"shift k={k} outside [0, 2^{self.m0})")
-        m = np.asarray(m, dtype=float)
-        return (2.0**(-self.m0 / 2) * phi_hat(2 * np.pi * m / 2**self.m0)
-                * np.exp(-2j * np.pi * m * k / 2**self.m0))
-
     # -- band matrix --------------------------------------------------------
 
-    def _band_matrix(self, big_j: int):
-        """(synthesis, weight) for levels [m0-1, big_j), memoised and read-only.
+    def band_matrix(self, big_j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of levels [m0-1, big_j) on the band: ``(synthesis, weight)``.
 
         A band row holds the K = max(union_band) + 1 non-negative frequencies
         0..K-1 (the union band has no gaps), read as 2K reals with re/im
@@ -175,8 +152,12 @@ class MeyerBasis:
         to the band, ``band[m] = sum_tau c_tau psi_tau(m)``: row tau is the
         atom of packed position tau on the band. Analysis of a real signal
         is ``(band * weight) @ synthesis.T``: each +-m pair of
-        ``sum_m X(m) conj(psi_tau(m))`` folds into ``2 Re`` for m > 0.
+        ``sum_m X(m) conj(psi_tau(m))`` folds into ``2 Re`` for m > 0;
+        ``weight`` (2K) is 1 at m = 0 and 2 above. Both arrays are read-only
+        and memoised with :meth:`union_band`, shared as the class describes.
         """
+        if big_j < self.m0:
+            raise LevelTooCoarse(f"J={big_j} below coarsest level m0={self.m0}")
         tables = self._tables(big_j)
         if "matrix" not in tables:
             psi = np.zeros((2**big_j, int(self.union_band(big_j).max()) + 1), dtype=complex)
@@ -223,9 +204,7 @@ class MeyerBasis:
         negative half being the conjugate of the given one; the scaling
         block is analogous via phi.
         """
-        if big_j < self.m0:
-            raise LevelTooCoarse(f"J={big_j} below coarsest level m0={self.m0}")
-        synthesis, weight = self._band_matrix(big_j)
+        synthesis, weight = self.band_matrix(big_j)
         k = synthesis.shape[1] // 2
         spectrum_rows = np.asarray(spectrum_rows)
         if spectrum_rows.shape[-1] < k:
@@ -249,5 +228,5 @@ class MeyerBasis:
             raise IndexError(f"packed length {size} is not a power of two")
         if big_j < self.m0:
             raise LevelTooCoarse(f"packed length {size} shorter than scaling block 2^{self.m0}")
-        synthesis, _ = self._band_matrix(big_j)
+        synthesis, _ = self.band_matrix(big_j)
         return (packed @ synthesis).view(complex)

@@ -136,12 +136,6 @@ def _candidates(ball: BesovBall, nu):
     return c_spatial, c_time, c_sparse
 
 
-def exponent_min_form(ball: BesovBall, nu) -> object:
-    """The min-form evaluation of the exponent (cross-check for the case form)."""
-    nu = _exactify(nu)
-    return min(_candidates(ball, nu))
-
-
 def exponent_multi(ball: BesovBall, nu) -> RateReport:
     """Multivariate rate exponent D and log power D1 via s_{2,0} = min_l s_{2,l}."""
     nu = _exactify(nu)

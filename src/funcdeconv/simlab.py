@@ -197,7 +197,7 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
     a block is valid until the next is drawn.
     """
     rng = np.random.default_rng([seed, rep])
-    block = np.empty((block_rows(n), n))
+    block = np.empty((min(block_rows(n), m), n))
     for start in range(0, m, len(block)):
         rows = block[:m - start]
         rng.standard_normal(out=rows)

@@ -262,14 +262,16 @@ class TestPlan:
 
     def test_the_plan_checks_its_kernel_before_any_data(self, kernel_for):
         """A kernel that vanishes on the Meyer band (K = 11 at J = 4, N = 256)
-        is rejected by the plan itself, which holds that kernel by reference."""
+        is rejected by the plan itself, which holds that kernel by reference,
+        naming the rfft column that vanishes."""
         _, ks = kernel_for(64, 256)
         cfg = fd.EstimatorConfig(c_beta=1.0, nu=1.0, epsilon=0.03, j=4)
         assert fd.plan(cfg, ks).kernel is ks
         g = ks.g_coeffs.copy()
         g[:, 5] = 0.0
-        with pytest.raises(fd.IllPosedKernel):
+        with pytest.raises(fd.IllPosedKernel) as err:
             fd.plan(cfg, fd.KernelSpectrum(g))
+        assert (err.value.profile, err.value.frequency) == (0, 5)
 
     def test_hard_threshold_reads_the_plans_read_only_lambda_row(self, monkeypatch):
         """lambda_j is formed once per plan, at each packed time position."""
@@ -357,8 +359,8 @@ class TestEstimateCoeffs:
         assert devs[2] < 1e-3
 
     @pytest.mark.parametrize("mode", ["functional", "separate"])
-    def test_real_and_equal_to_a_full_width_reference(self, meyer, spatial,
-                                                      kernel_for, mode):
+    def test_real_and_equal_to_a_full_width_reference(self, meyer, spatial, kernel_for,
+                                                      atoms, mode):
         """beta-tilde from the band equals the two-sided sum over fft/N
         spectra of the data divided by the kernel, analysed with the atoms."""
         m, n, big_j, big_jp = 32, 256, 5, 4
@@ -371,10 +373,7 @@ class TestEstimateCoeffs:
         band = meyer.union_band(big_j)
         ratio = (np.fft.fft(obs.samples, axis=1)[:, band % n]
                  / np.fft.fft(grid, axis=1)[:, band % n])
-        atoms = [meyer.phi_fourier(k, band) for k in range(8)]
-        for j in range(3, big_j):
-            atoms += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
-        timec = ratio @ np.array(atoms).conj().T               # (M, 2^J)
+        timec = ratio @ atoms(meyer, big_j, band).conj().T     # (M, 2^J)
         assert np.abs(timec.imag).max() < 1e-12 * np.abs(timec).max()
         timec = timec.real                       # the spatial DWT takes real rows
         if mode == "functional":

@@ -137,42 +137,43 @@ class TestSupports:
 
 
 class TestCoefficientTables:
-    def test_rows_are_unit_norm(self, meyer):
-        for j in range(3, 9):
-            ms = meyer.support_set(j)
-            for k in (0, 1, 2**j - 1):
-                vals = meyer.psi_fourier(j, k, ms)
-                assert (np.abs(vals) ** 2).sum() == pytest.approx(1.0, abs=1e-10)
+    """The rows of ``band_matrix`` are the atoms: each row tau is atom tau on
+    the frequencies 0..K-1, re/im interleaved."""
 
-    def test_amplitude_bound(self, meyer):
-        for j in range(3, 9):
-            vals = meyer.psi_fourier(j, 0, meyer.support_set(j))
-            assert np.abs(vals).max() <= 2.0 ** (-j / 2) + 1e-12
+    def test_rows_are_unit_norm(self):
+        """Over both signs of m: (S^2 * w).sum(1) = 1 on every wavelet row."""
+        for big_j in (5, 8):
+            synthesis, weight = fd.MeyerBasis().band_matrix(big_j)
+            norms = (synthesis**2 * weight).sum(1)[8:]
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-13, err_msg=str(big_j))
+
+    def test_scaling_rows_are_unit_norm(self):
+        for m0 in range(3, 7):
+            synthesis, weight = fd.MeyerBasis(m0).band_matrix(m0)
+            norms = (synthesis**2 * weight).sum(1)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-13, err_msg=str(m0))
+
+    def test_amplitude_bound(self):
+        rows = fd.MeyerBasis().band_matrix(9)[0].view(complex)
+        for j, sl in fd.level_slices(3, 9).items():
+            assert np.abs(rows[sl]).max() <= 2.0 ** (-max(j, 3) / 2) + 1e-12, j
 
     def test_translates_are_modulations(self, meyer):
-        for j in (3, 5):
-            ms = meyer.support_set(j)
-            base = meyer.psi_fourier(j, 0, ms)
-            for k in (1, 3, 2**j - 1):
-                expected = base * np.exp(-2j * np.pi * ms * k / 2.0**j)
-                np.testing.assert_allclose(meyer.psi_fourier(j, k, ms), expected,
-                                           atol=1e-14)
+        rows = meyer.band_matrix(6)[0].view(complex)
+        ms = np.arange(rows.shape[1])
+        for j, sl in fd.level_slices(3, 6).items():
+            lev = max(j, 3)
+            for k in (1, 3, 2**lev - 1):
+                expected = rows[sl.start] * np.exp(-2j * np.pi * ms * k / 2.0**lev)
+                np.testing.assert_allclose(rows[sl.start + k], expected, rtol=0, atol=1e-14)
 
-    def test_scaling_rows_are_unit_norm(self, meyer):
-        ms = meyer.scaling_support()
-        for k in range(8):
-            vals = meyer.phi_fourier(k, ms)
-            assert (np.abs(vals) ** 2).sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthonormal_within_and_across_levels(self, meyer):
-        """Gram matrix of all atoms up to J=5 on the union band is the identity."""
-        band = meyer.union_band(5)
-        rows = [meyer.phi_fourier(k, band) for k in range(8)]
-        for j in range(3, 5):
-            rows += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
-        a = np.array(rows)
-        gram = a @ a.conj().T
-        np.testing.assert_allclose(gram, np.eye(len(rows)), atol=1e-12)
+    def test_orthonormal_within_and_across_levels(self):
+        """The two-sided Gram matrix (S * w) @ S^T of all 2^J atoms is the identity."""
+        for big_j in (3, 5, 8):
+            synthesis, weight = fd.MeyerBasis().band_matrix(big_j)
+            gram = (synthesis * weight) @ synthesis.T
+            np.testing.assert_allclose(gram, np.eye(2**big_j), rtol=0, atol=1e-13,
+                                       err_msg=str(big_j))
 
 
 class TestSharedTables:
@@ -185,9 +186,9 @@ class TestSharedTables:
         first, second = fd.MeyerBasis(m0), fd.MeyerBasis(m0)
         for big_j in range(m0, 7):
             band = first.union_band(big_j)
-            synthesis, weight = first._band_matrix(big_j)
+            synthesis, weight = first.band_matrix(big_j)
             assert second.union_band(big_j) is band, big_j
-            again = second._band_matrix(big_j)
+            again = second.band_matrix(big_j)
             assert again[0] is synthesis and again[1] is weight, big_j
             assert synthesis.nbytes <= ROW_BLOCK_BYTES, big_j
             for table in (band, synthesis, weight):
@@ -195,15 +196,15 @@ class TestSharedTables:
         retained = sum(table.nbytes for (m, _), tables in meyer_module._SHARED.items()
                        if m == m0 for table in (tables["band"], *tables["matrix"]))
         assert retained < 64 * 1024
-        big = first._band_matrix(7)[0]
+        big = first.band_matrix(7)[0]
         assert big.nbytes > ROW_BLOCK_BYTES
-        assert second._band_matrix(7)[0] is not big
+        assert second.band_matrix(7)[0] is not big
         assert (m0, 7) not in meyer_module._SHARED
 
     def test_a_table_above_128kb_goes_with_its_basis(self):
         """At J = 8 the band matrix takes 700 KB: no reference outlives the basis."""
         basis = fd.MeyerBasis(3)
-        synthesis, weight = basis._band_matrix(8)
+        synthesis, weight = basis.band_matrix(8)
         assert synthesis.nbytes > 5 * ROW_BLOCK_BYTES
         refs = [weakref.ref(table) for table in
                 (synthesis, synthesis.base, weight, basis.union_band(8))]
@@ -214,15 +215,15 @@ class TestSharedTables:
 
     def test_shared_tables_equal_tables_built_anew(self, monkeypatch):
         shared = fd.MeyerBasis(3)
-        tables = {big_j: (shared.union_band(big_j), shared._band_matrix(big_j))
+        tables = {big_j: (shared.union_band(big_j), shared.band_matrix(big_j))
                   for big_j in range(3, 7)}
         monkeypatch.setattr(meyer_module, "_SHARED", {})
         fresh = fd.MeyerBasis(3)
         for big_j, (band, (synthesis, weight)) in tables.items():
             assert fresh.union_band(big_j) is not band
             assert np.array_equal(fresh.union_band(big_j), band)
-            assert fresh._band_matrix(big_j)[0].tobytes() == synthesis.tobytes()
-            assert fresh._band_matrix(big_j)[1].tobytes() == weight.tobytes()
+            assert fresh.band_matrix(big_j)[0].tobytes() == synthesis.tobytes()
+            assert fresh.band_matrix(big_j)[1].tobytes() == weight.tobytes()
 
 
 class TestAnalyzeSynthesize:
@@ -276,15 +277,16 @@ class TestAnalyzeSynthesize:
         twice = meyer.synthesize_t(meyer.analyze_t(once, 6))
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
-    def test_single_coefficient_synthesizes_its_atom(self, meyer):
+    def test_single_coefficient_synthesizes_its_atom(self, meyer, atoms):
+        """A unit coefficient at (j = 4, k = 5) synthesizes that atom, zero off its support."""
         packed = np.zeros((1, 32))
         slices = fd.level_slices(3, 5)
         packed[0, slices[4].start + 5] = 1.0
         band = meyer.synthesize_t(packed)[0]
-        ms = meyer.support_set(4)
-        ms = ms[ms > 0]
-        np.testing.assert_allclose(band[ms], meyer.psi_fourier(4, 5, ms), atol=1e-14)
-        np.testing.assert_allclose(np.delete(band, ms), 0.0, atol=1e-14)
+        ms = np.arange(len(band))
+        want = atoms(meyer, 5, ms)[slices[4].start + 5]
+        np.testing.assert_allclose(band, want, rtol=0, atol=1e-14)
+        assert np.count_nonzero(band) == np.count_nonzero(meyer.support_set(4) > 0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -293,7 +295,7 @@ class TestAnalyzeSynthesize:
         back = meyer.analyze_t(meyer.synthesize_t(packed.reshape(1, -1)), 5)
         np.testing.assert_allclose(back[0], packed, atol=1e-10)
 
-    def test_matches_the_atoms_over_both_signs(self, meyer):
+    def test_matches_the_atoms_over_both_signs(self, meyer, atoms):
         """Analysis equals sum_m X(m) conj(psi(m)) over the full two-sided band
         of a real signal; synthesis equals sum_tau c_tau psi_tau(m)."""
         rng = np.random.default_rng(3)
@@ -301,16 +303,13 @@ class TestAnalyzeSynthesize:
         x = rng.standard_normal((2, n))
         full = np.fft.fft(x, axis=1) / n
         band = meyer.union_band(big_j)
-        atoms = [meyer.phi_fourier(k, band) for k in range(8)]
-        for j in range(3, big_j):
-            atoms += [meyer.psi_fourier(j, k, band) for k in range(2**j)]
-        atoms = np.array(atoms)                            # (2^J, |band|)
-        want = full[:, band % n] @ atoms.conj().T
+        table = atoms(meyer, big_j, band)                  # (2^J, |band|)
+        want = full[:, band % n] @ table.conj().T
         assert np.abs(want.imag).max() < 1e-15
         got = meyer.analyze_t(full[:, :n // 2 + 1], big_j)
         np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14)
         c = rng.standard_normal((2, 2**big_j))
-        synth = c @ atoms
+        synth = c @ table
         np.testing.assert_allclose(meyer.synthesize_t(c), synth[:, band >= 0],
                                    rtol=0, atol=1e-14)
 
@@ -320,20 +319,13 @@ class TestAnalyzeSynthesize:
 
     def test_levels_below_m0_rejected(self, meyer):
         """Every entry that takes a level names one below m0 = 3."""
-        for call in (lambda: meyer.support_set(2), lambda: meyer.psi_fourier(2, 0, 1),
+        for call in (lambda: meyer.support_set(2), lambda: meyer.band_matrix(2),
                      lambda: meyer.band_size(2, 64), lambda: meyer.analyze_t(
                          np.zeros((1, 33), dtype=complex), 2)):
             with pytest.raises(LevelTooCoarse, match="m0=3"):
                 call()
         with pytest.raises(LevelTooCoarse, match=r"packed length 4 shorter than .*2\^3"):
             meyer.synthesize_t(np.zeros((1, 4)))
-
-    @pytest.mark.parametrize("k", [-1, 8])
-    def test_shifts_outside_the_level_rejected(self, meyer, k):
-        with pytest.raises(IndexError, match=rf"shift k={k} outside \[0, 2\^3\)"):
-            meyer.psi_fourier(3, k, 1)
-        with pytest.raises(IndexError, match=rf"shift k={k} outside \[0, 2\^3\)"):
-            meyer.phi_fourier(k, 1)
 
     def test_packed_length_not_a_power_of_two_rejected(self, meyer):
         with pytest.raises(IndexError, match="packed length 24 is not a power of two"):

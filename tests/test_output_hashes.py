@@ -30,9 +30,10 @@ def test_two_runs_print_the_same_well_formed_lines(output_hashes, capsys):
         hashes[match[2]] = match[1]
     # 3 .fdg and 2 .csv inputs; 8 deconvolve runs of 4 lines; 2 simulate runs
     # of 3; their replays alike; 2 deconvolve runs of 4 lines on the .csv
-    # inputs; table1's stdout, CSV and manifest; 3 nu-estimate stdouts; the
+    # inputs; table1's stdout, CSV and manifest; 3 nu-estimate stdouts; 2
+    # rates runs and 1 compare run of 2 lines and a replayed stdout each; the
     # 8 x 4096 kernel and data and their deconvolve run of 4 lines
-    assert len(hashes) == 5 + 2 * (8 * 4 + 2 * 3) + 2 * 4 + 3 + 3 + 2 + 4
+    assert len(hashes) == 5 + 2 * (8 * 4 + 2 * 3) + 2 * 4 + 3 + 3 + 3 * 3 + 2 + 4
     assert "y_wide_s0_functional_default.fdg.coeffs.csv" in hashes
     assert hashes["nu_estimate_default.stdout"] != hashes["nu_estimate_m8_32.stdout"]
     # a .csv grid holds the same doubles as its .fdg copy, so it gives the same results
@@ -47,3 +48,6 @@ def test_two_runs_print_the_same_well_formed_lines(output_hashes, capsys):
     for name in replayed:
         assert hashes[name] == hashes[name.removeprefix("replay/")], name
     assert hashes["simulate_threads1.csv"] == hashes["simulate_threads2.csv"]
+    for label in ("rates_one_s2", "rates_two_s2", "compare"):
+        assert hashes[f"replay/{label}.manifest.stdout"] == hashes[f"{label}.stdout"], label
+    assert hashes["rates_one_s2.stdout"] != hashes["rates_two_s2.stdout"]

@@ -61,7 +61,7 @@ class TestCaseSelection:
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_case_form_equals_min_form(self, data):
+    def test_case_form_equals_min_form(self, min_form, data):
         """The three-branch selection agrees with min over the candidate
         exponents on every admissible (in-regime) parameter draw."""
         from hypothesis import assume
@@ -71,7 +71,7 @@ class TestCaseSelection:
         b = fd.BesovBall(s1=s1, s2_vec=(s20,), p=p)
         assume(b.in_regime())
         rep = fd.exponent_multi(b, nu)
-        assert rep.d == fd.exponent_min_form(b, nu)
+        assert rep.d == min_form(b, nu)
         assert not rep.regime_warning
 
     @given(st.data())
