@@ -2,6 +2,8 @@
 
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import funcdeconv as fd
 from funcdeconv import simlab
 from funcdeconv.exceptions import ConfigError
+from funcdeconv.spectra import ROW_BLOCK_BYTES
 
 
 class TestReferenceKernel:
@@ -189,6 +192,90 @@ class TestNoiseBlocks:
         assert simlab._noise_band(48, 512, 9, 3, 5).tobytes() == want.tobytes()
 
 
+class TestSharedNoiseBands:
+    """A replicate's noise band is drawn once per process per (M, N, K, seed, rep)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        simlab._NOISE_BANDS.clear()
+        yield
+        simlab._NOISE_BANDS.clear()
+
+    def test_a_kept_band_is_a_fresh_draw_and_read_only(self):
+        kept = simlab._noise_band(48, 512, 9, 3, 5)
+        assert simlab._noise_band(48, 512, 9, 3, 5) is kept
+        simlab._NOISE_BANDS.clear()
+        fresh = simlab._noise_band(48, 512, 9, 3, 5)
+        assert fresh is not kept and fresh.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0
+
+    def test_table_rows_do_not_depend_on_the_cache(self, monkeypatch):
+        """The same rows from a cold cache, a warm one, and one cleared before
+        every cell; a warm table draws nothing."""
+        cold = simlab.table1(runs=3)
+        warm = simlab.table1(runs=3)
+        assert simlab._NOISE_BANDS.info()["misses"] == 3 * 3     # (M, K): (128, 6), (256, 6), (256, 11)
+        run_mise = simlab.run_mise
+
+        def cleared(sim, kernel_spec=None):
+            simlab._NOISE_BANDS.clear()
+            return run_mise(sim, kernel_spec)
+
+        monkeypatch.setattr(simlab, "run_mise", cleared)
+        assert cold == warm == simlab.table1(runs=3)
+
+    def test_a_band_over_128_kb_is_drawn_on_every_call(self):
+        """1024 x 256 at K = 9 is 144 KB."""
+        big = simlab._noise_band(1024, 256, 9, 0, 0)
+        assert big.nbytes > ROW_BLOCK_BYTES and not big.flags.writeable
+        again = simlab._noise_band(1024, 256, 9, 0, 0)
+        assert again is not big and again.tobytes() == big.tobytes()
+        assert simlab._NOISE_BANDS.info() == {"hits": 0, "misses": 2, "bands": 0, "bytes": 0}
+
+    def test_keeps_at_most_256_bands_of_at_most_128_kb(self):
+        """At most 32 MB held; past 256 bands the oldest is dropped first."""
+        memo = simlab._NOISE_BANDS
+        assert memo.most * memo.largest == 32 * 2**20
+        for rep in range(300):
+            simlab._noise_band(2, 8, 2, 0, rep)
+            assert memo.info()["bands"] == min(rep + 1, memo.most)
+        simlab._noise_band(2, 8, 2, 0, 299)
+        simlab._noise_band(2, 8, 2, 0, 0)
+        assert memo.info() == {"hits": 1, "misses": 301, "bands": 256, "bytes": 256 * 64}
+
+    def test_threads_sharing_the_memo_lose_no_count_and_keep_the_bound(self):
+        """8 threads on 2 CPUs, switching every microsecond, each read 300 bands
+        through a 256-band memo: every call counts once, no band is lost to a
+        racing eviction, and every kept band is its fresh draw."""
+        memo, calls, errors = simlab._NOISE_BANDS, 300, []
+
+        def read_all():
+            try:
+                for rep in range(calls):
+                    simlab._noise_band(2, 8, 2, 0, rep)
+            except Exception as exc:    # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        info = memo.info()
+        assert info["hits"] + info["misses"] == 8 * calls
+        assert info["bands"] == memo.most
+        for (m, n, k, seed, rep), band in list(memo.bands.items()):
+            want = fd.fourier_coeffs(np.random.default_rng([seed, rep]).standard_normal((m, n)), k)
+            assert band.tobytes() == want.tobytes()
+
+
 class TestReferenceSpectrum:
     @pytest.mark.parametrize("m, n", [(256, 512), (100, 64), (3, 8192)])
     def test_is_the_spectrum_of_the_kernel_grid_bitwise(self, m, n):
@@ -229,16 +316,21 @@ class TestRunMise:
             simlab.SimConfig(runs=0)
 
     def test_replicates_are_reproducible(self):
+        """Also when the second call draws its noise bands again."""
         cfg = simlab.SimConfig(m=64, n=256, runs=3, seed=5)
         a = simlab.run_mise(cfg)
+        simlab._NOISE_BANDS.clear()
         b = simlab.run_mise(cfg)
         assert np.array_equal(a.per_run, b.per_run)
 
     def test_threads_do_not_change_results(self):
+        """The threads draw the noise bands: the memo is emptied between the calls."""
         base = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=4, seed=2))
+        simlab._NOISE_BANDS.clear()
         multi = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=4, seed=2,
                                                  threads=2))
-        assert np.array_equal(base.per_run, multi.per_run)
+        assert base.per_run.tobytes() == multi.per_run.tobytes()
+        assert simlab._NOISE_BANDS.info()["misses"] == 4
 
     def test_the_pool_holds_no_more_threads_than_runs(self, monkeypatch):
         """threads=10**6 starts at most ``runs`` worker threads."""
@@ -293,11 +385,13 @@ class TestRunMise:
 
     def test_a_cell_forms_no_grid(self):
         """After a warm-up call (the imports of numpy.fft and numpy.random, the
-        memoised band DFT matrix), a 256 x 512 functional cell peaks below one
-        256 x 512 float grid under tracemalloc."""
+        memoised band DFT matrix), a 256 x 512 functional cell that draws its
+        noise peaks below one 256 x 512 float grid under tracemalloc. The warm-up
+        call's noise bands are dropped, so the measured call draws them again."""
         sim = simlab.SimConfig(m=256, n=512, runs=3)
         ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
         simlab.run_mise(sim, kernel_spec=ks)
+        simlab._NOISE_BANDS.clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -306,6 +400,27 @@ class TestRunMise:
         finally:
             tracemalloc.stop()
         assert peak < sim.m * sim.n * 8
+
+    def test_a_warm_cell_draws_no_noise_block(self):
+        """A 32 x 512 cell draws one 128 KB noise block per replicate: with its
+        bands dropped it peaks above a block under tracemalloc (165 KB measured),
+        and once they are kept, below one (77 KB measured)."""
+        sim = simlab.SimConfig(m=32, n=512, runs=3)
+        ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
+        simlab.run_mise(sim, kernel_spec=ks)
+        peaks = []
+        for cold in (True, False):
+            if cold:
+                simlab._NOISE_BANDS.clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                simlab.run_mise(sim, kernel_spec=ks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > ROW_BLOCK_BYTES > peaks[1]
+        assert simlab._NOISE_BANDS.info()["hits"] == sim.runs
 
     def test_a_kernel_of_another_grid_is_rejected(self):
         ks = fd.kernel_spectrum(simlab.kernel_grid(64, 512))
