@@ -29,8 +29,8 @@ import numpy as np
 from .exceptions import ConfigError, InsufficientRange, LevelTooFine
 from .meyer import MeyerBasis, j_capacity, level_slices
 from .spatial import SpatialBasis
-from .spectra import (KernelSpectrum, ObservationGrid, RowSource, _kernel_fit, fourier_coeffs,
-                      inverse_block_rows, kernel_spectrum, spectrum_to_samples,
+from .spectra import (KernelSpectrum, ObservationGrid, RowSource, _is_pow2, _kernel_fit,
+                      fourier_coeffs, inverse_block_rows, kernel_spectrum, spectrum_to_samples,
                       validate_invertible)
 from .spectra import estimate_nu  # noqa: F401  (perfbench/tracer.py patches estimator.estimate_nu)
 
@@ -103,7 +103,7 @@ class EstimatorConfig:
 
     def resolved(self, m: int, n: int) -> "EstimatorConfig":
         """Copy with auto levels filled in and capacities enforced."""
-        if self.mode == FUNCTIONAL and m & (m - 1):
+        if self.mode == FUNCTIONAL and not _is_pow2(m):
             raise ConfigError(f"functional mode transforms across profiles and needs "
                               f"a power-of-two M, got M={m}")
         # separate mode never transforms across profiles, so it takes fewer

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ConfigError, LevelTooCoarse, LevelTooFine
-from .spectra import ROW_BLOCK_BYTES
+from .spectra import ROW_BLOCK_BYTES, _is_pow2
 
 _AUX = np.array([-20.0, 70.0, -84.0, 35.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -223,9 +223,9 @@ class MeyerBasis:
         if np.iscomplexobj(packed):
             raise ConfigError("packed time coefficients must be real")
         size = packed.shape[-1]
-        big_j = int(round(np.log2(size)))
-        if 2**big_j != size:
-            raise IndexError(f"packed length {size} is not a power of two")
+        if not _is_pow2(size):
+            raise ConfigError(f"packed length {size} is not a power of two")
+        big_j = size.bit_length() - 1
         if big_j < self.m0:
             raise LevelTooCoarse(f"packed length {size} shorter than scaling block 2^{self.m0}")
         synthesis, _ = self.band_matrix(big_j)

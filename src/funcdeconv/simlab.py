@@ -21,7 +21,8 @@ row blocks reach ``fourier_coeffs`` as a :class:`funcdeconv.spectra.RowSource`.
 The stream does not depend on a cell's signals, sigma or mode, so cells on one
 grid share their noise (common random numbers): a replicate's noise band is
 drawn once per process per (M, N, K, seed, rep) when it takes at most 128 KB,
-and every later cell reads the same bits (:func:`_noise_band`).
+and every later cell reads the same bits; at most 256 bands are kept, the least
+recently used dropped first (:func:`_noise_band`).
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -209,64 +209,29 @@ def _noise_blocks(m: int, n: int, seed: int, rep: int):
         yield start, rows
 
 
-class _BandMemo:
-    """Read-only bands keyed by the arguments of their draw, kept for the life of the
-    process: those of at most ``largest`` bytes, at most ``most`` of them, the oldest
-    dropped first. A larger band is drawn on every call. Concurrent misses of one key
-    may both draw; the draws give the same bits.
-    """
-
-    def __init__(self, most: int, largest: int):
-        self.most, self.largest = most, largest
-        self.bands: dict = {}
-        self.hits = self.misses = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, draw) -> np.ndarray:
-        with self._lock:
-            band = self.bands.get(key)
-            if band is not None:
-                self.hits += 1
-                return band
-            self.misses += 1
-        band = draw()
-        band.flags.writeable = False
-        if band.nbytes <= self.largest:
-            with self._lock:
-                if key not in self.bands and len(self.bands) >= self.most:
-                    del self.bands[next(iter(self.bands))]
-                self.bands[key] = band
-        return band
-
-    def clear(self) -> None:
-        with self._lock:
-            self.bands.clear()
-            self.hits = self.misses = 0
-
-    def info(self) -> dict:
-        """Hits and misses since the last :meth:`clear`, and the bands and bytes held."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "bands": len(self.bands),
-                    "bytes": sum(band.nbytes for band in self.bands.values())}
+def _draw_noise_band(m: int, n: int, k: int, seed: int, rep: int) -> np.ndarray:
+    """The first k Fourier columns (M, k) of replicate ``rep``'s noise, read-only:
+    ``fourier_coeffs`` of its :func:`_noise_blocks`, the same blocks and bits as of
+    its M x N grid."""
+    band = fourier_coeffs(RowSource(m, n, partial(_noise_blocks, m, n, seed, rep)), k)
+    band.flags.writeable = False
+    return band
 
 
 # Every cell of a run seeded ``seed`` draws replicate ``rep``'s noise from the same stream,
 # whatever its signals, sigma or mode, so cells of one grid share their noise bands.
-_NOISE_BANDS = _BandMemo(most=256, largest=ROW_BLOCK_BYTES)
+_kept_noise_band = lru_cache(maxsize=256)(_draw_noise_band)
 
 
 def _noise_band(m: int, n: int, k: int, seed: int, rep: int) -> np.ndarray:
-    """The first k Fourier columns (M, k) of replicate ``rep``'s noise: ``fourier_coeffs``
-    of its :func:`_noise_blocks`, the same blocks and bits as of its M x N grid.
-
-    Read-only and drawn once per process per (M, N, K, seed, rep) when the band takes
-    at most 128 KB (:data:`funcdeconv.spectra.ROW_BLOCK_BYTES`, 16 M K bytes): the
-    process keeps at most 256 such bands, at most 32 MB, the oldest dropped first.
-    A larger band (1024 x 2048 at K = 11 is 180 KB) is drawn on every call. A kept
-    band is the bits a fresh draw gives.
+    """:func:`_draw_noise_band`, drawn once per process per (M, N, K, seed, rep) when
+    the band takes at most 128 KB (:data:`funcdeconv.spectra.ROW_BLOCK_BYTES`, 16 M K
+    bytes): the process keeps at most 256 such bands, at most 32 MB, the least
+    recently used dropped first. A larger band (1024 x 2048 at K = 11 is 180 KB) is
+    drawn on every call. A kept band is the bits a fresh draw gives.
     """
-    return _NOISE_BANDS.get((m, n, k, seed, rep), lambda: fourier_coeffs(
-        RowSource(m, n, partial(_noise_blocks, m, n, seed, rep)), k))
+    draw = _kept_noise_band if 16 * m * k <= ROW_BLOCK_BYTES else _draw_noise_band
+    return draw(m, n, k, seed, rep)
 
 
 # --- MISE benchmark -------------------------------------------------------
@@ -345,9 +310,10 @@ def run_mise(sim: SimConfig, kernel_spec: KernelSpectrum | None = None
     Each replicate draws its noise in row blocks of about 128 KB and keeps
     only their K band columns, ``clean + sigma * noise band``; a band of at
     most 128 KB is drawn once per process per (M, N, K, seed, rep) and shared
-    by every cell that reads it (:func:`_noise_band`). The replicate estimates
-    its coefficients from that band (:func:`estimate_coeffs`), thresholds
-    them and scores ``bias + w sum (beta_hat - beta)^2``, which equals the
+    by every cell that reads it; of the 256 bands kept, the least recently used
+    is dropped first (:func:`_noise_band`). The replicate estimates its
+    coefficients from that band (:func:`estimate_coeffs`), thresholds them and
+    scores ``bias + w sum (beta_hat - beta)^2``, which equals the
     grid MISE to rounding. ``sim.threads > 1`` runs the replicates on a pool of at most
     ``runs`` threads and no more than the process's CPUs; the results do not
     depend on it. At sigma = 0 the replicates draw no noise, so one is scored

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ConfigError
+from .spectra import _is_pow2
 
 # 12-tap extremal-phase Daubechies filter, 6 vanishing moments, normalized so
 # sum = sqrt(2) and sum of squares = 1: a 50-digit spectral factorisation
@@ -95,7 +96,7 @@ class SpatialBasis:
         if np.iscomplexobj(v):
             raise ConfigError("the spatial DWT takes real rows, got complex input")
         n = v.shape[-1]
-        if n < 1 or (n & (n - 1)) != 0:
+        if not _is_pow2(n):
             raise ConfigError(f"length {n} is not a power of two")
         big_l = n.bit_length() - 1
         if big_l < self.m0p:

@@ -193,6 +193,8 @@ class TestConfigFor:
         obs = observe(np.zeros((64, 512)), sigma=0.5)
         with pytest.raises(LevelTooFine):
             fd.config_for(obs, ks, j=8).resolved(64, 512)
+        with pytest.raises(LevelTooFine, match="J'=7 exceeds grid capacity 6 at M=64"):
+            fd.config_for(obs, ks, j_prime=7).resolved(64, 512)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):

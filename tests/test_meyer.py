@@ -328,8 +328,9 @@ class TestAnalyzeSynthesize:
             meyer.synthesize_t(np.zeros((1, 4)))
 
     def test_packed_length_not_a_power_of_two_rejected(self, meyer):
-        with pytest.raises(IndexError, match="packed length 24 is not a power of two"):
-            meyer.synthesize_t(np.zeros((1, 24)))
+        for size in (24, 0):
+            with pytest.raises(ConfigError, match=f"packed length {size} is not a power of two"):
+                meyer.synthesize_t(np.zeros((1, size)))
 
     def test_rejects_malformed_inputs(self, meyer):
         with pytest.raises(ConfigError):

@@ -196,15 +196,15 @@ class TestSharedNoiseBands:
     """A replicate's noise band is drawn once per process per (M, N, K, seed, rep)."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        simlab._NOISE_BANDS.clear()
+    def empty_cache(self):
+        simlab._kept_noise_band.cache_clear()
         yield
-        simlab._NOISE_BANDS.clear()
+        simlab._kept_noise_band.cache_clear()
 
     def test_a_kept_band_is_a_fresh_draw_and_read_only(self):
         kept = simlab._noise_band(48, 512, 9, 3, 5)
         assert simlab._noise_band(48, 512, 9, 3, 5) is kept
-        simlab._NOISE_BANDS.clear()
+        simlab._kept_noise_band.cache_clear()
         fresh = simlab._noise_band(48, 512, 9, 3, 5)
         assert fresh is not kept and fresh.tobytes() == kept.tobytes()
         with pytest.raises(ValueError):
@@ -215,52 +215,64 @@ class TestSharedNoiseBands:
         every cell; a warm table draws nothing."""
         cold = simlab.table1(runs=3)
         warm = simlab.table1(runs=3)
-        assert simlab._NOISE_BANDS.info()["misses"] == 3 * 3     # (M, K): (128, 6), (256, 6), (256, 11)
+        # (M, K): (128, 6), (256, 6), (256, 11)
+        assert simlab._kept_noise_band.cache_info().misses == 3 * 3
         run_mise = simlab.run_mise
 
         def cleared(sim, kernel_spec=None):
-            simlab._NOISE_BANDS.clear()
+            simlab._kept_noise_band.cache_clear()
             return run_mise(sim, kernel_spec)
 
         monkeypatch.setattr(simlab, "run_mise", cleared)
         assert cold == warm == simlab.table1(runs=3)
 
     def test_a_band_over_128_kb_is_drawn_on_every_call(self):
-        """1024 x 256 at K = 9 is 144 KB."""
+        """1024 x 256 at K = 9 is 144 KB: it is read-only, each call draws the same
+        bits again, and the cache is never consulted."""
         big = simlab._noise_band(1024, 256, 9, 0, 0)
         assert big.nbytes > ROW_BLOCK_BYTES and not big.flags.writeable
         again = simlab._noise_band(1024, 256, 9, 0, 0)
         assert again is not big and again.tobytes() == big.tobytes()
-        assert simlab._NOISE_BANDS.info() == {"hits": 0, "misses": 2, "bands": 0, "bytes": 0}
+        info = simlab._kept_noise_band.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_keeps_at_most_256_bands_of_at_most_128_kb(self):
-        """At most 32 MB held; past 256 bands the oldest is dropped first."""
-        memo = simlab._NOISE_BANDS
-        assert memo.most * memo.largest == 32 * 2**20
+        """At most 32 MB held; past 256 bands the least recently used is dropped first."""
+        cache = simlab._kept_noise_band
+        most = cache.cache_info().maxsize
+        assert most * ROW_BLOCK_BYTES == 32 * 2**20
+        assert simlab._noise_band(2, 8, 2, 0, 0).nbytes == 16 * 2 * 2
+        cache.cache_clear()
         for rep in range(300):
             simlab._noise_band(2, 8, 2, 0, rep)
-            assert memo.info()["bands"] == min(rep + 1, memo.most)
+            assert cache.cache_info().currsize == min(rep + 1, most)
         simlab._noise_band(2, 8, 2, 0, 299)
         simlab._noise_band(2, 8, 2, 0, 0)
-        assert memo.info() == {"hits": 1, "misses": 301, "bands": 256, "bytes": 256 * 64}
+        assert cache.cache_info() == (1, 301, most, most)
+        # 45 is now the least recently used; a read of it keeps it past the next miss
+        simlab._noise_band(2, 8, 2, 0, 45)
+        simlab._noise_band(2, 8, 2, 0, 1)
+        simlab._noise_band(2, 8, 2, 0, 45)
+        assert cache.cache_info() == (3, 302, most, most)
 
     def test_threads_sharing_the_memo_lose_no_count_and_keep_the_bound(self):
         """8 threads on 2 CPUs, switching every microsecond, each read 300 bands
-        through a 256-band memo: every call counts once, no band is lost to a
-        racing eviction, and every kept band is its fresh draw."""
-        memo, calls, errors = simlab._NOISE_BANDS, 300, []
+        through a 256-band cache: every call counts once, the cache stays full, and
+        every band a thread reads, kept or drawn, is its fresh draw."""
+        cache, calls, errors = simlab._kept_noise_band, 300, []
+        read = [[] for _ in range(8)]
 
-        def read_all():
+        def read_all(bands):
             try:
                 for rep in range(calls):
-                    simlab._noise_band(2, 8, 2, 0, rep)
+                    bands.append(simlab._noise_band(2, 8, 2, 0, rep))
             except Exception as exc:    # reported by the main thread
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            threads = [threading.Thread(target=read_all, args=(bands,)) for bands in read]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -268,12 +280,13 @@ class TestSharedNoiseBands:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and not errors
-        info = memo.info()
-        assert info["hits"] + info["misses"] == 8 * calls
-        assert info["bands"] == memo.most
-        for (m, n, k, seed, rep), band in list(memo.bands.items()):
-            want = fd.fourier_coeffs(np.random.default_rng([seed, rep]).standard_normal((m, n)), k)
-            assert band.tobytes() == want.tobytes()
+        info = cache.cache_info()
+        assert info.hits + info.misses == 8 * calls
+        assert info.currsize == info.maxsize
+        want = [fd.fourier_coeffs(np.random.default_rng([0, rep]).standard_normal((2, 8)), 2)
+                for rep in range(calls)]
+        for bands in read:
+            assert [band.tobytes() for band in bands] == [w.tobytes() for w in want]
 
 
 class TestReferenceSpectrum:
@@ -319,18 +332,18 @@ class TestRunMise:
         """Also when the second call draws its noise bands again."""
         cfg = simlab.SimConfig(m=64, n=256, runs=3, seed=5)
         a = simlab.run_mise(cfg)
-        simlab._NOISE_BANDS.clear()
+        simlab._kept_noise_band.cache_clear()
         b = simlab.run_mise(cfg)
         assert np.array_equal(a.per_run, b.per_run)
 
     def test_threads_do_not_change_results(self):
-        """The threads draw the noise bands: the memo is emptied between the calls."""
+        """The threads draw the noise bands: the cache is emptied between the calls."""
         base = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=4, seed=2))
-        simlab._NOISE_BANDS.clear()
+        simlab._kept_noise_band.cache_clear()
         multi = simlab.run_mise(simlab.SimConfig(m=64, n=256, runs=4, seed=2,
                                                  threads=2))
         assert base.per_run.tobytes() == multi.per_run.tobytes()
-        assert simlab._NOISE_BANDS.info()["misses"] == 4
+        assert simlab._kept_noise_band.cache_info().misses == 4
 
     def test_the_pool_holds_no_more_threads_than_runs(self, monkeypatch):
         """threads=10**6 starts at most ``runs`` worker threads."""
@@ -391,7 +404,7 @@ class TestRunMise:
         sim = simlab.SimConfig(m=256, n=512, runs=3)
         ks = fd.kernel_spectrum(simlab.kernel_grid(sim.m, sim.n))
         simlab.run_mise(sim, kernel_spec=ks)
-        simlab._NOISE_BANDS.clear()
+        simlab._kept_noise_band.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -411,7 +424,7 @@ class TestRunMise:
         peaks = []
         for cold in (True, False):
             if cold:
-                simlab._NOISE_BANDS.clear()
+                simlab._kept_noise_band.cache_clear()
             gc.collect()
             tracemalloc.start()
             try:
@@ -420,7 +433,7 @@ class TestRunMise:
             finally:
                 tracemalloc.stop()
         assert peaks[0] > ROW_BLOCK_BYTES > peaks[1]
-        assert simlab._NOISE_BANDS.info()["hits"] == sim.runs
+        assert simlab._kept_noise_band.cache_info().hits == sim.runs
 
     def test_a_kernel_of_another_grid_is_rejected(self):
         ks = fd.kernel_spectrum(simlab.kernel_grid(64, 512))

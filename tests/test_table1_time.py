@@ -1,4 +1,4 @@
-"""``scripts/table1_time.py``: ``table1`` wall time and noise band memo in fresh processes."""
+"""``scripts/table1_time.py``: ``table1`` wall time and noise band cache in fresh processes."""
 
 import hashlib
 import importlib
@@ -14,7 +14,7 @@ ROW = re.compile(r"\| ([\d.]+) \| ([\d.]+) \| (\d+) \| (\d+) \| (\d+) \| ([0-9a-
 
 def test_one_row_of_medians_memo_counts_and_the_table_hash(monkeypatch, capsys):
     """At two replicates the 48 cells draw 3 (M, K) bands per replicate once,
-    (128, 6), (256, 6) and (256, 11), 163840 bytes, and hit them 90 times."""
+    (128, 6), (256, 6) and (256, 11), keep all 6, and hit them 90 times."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     table1_time = importlib.import_module("table1_time")
     table1_time.main(["--runs", "2", "--repeats", "1"])
@@ -23,7 +23,7 @@ def test_one_row_of_medians_memo_counts_and_the_table_hash(monkeypatch, capsys):
     match = ROW.fullmatch(lines[3])
     assert match, lines[3]
     assert float(match[1]) > 0 and float(match[2]) > 0
-    assert [int(v) for v in match.groups()[2:5]] == [90, 6, 163840]
+    assert [int(v) for v in match.groups()[2:5]] == [90, 6, 6]
     rows = simlab.table1(runs=2)
     bits = "".join(float(r[key]).hex() for r in rows for key in ("mean_mise", "sd_mise"))
     assert match[6] == hashlib.sha256(bits.encode()).hexdigest()
